@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"regexp"
@@ -79,17 +80,40 @@ func main() {
 		os.Exit(compareReports(flag.Arg(0), flag.Arg(1), *threshold))
 	}
 
-	report := Report{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
+	report, err := parseBench(io.TeeReader(os.Stdin, os.Stderr))
+	if err != nil {
+		log.Fatalf("benchjson: reading stdin: %v", err)
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	if len(report.Benchmarks) == 0 {
+		log.Fatal("benchjson: no benchmark lines found on stdin")
+	}
+	report.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
+	report.GoVersion = runtime.Version()
+	report.NumCPU = runtime.NumCPU()
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(report.Benchmarks), *out)
+}
+
+// procsSuffix matches the -N suffix `go test` appends to a benchmark's
+// name when it ran at GOMAXPROCS N > 1.
+var procsSuffix = regexp.MustCompile(`-(\d+)$`)
+
+// parseBench reads `go test -bench` output into a report. GoMaxProcs is
+// the GOMAXPROCS the benchmarks ran at, read from their names: a -N
+// suffix means N, none means 1. It stays 0 (unknown) when the names
+// disagree, as in a `-cpu 1,4` run.
+func parseBench(in io.Reader) (Report, error) {
+	var report Report
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Fprintln(os.Stderr, line)
 		if m := configLine.FindStringSubmatch(line); m != nil {
 			if report.Config == nil {
 				report.Config = make(map[string]string)
@@ -116,22 +140,19 @@ func main() {
 			v, _ := strconv.ParseFloat(m[5], 64)
 			r.AllocsPerOp = &v
 		}
+		procs := 1
+		if suffix := procsSuffix.FindStringSubmatch(r.Name); suffix != nil {
+			procs, _ = strconv.Atoi(suffix[1])
+		}
+		switch {
+		case len(report.Benchmarks) == 0:
+			report.GoMaxProcs = procs
+		case report.GoMaxProcs != procs:
+			report.GoMaxProcs = 0
+		}
 		report.Benchmarks = append(report.Benchmarks, r)
 	}
-	if err := sc.Err(); err != nil {
-		log.Fatalf("benchjson: reading stdin: %v", err)
-	}
-	if len(report.Benchmarks) == 0 {
-		log.Fatal("benchjson: no benchmark lines found on stdin")
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(report.Benchmarks), *out)
+	return report, sc.Err()
 }
 
 // loadReport reads a previously-written benchmark report.

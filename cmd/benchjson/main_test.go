@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -97,5 +98,47 @@ func TestCompareFlagsAllocRegression(t *testing.T) {
 		[]Result{{Name: "BenchmarkHot", NsPerOp: 500}})
 	if got := compareReports(zero, bare, 0.20); got != 0 {
 		t.Fatalf("allocs missing on one side: exit %d, want 0", got)
+	}
+}
+
+// TestParseBenchReadsGoMaxProcsFromNames parses transcripts captured from
+// `go test -bench ... -cpu 4` and `-cpu 1`: the report records the
+// benchmarks' GOMAXPROCS, not the parser's own.
+func TestParseBenchReadsGoMaxProcsFromNames(t *testing.T) {
+	for _, c := range []struct {
+		file  string
+		procs int
+		first string
+	}{
+		{"testdata/cpu4.txt", 4, "BenchmarkExecLimitShortCircuit-4"},
+		{"testdata/cpu1.txt", 1, "BenchmarkExecLimitShortCircuit"},
+	} {
+		f, err := os.Open(c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := parseBench(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.GoMaxProcs != c.procs {
+			t.Errorf("%s: gomaxprocs = %d, want %d", c.file, rep.GoMaxProcs, c.procs)
+		}
+		if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Name != c.first {
+			t.Fatalf("%s: benchmarks = %+v, want 2 starting with %s", c.file, rep.Benchmarks, c.first)
+		}
+		if b := rep.Benchmarks[0]; b.Iterations != 20 || b.NsPerOp <= 0 || b.BytesPerOp == nil || b.AllocsPerOp == nil {
+			t.Errorf("%s: first result = %+v, want 20 iterations with ns, bytes and allocs per op", c.file, b)
+		}
+	}
+	// A run mixing core counts (`-cpu 1,4`) records no single GOMAXPROCS.
+	mixed := "BenchmarkX \t10\t100 ns/op\nBenchmarkX-4 \t10\t50 ns/op\n"
+	rep, err := parseBench(strings.NewReader(mixed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GoMaxProcs != 0 || len(rep.Benchmarks) != 2 {
+		t.Errorf("mixed run: gomaxprocs = %d over %d results, want 0 over 2", rep.GoMaxProcs, len(rep.Benchmarks))
 	}
 }

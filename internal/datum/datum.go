@@ -357,6 +357,9 @@ func (d D) Hash() uint64 {
 		if f == float64(int64(f)) && d.k == KInt {
 			f = float64(d.i)
 		}
+		if f == 0 {
+			f = 0 // -0 and +0 are Equal
+		}
 		bits := math.Float64bits(f)
 		for i := 0; i < 8; i++ {
 			mix(byte(bits >> (8 * i)))

@@ -1,6 +1,7 @@
 package datum
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -224,6 +225,10 @@ func TestLike(t *testing.T) {
 func TestHashEqualImpliesSameHash(t *testing.T) {
 	if NewInt(1).Hash() != NewFloat(1).Hash() {
 		t.Error("1 and 1.0 must hash equally")
+	}
+	negZero := NewFloat(math.Copysign(0, -1))
+	if !Equal(negZero, NewInt(0)) || negZero.Hash() != NewInt(0).Hash() || negZero.Hash() != NewFloat(0).Hash() {
+		t.Error("-0.0, 0.0 and 0 are Equal and must hash equally")
 	}
 	if NewString("ab").Hash() == NewString("ba").Hash() {
 		t.Error("different strings should (almost surely) hash differently")

@@ -11,8 +11,10 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"lantern/internal/datum"
 	"lantern/internal/storage"
@@ -251,6 +253,78 @@ func TestVecHashJoinProbeBatchAllocs(t *testing.T) {
 	if avg > 2 {
 		t.Fatalf("batch hash-join probe allocates %.2f allocs/batch, want <= 2 (the output arena)", avg)
 	}
+}
+
+// TestVecHashJoinProbeBatchBytes is the bytes/op guard beside the allocs
+// guard above, on two joins. The first output batch after Open starts on
+// the scan's 64-row adaptive first chunk, so its arena hint undershoots:
+// the full join must still fill each batch from at most two chunks
+// holding one batch's worth of rows, never a regrown copy. A join whose
+// whole output (300 rows, estimated exactly) fits one batch must not
+// reserve a full batch either: its chunks hold under twice its rows.
+func TestVecHashJoinProbeBatchBytes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EnableMergeJoin, cfg.EnableNestLoop = false, false
+	e := vecAllocDB(t, cfg)
+	for _, c := range []struct {
+		sql         string
+		rows        int // per measured batch
+		batches     int // measured per pass
+		maxRowsHeld int // arena capacity allowed per batch, in rows
+	}{
+		{"SELECT g.gname, t.id FROM g, t WHERE g.gid = t.grp", batchSize, 4, batchSize * 11 / 10},
+		{"SELECT g.gname, t.id FROM g, t WHERE g.gid = t.grp AND t.id < 300", 300, 1, 2 * 300},
+	} {
+		plan, err := e.PlanSQL(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := e.buildVec(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hj, ok := it.(*hashJoinVec)
+		if !ok {
+			t.Fatalf("vectorized plan root = %T, want *hashJoinVec", it)
+		}
+		next := func() {
+			if b, err := it.NextBatch(); err != nil || len(b) != c.rows {
+				t.Fatalf("%s: NextBatch = %d rows, %v; want %d", c.sql, len(b), err, c.rows)
+			}
+		}
+		// Warm up: the first pass allocates the reusable row headers and
+		// scan buffers.
+		if err := it.Open(); err != nil {
+			t.Fatal(err)
+		}
+		next()
+		maxBytes := uint64(c.maxRowsHeld*hj.w.width) * uint64(unsafe.Sizeof(datum.D{}))
+		for pass := 0; pass < 3; pass++ {
+			if err := it.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < c.batches; i++ {
+				allocs, bytes := heapAllocated(next)
+				if allocs > 2 || bytes > maxBytes {
+					t.Fatalf("%s: pass %d batch %d: %d allocs, %d bytes; want <= 2 allocs and <= %d bytes (%d rows)",
+						c.sql, pass, i, allocs, bytes, maxBytes, c.maxRowsHeld)
+				}
+			}
+		}
+		it.Close()
+	}
+}
+
+// heapAllocated reports the heap objects and bytes f allocates, measured
+// the way testing.AllocsPerRun counts: on one P, from the runtime's
+// cumulative counters.
+func heapAllocated(f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestVecTopKQueryAllocs: a whole vectorized top-K query — batch scan into

@@ -450,6 +450,7 @@ func (b *binder) bindIn(ex *sqlparser.InExpr) (boundExpr, error) {
 	not := ex.Not
 	if ex.Subquery != nil {
 		run := b.lazySubquery(ex.Subquery)
+		var set *inSet
 		return func(env *rowEnv) (datum.D, error) {
 			v, err := x(env)
 			if err != nil {
@@ -458,25 +459,19 @@ func (b *binder) bindIn(ex *sqlparser.InExpr) (boundExpr, error) {
 			if v.IsNull() {
 				return datum.Null, nil
 			}
-			rows, err := run()
-			if err != nil {
-				return datum.Null, err
-			}
-			sawNull := false
-			for _, r := range rows {
-				if len(r) != 1 {
-					return datum.Null, fmt.Errorf("engine: IN subquery must return one column")
+			if set == nil {
+				rows, err := run()
+				if err != nil {
+					return datum.Null, err
 				}
-				c := r[0]
-				if c.IsNull() {
-					sawNull = true
-					continue
-				}
-				if datum.Equal(v, c) {
-					return datum.NewBool(!not), nil
+				if set, err = newInSet(rows); err != nil {
+					return datum.Null, err
 				}
 			}
-			if sawNull {
+			if set.contains(v) {
+				return datum.NewBool(!not), nil
+			}
+			if set.sawNull {
 				return datum.Null, nil
 			}
 			return datum.NewBool(not), nil
@@ -517,6 +512,43 @@ func (b *binder) bindIn(ex *sqlparser.InExpr) (boundExpr, error) {
 		}
 		return datum.NewBool(not), nil
 	}, nil
+}
+
+// inSet is what `x IN (subquery)` probes: the subquery's distinct
+// non-NULL values bucketed by datum.Hash, which hashes 1 and 1.0 alike as
+// datum.Equal compares them, and whether the subquery returned a NULL.
+// Built once per bound expression, it turns each probe's scan of the
+// subquery result into one bucket lookup.
+type inSet struct {
+	buckets map[uint64][]datum.D
+	sawNull bool
+}
+
+func newInSet(rows []storage.Row) (*inSet, error) {
+	s := &inSet{buckets: make(map[uint64][]datum.D, len(rows))}
+	for _, r := range rows {
+		if len(r) != 1 {
+			return nil, fmt.Errorf("engine: IN subquery must return one column")
+		}
+		v := r[0]
+		switch {
+		case v.IsNull():
+			s.sawNull = true
+		case !s.contains(v):
+			h := v.Hash()
+			s.buckets[h] = append(s.buckets[h], v)
+		}
+	}
+	return s, nil
+}
+
+func (s *inSet) contains(v datum.D) bool {
+	for _, c := range s.buckets[v.Hash()] {
+		if datum.Equal(v, c) {
+			return true
+		}
+	}
+	return false
 }
 
 // bindFunc compiles the scalar builtins. Unknown functions, aggregate

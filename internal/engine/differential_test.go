@@ -14,6 +14,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,11 +210,59 @@ var nullKeyCorpus = []string{
 	"SELECT o_orderkey FROM orders WHERE o_custkey IS NOT NULL ORDER BY o_orderkey",
 }
 
+// inSubqueryCorpus pins `x [NOT] IN (subquery)` — a hash-set probe in the
+// batch, row and parallel executors, a linear scan in the reference one —
+// over nullDB's NULLs on both sides: a NULL probe gives NULL, and so does
+// a miss against a subquery result holding a NULL. Int/float widening
+// matches 7 with 7.0 in both directions, and -0.0 with 0. The predicates
+// sit in WHERE and ON clauses, which the reference executor evaluates
+// itself (every executor shares the bound select-list projection), and
+// IS NULL tells a NULL verdict from a false one.
+var inSubqueryCorpus = []string{
+	"SELECT c_name FROM customer WHERE c_custkey IN (SELECT o_custkey FROM orders)",
+	"SELECT c_name FROM customer WHERE c_custkey NOT IN (SELECT o_custkey FROM orders)",
+	"SELECT c_name FROM customer WHERE c_custkey NOT IN (SELECT o_custkey FROM orders WHERE o_custkey IS NOT NULL AND o_totalprice > 300)",
+	"SELECT c_name FROM customer WHERE (c_custkey IN (SELECT o_custkey FROM orders WHERE o_totalprice > 300)) IS NULL",
+	"SELECT c_name FROM customer WHERE (c_custkey NOT IN (SELECT o_custkey FROM orders WHERE o_totalprice > 300)) IS NULL",
+	"SELECT c_name FROM customer WHERE (c_custkey IN (SELECT o_custkey FROM orders WHERE o_totalprice < 0)) IS NULL",
+	"SELECT o_orderkey FROM orders WHERE (o_totalprice IN (SELECT c_custkey FROM customer)) IS NULL",
+	"SELECT o_orderkey FROM orders WHERE o_totalprice IN (SELECT c_custkey FROM customer)",
+	"SELECT c_name FROM customer WHERE c_custkey IN (SELECT o_totalprice FROM orders)",
+	"SELECT c.c_name, o.o_orderkey FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND (c.c_custkey IN (SELECT o_custkey FROM orders WHERE o_totalprice > 300)) IS NULL",
+	"SELECT c_name FROM customer WHERE (0 - c_acctbal) * 0.0 IN (SELECT c_custkey - c_custkey FROM customer)",
+	"SELECT c.c_name, o.o_orderkey FROM customer c, orders o WHERE c.c_custkey = o.o_custkey AND o.o_custkey NOT IN (SELECT c_custkey FROM customer WHERE c_acctbal > 100)",
+	"SELECT o_status, COUNT(*) FROM orders WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_mktsegment = 'AUTO') GROUP BY o_status",
+}
+
+// outerJoinCorpus covers the ON clause shapes the split distinguishes,
+// over the testDB schema: keys in either orientation, pushed conjuncts
+// (comparisons, same-table equalities, IN subqueries), preserved-side and
+// cross-side residuals, constants, OR, unqualified columns, chained LEFT
+// JOINs, an inner join below a LEFT JOIN, and WHERE and GROUP BY above.
+var outerJoinCorpus = []string{
+	"SELECT c.c_name, o.o_orderkey FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND c.c_acctbal > 100",
+	"SELECT c.c_name, o.o_orderkey FROM customer c LEFT JOIN orders o ON o.o_custkey = c.c_custkey AND o.o_status = 'A' AND o.o_totalprice < 200",
+	"SELECT c.c_name, o.o_orderkey FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND c.c_acctbal < o.o_totalprice",
+	"SELECT c.c_name, o.o_orderkey FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey OR o.o_status = 'B'",
+	"SELECT c.c_name, o.o_orderkey FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND o.o_orderkey = o.o_custkey",
+	"SELECT c.c_name, o.o_orderkey FROM customer c LEFT JOIN orders o ON o.o_totalprice > 400",
+	"SELECT c.c_name, o.o_orderkey FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND 1 = 2",
+	"SELECT c.c_name, o.o_orderkey FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND o.o_custkey IN (SELECT c_custkey FROM customer WHERE c_mktsegment = 'AUTO')",
+	"SELECT c_name, o_orderkey FROM customer LEFT JOIN orders ON c_custkey = o_custkey AND o_totalprice > 300",
+	"SELECT c.c_name, o.o_orderkey, p.title FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND o.o_totalprice > 200 LEFT JOIN publication p ON p.pub_key = o.o_custkey AND p.title LIKE 'July%'",
+	"SELECT c.c_name, o.o_orderkey, p.title FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey LEFT JOIN publication p ON c.c_custkey = p.pub_key AND c.c_acctbal > 50",
+	"SELECT c.c_name, o.o_orderkey, p.title FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey LEFT JOIN publication p ON p.pub_key = o.o_orderkey",
+	"SELECT c.c_name, o.o_orderkey FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND o.o_status = 'C' WHERE c.c_acctbal > 50 ORDER BY c.c_name, o.o_orderkey",
+	"SELECT c.c_custkey, COUNT(o.o_orderkey) FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND o.o_totalprice > 150 GROUP BY c.c_custkey ORDER BY COUNT(o.o_orderkey) DESC, c.c_custkey LIMIT 7",
+}
+
+// TestDifferentialNullJoinKeys runs the three corpora above over nullDB,
+// where NULLs sit on both sides of every join and IN.
 func TestDifferentialNullJoinKeys(t *testing.T) {
 	for name, cfg := range diffConfigs() {
 		t.Run(name, func(t *testing.T) {
 			e := nullDB(t, cfg)
-			for _, q := range nullKeyCorpus {
+			for _, q := range slices.Concat(nullKeyCorpus, inSubqueryCorpus, outerJoinCorpus) {
 				mustExec(t, e, q)
 				assertSameResults(t, e, q)
 			}

@@ -7,6 +7,37 @@
 // exactly as the paper's system consumes the output of the commercial
 // engines.
 //
+// # Outer-join planning
+//
+// Queries without outer joins are ordered cost-based: dynamic
+// programming over connected sub-plans, greedy beyond Config.DPThreshold
+// relations, with each WHERE and inner-join ON conjunct placed on the
+// lowest node that binds its tables. A LEFT JOIN does not commute, so a
+// query with one keeps its FROM clause in written order and applies
+// WHERE above the joins. Each LEFT JOIN's ON clause splits three ways:
+//
+//   - Column equalities whose two columns come from opposite inputs are
+//     the hash keys.
+//   - Conjuncts that reference only the nullable (right) table become its
+//     scan filter, estimated and costed like any scan filter (selectivity,
+//     zone-map pruning). A row they reject could never match, and the
+//     preserved row survives null-extended either way.
+//   - Everything else stays in the join condition. That includes
+//     conjuncts on the preserved (left) side alone: they decide whether a
+//     row pair matches, not whether the left row is kept, so filtering the
+//     left input with them would drop rows the LEFT JOIN must keep.
+//
+// With a key and hash joins enabled the join is a Hash Left Join that
+// builds on the nullable side; its residual, the condition's non-key
+// conjuncts, decides a match together with the keys. Without a key it is
+// a Nested Loop Left Join with the condition as its join filter. A TPC-H
+// Q13 variant, `customer LEFT JOIN orders ON c_custkey = o_custkey AND
+// o_totalprice > N`, therefore hashes the filtered orders once instead of
+// testing every customer–order pair. Every executor splits a hash or
+// merge join's condition the same way (joinKeyPairs): an equality is a
+// key only when one column comes from each input, and any other conjunct
+// is residual.
+//
 // # Execution model
 //
 // SELECT queries execute batch-at-a-time by default (vec.go, vecjoin.go,
@@ -22,9 +53,10 @@
 // batch; nil signals end of stream. Scans slice storage-owned row memory
 // directly (an unfiltered chunk is a zero-copy subslice) and run compiled
 // predicates over whole chunks in tight typed loops; the hash join packs
-// joined rows into a per-batch flat datum arena (one allocation per
-// output batch instead of one per row); sort keeps the bounded top-K heap
-// or sorts an index permutation over a flat key arena. The allocation
+// joined rows into flat datum arena chunks (typically one or two per
+// output batch instead of one allocation per row, never regrown or
+// copied); sort keeps the bounded top-K heap or sorts an index
+// permutation over a flat key arena. The allocation
 // guards in alloc_test.go pin the steady-state batch loops at (near) zero
 // allocations per batch.
 //

@@ -217,9 +217,13 @@ func indexBounds(cond sqlparser.Expr) (col string, lo, hi datum.D, incLo, incHi 
 	return col, lo, hi, incLo, incHi, eq, hasEq, nil
 }
 
-// joinKeyPairs splits an equi-join condition into per-side key expressions,
-// ordered so the first element of each pair evaluates against leftSchema.
-func joinKeyPairs(cond sqlparser.Expr, leftSchema []colRef) (lhs, rhs []sqlparser.Expr, residual []sqlparser.Expr) {
+// joinKeyPairs splits a join condition into per-side key expressions and
+// the residual. A column equality is a key pair only when its columns come
+// from opposite inputs; the pair is ordered so its first element evaluates
+// against leftSchema and its second against rightSchema. Every other
+// conjunct, including an equality between two columns of one input, is
+// residual.
+func joinKeyPairs(cond sqlparser.Expr, leftSchema, rightSchema []colRef) (lhs, rhs []sqlparser.Expr, residual []sqlparser.Expr) {
 	inSchema := func(c *sqlparser.ColumnRef, schema []colRef) bool {
 		for _, sc := range schema {
 			if (c.Table == "" || sc.Qual == c.Table) && sc.Name == c.Name {
@@ -229,22 +233,12 @@ func joinKeyPairs(cond sqlparser.Expr, leftSchema []colRef) (lhs, rhs []sqlparse
 		return false
 	}
 	for _, c := range sqlparser.SplitConjuncts(cond) {
-		be, ok := c.(*sqlparser.BinaryExpr)
-		if !ok || be.Op != sqlparser.OpEq {
-			residual = append(residual, c)
-			continue
-		}
-		lc, lok := be.Left.(*sqlparser.ColumnRef)
-		rc, rok := be.Right.(*sqlparser.ColumnRef)
-		if !lok || !rok {
-			residual = append(residual, c)
-			continue
-		}
+		lc, rc, ok := columnEquality(c)
 		switch {
-		case inSchema(lc, leftSchema):
+		case ok && inSchema(lc, leftSchema) && inSchema(rc, rightSchema):
 			lhs = append(lhs, lc)
 			rhs = append(rhs, rc)
-		case inSchema(rc, leftSchema):
+		case ok && inSchema(rc, leftSchema) && inSchema(lc, rightSchema):
 			lhs = append(lhs, rc)
 			rhs = append(rhs, lc)
 		default:
@@ -264,7 +258,7 @@ func (e *Engine) execHashJoin(n *Node) ([]storage.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	probeKeys, buildKeys, residual := joinKeyPairs(n.JoinCond, probeNode.Schema)
+	probeKeys, buildKeys, residual := joinKeyPairs(n.JoinCond, probeNode.Schema, hashNode.Schema)
 	if len(probeKeys) == 0 {
 		return nil, fmt.Errorf("engine: hash join without equi-condition")
 	}
@@ -384,7 +378,7 @@ func (e *Engine) execMergeJoin(n *Node) ([]storage.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	lKeys, rKeys, residual := joinKeyPairs(n.JoinCond, leftNode.Schema)
+	lKeys, rKeys, residual := joinKeyPairs(n.JoinCond, leftNode.Schema, rightNode.Schema)
 	if len(lKeys) == 0 {
 		return nil, fmt.Errorf("engine: merge join without equi-condition")
 	}

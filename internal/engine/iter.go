@@ -420,7 +420,7 @@ type hashJoinIter struct {
 
 func (b *ibuild) newHashJoinIter(n *Node) (*hashJoinIter, error) {
 	probeNode, hashNode := n.Children[0], n.Children[1]
-	probeKeyExprs, buildKeyExprs, residual := joinKeyPairs(n.JoinCond, probeNode.Schema)
+	probeKeyExprs, buildKeyExprs, residual := joinKeyPairs(n.JoinCond, probeNode.Schema, hashNode.Schema)
 	if len(probeKeyExprs) == 0 {
 		return nil, fmt.Errorf("engine: hash join without equi-condition")
 	}
@@ -779,7 +779,7 @@ type mergeJoinIter struct {
 
 func (b *ibuild) newMergeJoinIter(n *Node) (*mergeJoinIter, error) {
 	leftNode, rightNode := n.Children[0], n.Children[1]
-	lKeyExprs, rKeyExprs, residual := joinKeyPairs(n.JoinCond, leftNode.Schema)
+	lKeyExprs, rKeyExprs, residual := joinKeyPairs(n.JoinCond, leftNode.Schema, rightNode.Schema)
 	if len(lKeyExprs) == 0 {
 		return nil, fmt.Errorf("engine: merge join without equi-condition")
 	}

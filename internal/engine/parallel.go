@@ -1547,6 +1547,6 @@ func (x *exchangeVec) buildSharedParallel(s *hashShared, shell *hashJoinVec, n, 
 // goroutine (closure state must not be shared).
 func (x *exchangeVec) rebindBuildKeys(n *Node) ([]boundExpr, error) {
 	probeNode, hashNode := n.Children[0], n.Children[1]
-	_, buildKeyExprs, _ := joinKeyPairs(n.JoinCond, probeNode.Schema)
+	_, buildKeyExprs, _ := joinKeyPairs(n.JoinCond, probeNode.Schema, hashNode.Schema)
 	return bindExprs(buildKeyExprs, hashNode.Schema, x.e.subquery)
 }

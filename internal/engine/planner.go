@@ -97,16 +97,13 @@ func (p *planner) bindFrom() (bool, error) {
 			if !p.eng.Cat.HasTable(r.Name) {
 				return fmt.Errorf("engine: relation %q does not exist", r.Name)
 			}
-			alias := r.Alias
-			if alias == "" {
-				alias = r.Name
-			}
+			rel := baseRelation(r)
 			for _, existing := range p.rels {
-				if existing.alias == alias {
-					return fmt.Errorf("engine: table name %q specified more than once", alias)
+				if existing.alias == rel.alias {
+					return fmt.Errorf("engine: table name %q specified more than once", rel.alias)
 				}
 			}
-			p.rels = append(p.rels, relation{table: r.Name, alias: alias})
+			p.rels = append(p.rels, rel)
 		case *sqlparser.JoinRef:
 			if r.Type == sqlparser.LeftJoin {
 				hasOuter = true
@@ -167,19 +164,34 @@ func (p *planner) bindFrom() (bool, error) {
 	return hasOuter, nil
 }
 
+// baseRelation is the binding a FROM-clause table introduces.
+func baseRelation(r *sqlparser.BaseTable) relation {
+	if r.Alias == "" {
+		return relation{table: r.Name, alias: r.Name}
+	}
+	return relation{table: r.Name, alias: r.Alias}
+}
+
 func (p *planner) addPredicate(e sqlparser.Expr) {
 	pr := predicate{expr: e, tables: p.tablesOf(e)}
-	if be, ok := e.(*sqlparser.BinaryExpr); ok && be.Op == sqlparser.OpEq {
-		lc, lok := be.Left.(*sqlparser.ColumnRef)
-		rc, rok := be.Right.(*sqlparser.ColumnRef)
-		if lok && rok {
-			lt, rt := p.ownerOf(lc), p.ownerOf(rc)
-			if lt != "" && rt != "" && lt != rt {
-				pr.eqLeft, pr.eqRight = lc, rc
-			}
+	if lc, rc, ok := columnEquality(e); ok {
+		lt, rt := p.ownerOf(lc), p.ownerOf(rc)
+		if lt != "" && rt != "" && lt != rt {
+			pr.eqLeft, pr.eqRight = lc, rc
 		}
 	}
 	p.preds = append(p.preds, pr)
+}
+
+// columnEquality matches a `column = column` conjunct.
+func columnEquality(e sqlparser.Expr) (l, r *sqlparser.ColumnRef, ok bool) {
+	be, isBin := e.(*sqlparser.BinaryExpr)
+	if !isBin || be.Op != sqlparser.OpEq {
+		return nil, nil, false
+	}
+	l, lok := be.Left.(*sqlparser.ColumnRef)
+	r, rok := be.Right.(*sqlparser.ColumnRef)
+	return l, r, lok && rok
 }
 
 // ownerOf resolves a column reference to its relation alias ("" if unknown).
@@ -243,11 +255,7 @@ func (p *planner) rewriteAliases() error {
 // planScan builds the access path for one relation, consuming the matching
 // single-table predicates.
 func (p *planner) planScan(rel relation) (*Node, error) {
-	t, err := p.eng.Cat.Table(rel.table)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := p.eng.Cat.Stats(rel.table)
+	t, baseRows, err := p.tableRows(rel)
 	if err != nil {
 		return nil, err
 	}
@@ -264,26 +272,7 @@ func (p *planner) planScan(rel relation) (*Node, error) {
 	}
 	p.compactPreds()
 
-	baseRows := float64(stats.RowCount)
-	sel := 1.0
-	for _, f := range filters {
-		sel *= p.est.selectivity(f)
-	}
-	outRows := baseRows * sel
-	if outRows < 1 {
-		outRows = 1
-	}
-
-	seq := &Node{
-		Op:       OpSeqScan,
-		Relation: rel.table,
-		Alias:    rel.alias,
-		Filter:   sqlparser.JoinConjuncts(filters),
-		EstRows:  outRows,
-	}
-	seq.Schema = scanSchema(t, rel.alias)
-	seq.EstCost = seqScanCost(baseRows, p.predictedPruneFraction(t, seq.Filter, seq.Schema))
-
+	seq := p.seqScanNode(rel, t, baseRows, filters)
 	if !p.eng.Cfg.EnableIndexScan {
 		return seq, nil
 	}
@@ -315,7 +304,7 @@ func (p *planner) planScan(rel relation) (*Node, error) {
 			IndexName: fmt.Sprintf("%s_%s_idx", rel.table, idxCol),
 			IndexCond: sqlparser.JoinConjuncts(idxConds),
 			Filter:    sqlparser.JoinConjuncts(residual),
-			EstRows:   outRows,
+			EstRows:   seq.EstRows,
 			EstCost:   cost,
 			Schema:    seq.Schema,
 			sorted:    []sortKey{{Expr: &sqlparser.ColumnRef{Table: rel.alias, Name: idxCol}}},
@@ -325,6 +314,40 @@ func (p *planner) planScan(rel relation) (*Node, error) {
 		}
 	}
 	return best, nil
+}
+
+// tableRows resolves rel's catalog table and its analyzed row count.
+func (p *planner) tableRows(rel relation) (*storage.Table, float64, error) {
+	t, err := p.eng.Cat.Table(rel.table)
+	if err != nil {
+		return nil, 0, err
+	}
+	stats, err := p.eng.Cat.Stats(rel.table)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, float64(stats.RowCount), nil
+}
+
+// seqScanNode builds the sequential scan of rel filtered by the given
+// single-table conjuncts. The row estimate multiplies their
+// selectivities; the cost charges only the rows whose segments the
+// filter cannot refute through zone maps.
+func (p *planner) seqScanNode(rel relation, t *storage.Table, baseRows float64, filters []sqlparser.Expr) *Node {
+	sel := 1.0
+	for _, f := range filters {
+		sel *= p.est.selectivity(f)
+	}
+	seq := &Node{
+		Op:       OpSeqScan,
+		Relation: rel.table,
+		Alias:    rel.alias,
+		Filter:   sqlparser.JoinConjuncts(filters),
+		Schema:   scanSchema(t, rel.alias),
+		EstRows:  maxf(1, baseRows*sel),
+	}
+	seq.EstCost = seqScanCost(baseRows, p.predictedPruneFraction(t, seq.Filter, seq.Schema))
+	return seq
 }
 
 // predictedPruneFraction estimates the fraction of heap rows a filtered
@@ -693,13 +716,8 @@ func splitJoinKeys(conds []sqlparser.Expr, p *planner, leftPlan *Node) (lKeys, r
 		return false
 	}
 	for _, c := range conds {
-		be, ok := c.(*sqlparser.BinaryExpr)
-		if !ok || be.Op != sqlparser.OpEq {
-			continue
-		}
-		lc, lok := be.Left.(*sqlparser.ColumnRef)
-		rc, rok := be.Right.(*sqlparser.ColumnRef)
-		if !lok || !rok {
+		lc, rc, ok := columnEquality(c)
+		if !ok {
 			continue
 		}
 		if inLeft(lc) {
@@ -849,35 +867,25 @@ func (p *planner) planSyntactic() (*Node, error) {
 	build = func(ref sqlparser.TableRef) (*Node, error) {
 		switch r := ref.(type) {
 		case *sqlparser.BaseTable:
-			alias := r.Alias
-			if alias == "" {
-				alias = r.Name
-			}
-			t, err := p.eng.Cat.Table(r.Name)
-			if err != nil {
-				return nil, err
-			}
-			stats, err := p.eng.Cat.Stats(r.Name)
-			if err != nil {
-				return nil, err
-			}
-			rows := maxf(1, float64(stats.RowCount))
-			return &Node{
-				Op: OpSeqScan, Relation: r.Name, Alias: alias,
-				// Syntactic scans carry no filter yet (WHERE applies after
-				// the joins), so no pruning can be predicted here.
-				Schema: scanSchema(t, alias), EstRows: rows, EstCost: seqScanCost(rows, 0),
-			}, nil
+			return p.syntacticScan(r, nil)
 		case *sqlparser.JoinRef:
 			left, err := build(r.Left)
 			if err != nil {
 				return nil, err
 			}
-			right, err := build(r.Right)
+			// The grammar puts a base table on the right of every JOIN.
+			table, ok := r.Right.(*sqlparser.BaseTable)
+			if !ok {
+				return nil, fmt.Errorf("engine: unsupported join operand %T", r.Right)
+			}
+			if r.Type == sqlparser.LeftJoin {
+				return p.buildLeftJoin(left, table, r.On)
+			}
+			right, err := p.syntacticScan(table, nil)
 			if err != nil {
 				return nil, err
 			}
-			return p.buildOuterAwareJoin(left, right, r)
+			return p.buildJoin(left, right, sqlparser.SplitConjuncts(r.On)), nil
 		}
 		return nil, fmt.Errorf("engine: unsupported FROM element %T", ref)
 	}
@@ -902,50 +910,76 @@ func (p *planner) planSyntactic() (*Node, error) {
 	return root, nil
 }
 
-// buildOuterAwareJoin keeps operand order for LEFT JOIN (no commuting) and
-// uses a hash join when the ON condition is a pure equi-conjunction.
-func (p *planner) buildOuterAwareJoin(left, right *Node, r *sqlparser.JoinRef) (*Node, error) {
-	if r.Type == sqlparser.InnerJoin {
-		return p.buildJoin(left, right, sqlparser.SplitConjuncts(r.On)), nil
+// syntacticScan plans a FROM-clause table of an outer-join query as a
+// sequential scan with the given filter conjuncts.
+func (p *planner) syntacticScan(table *sqlparser.BaseTable, filters []sqlparser.Expr) (*Node, error) {
+	rel := baseRelation(table)
+	t, rows, err := p.tableRows(rel)
+	if err != nil {
+		return nil, err
+	}
+	return p.seqScanNode(rel, t, rows, filters), nil
+}
+
+// buildLeftJoin plans `left LEFT JOIN table ON on` without commuting its
+// operands (see "Outer-join planning" in doc.go). Column equalities
+// between the two inputs are the hash keys; conjuncts on the nullable
+// table alone become its scan filter, since a row they reject could never
+// match; everything else stays in the join condition, including
+// conjuncts on the preserved side alone, which decide whether a row pair
+// matches, not whether the preserved row is kept. With a key and hash
+// joins enabled it plans a Hash Left Join, otherwise a Nested Loop Left
+// Join.
+func (p *planner) buildLeftJoin(left *Node, table *sqlparser.BaseTable, on sqlparser.Expr) (*Node, error) {
+	alias := baseRelation(table).alias
+	inLeft := make(map[string]bool)
+	for _, c := range left.Schema {
+		inLeft[c.Qual] = true
+	}
+	crossKey := func(e sqlparser.Expr) bool {
+		lc, rc, ok := columnEquality(e)
+		if !ok {
+			return false
+		}
+		lt, rt := p.ownerOf(lc), p.ownerOf(rc)
+		return (inLeft[lt] && rt == alias) || (inLeft[rt] && lt == alias)
+	}
+	var cond, pushed []sqlparser.Expr
+	hasKey := false
+	for _, c := range sqlparser.SplitConjuncts(on) {
+		switch tables := p.tablesOf(c); {
+		case crossKey(c):
+			hasKey = true
+			cond = append(cond, c)
+		case len(tables) == 1 && tables[alias]:
+			pushed = append(pushed, c)
+		default:
+			cond = append(cond, c)
+		}
+	}
+	right, err := p.syntacticScan(table, pushed)
+	if err != nil {
+		return nil, err
 	}
 	schema := append(append([]colRef{}, left.Schema...), right.Schema...)
-	outRows := maxf(left.EstRows, p.estimateJoinRows(left, right, sqlparser.SplitConjuncts(r.On)))
-	if allEquiConds(r.On, p) && p.eng.Cfg.EnableHashJoin {
+	joinCond := sqlparser.JoinConjuncts(cond)
+	outRows := maxf(left.EstRows, p.estimateJoinRows(left, right, cond))
+	if hasKey && p.eng.Cfg.EnableHashJoin {
 		hash := &Node{Op: OpHash, Children: []*Node{right}, Schema: right.Schema,
 			EstRows: right.EstRows, EstCost: right.EstCost + right.EstRows*hashBuildCost}
 		return &Node{
 			Op: OpHashJoin, Children: []*Node{left, hash},
-			JoinType: sqlparser.LeftJoin, JoinCond: r.On,
+			JoinType: sqlparser.LeftJoin, JoinCond: joinCond,
 			Schema: schema, EstRows: outRows,
 			EstCost: left.EstCost + hash.EstCost + hashJoinCost(right.EstRows, left.EstRows, outRows),
 		}, nil
 	}
 	return &Node{
 		Op: OpNestedLoop, Children: []*Node{left, right},
-		JoinType: sqlparser.LeftJoin, JoinCond: r.On,
+		JoinType: sqlparser.LeftJoin, JoinCond: joinCond,
 		Schema: schema, EstRows: outRows,
 		EstCost: left.EstCost + right.EstCost + nestedLoopCost(left.EstRows, right.EstRows, outRows),
 	}, nil
-}
-
-func allEquiConds(on sqlparser.Expr, p *planner) bool {
-	conds := sqlparser.SplitConjuncts(on)
-	if len(conds) == 0 {
-		return false
-	}
-	for _, c := range conds {
-		be, ok := c.(*sqlparser.BinaryExpr)
-		if !ok || be.Op != sqlparser.OpEq {
-			return false
-		}
-		if _, ok := be.Left.(*sqlparser.ColumnRef); !ok {
-			return false
-		}
-		if _, ok := be.Right.(*sqlparser.ColumnRef); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // --- Aggregation, distinct, order, limit -----------------------------------

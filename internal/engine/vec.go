@@ -220,6 +220,9 @@ func (it *rowToVec) Close() error { return it.child.Close() }
 type batchWriter struct {
 	width int
 	hint  int // expected rows in the current batch; 0 or out of range → batchSize
+	// left estimates the rows the operator has yet to emit over all its
+	// batches, counted down per row; 0 when unknown or used up.
+	left  int
 	arena []datum.D
 	rows  []storage.Row
 }
@@ -237,16 +240,27 @@ func (w *batchWriter) reset() {
 	w.rows = w.rows[:0]
 }
 
-// appendConcat emits a+b as one packed output row. Growing the arena
-// mid-batch is safe: earlier rows keep pointing at the old backing array,
-// which is never written again (each row is capped at its own length).
+// appendConcat emits a+b as one packed output row. Arena chunks are never
+// regrown or copied. A batch's first chunk holds the hinted number of
+// rows, and a later one the rest of the batch; either is cut to twice the
+// rows estimated to be left, so a stream that ends early leaves little of
+// its last chunk unused. A batch takes at most two chunks, or three when
+// the rows outrun both the hint and the estimate. Rows already emitted
+// keep pointing into earlier chunks, which are never written again (each
+// row is capped at its own length).
 func (w *batchWriter) appendConcat(a, b storage.Row) {
-	if w.arena == nil {
-		rows := w.hint
-		if rows <= 0 || rows > batchSize {
-			rows = batchSize
+	if len(w.arena)+w.width > cap(w.arena) {
+		rows := batchSize - len(w.rows)
+		if w.arena == nil && w.hint > 0 && w.hint < rows {
+			rows = w.hint
+		}
+		if w.left > 0 && 2*w.left < rows {
+			rows = 2 * w.left
 		}
 		w.arena = make([]datum.D, 0, rows*w.width)
+	}
+	if w.left > 0 {
+		w.left--
 	}
 	n := len(w.arena)
 	w.arena = append(w.arena, a...)

@@ -5,14 +5,14 @@ package engine
 // are skipped on insert — they can never match), consumed batch-at-a-time;
 // the probe phase walks each probe batch in a tight loop, loading key
 // datums by ordinal when the join keys are bare column references, and
-// packs surviving joined rows into a batchWriter arena — one allocation
-// per output batch where the row pipeline pays one concatRows allocation
-// per output row. NULL semantics are identical on both sides: a probe row
-// with any NULL key component gets an empty bucket (and, for LEFT JOIN,
-// flows to the null-extension path), and `matched` is decided by the ON
-// condition (keys + residual) alone — the pushed-down WHERE filter only
-// gates emission, after null-extension, exactly as the reference executor
-// applies it.
+// packs surviving joined rows into batchWriter arena chunks — typically
+// one or two allocations per output batch where the row pipeline pays one
+// concatRows allocation per output row. NULL semantics are identical on
+// both sides: a probe row with any NULL key component gets an empty
+// bucket (and, for LEFT JOIN, flows to the null-extension path), and
+// `matched` is decided by the ON condition (keys + residual) alone — the
+// pushed-down WHERE filter only gates emission, after null-extension,
+// exactly as the reference executor applies it.
 
 import (
 	"fmt"
@@ -49,6 +49,7 @@ type hashJoinVec struct {
 	shared *hashShared
 
 	w      batchWriter
+	est    int // planner's output estimate, clamped; seeds w.left at Open
 	env    rowEnv
 	keyBuf []datum.D
 
@@ -84,7 +85,7 @@ func (v *vbuild) newHashJoinVec(n *Node) (*hashJoinVec, error) {
 // and a shared prebuilt table instead.
 func (v *vbuild) hashJoinShell(n *Node) (*hashJoinVec, error) {
 	probeNode, hashNode := n.Children[0], n.Children[1]
-	probeKeyExprs, buildKeyExprs, residual := joinKeyPairs(n.JoinCond, probeNode.Schema)
+	probeKeyExprs, buildKeyExprs, residual := joinKeyPairs(n.JoinCond, probeNode.Schema, hashNode.Schema)
 	if len(probeKeyExprs) == 0 {
 		return nil, fmt.Errorf("engine: hash join without equi-condition")
 	}
@@ -119,6 +120,7 @@ func (v *vbuild) hashJoinShell(n *Node) (*hashJoinVec, error) {
 	}
 	it.keyBuf = make([]datum.D, it.nKeys)
 	it.w.width = len(probeNode.Schema) + len(hashNode.Schema)
+	it.est = estCap(n.EstRows)
 	return it, nil
 }
 
@@ -154,6 +156,7 @@ func hashRowKeys(r storage.Row, ords []int, keys []boundExpr, dst []datum.D, env
 }
 
 func (it *hashJoinVec) Open() error {
+	it.w.left = it.est
 	if it.shared != nil {
 		// Prebuilt by the exchange before workers started; adopt read-only.
 		it.entries, it.keyArena, it.table = it.shared.entries, it.shared.keyArena, it.shared.table
@@ -214,7 +217,8 @@ func (it *hashJoinVec) NextBatch() ([]storage.Row, error) {
 				}
 				it.curBatch, it.pi = b, 0
 				// Size the (not-yet-allocated) output arena for roughly one
-				// output row per probe row; duplicate build keys grow it.
+				// output row per probe row; duplicate build keys spill into
+				// a second chunk.
 				if it.w.arena == nil {
 					it.w.hint = len(b)
 				}
