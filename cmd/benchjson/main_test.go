@@ -142,3 +142,91 @@ func TestParseBenchReadsGoMaxProcsFromNames(t *testing.T) {
 		t.Errorf("mixed run: gomaxprocs = %d over %d results, want 0 over 2", rep.GoMaxProcs, len(rep.Benchmarks))
 	}
 }
+
+func TestGateFailsOnAllocDriftEitherWay(t *testing.T) {
+	dir := t.TempDir()
+	report := func(name string, bytes, allocs float64) string {
+		return writeReport(t, dir, name, []Result{
+			{Name: "BenchmarkExecScan-2", NsPerOp: 5000, BytesPerOp: f(bytes), AllocsPerOp: f(allocs)},
+			// Planner benchmarks are outside the gate: their drift is advisory.
+			{Name: "BenchmarkPlannerJoin-2", NsPerOp: 5000, BytesPerOp: f(3 * bytes), AllocsPerOp: f(3 * allocs)},
+		})
+	}
+	base := writeReport(t, dir, "base.json", []Result{
+		{Name: "BenchmarkExecScan-2", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
+		{Name: "BenchmarkPlannerJoin-2", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
+	})
+	for _, c := range []struct {
+		name          string
+		bytes, allocs float64
+		want          int
+	}{
+		{"bytes +11%", 1110, 100, 1},
+		{"bytes +9%", 1090, 100, 0},
+		{"bytes -11% (stale baseline)", 890, 100, 1},
+		{"allocs +11%", 1000, 111, 1},
+		{"allocs -11% (stale baseline)", 1000, 89, 1},
+		{"allocs and bytes within 10%", 1050, 95, 0},
+	} {
+		if got := gateReports(base, report(c.name+".json", c.bytes, c.allocs), 0.20); got != c.want {
+			t.Errorf("%s: gate exit %d, want %d", c.name, got, c.want)
+		}
+	}
+	// Plain -compare fails on the gate too.
+	if got := compareReports(base, report("plain.json", 1110, 100), 0.20); got != 1 {
+		t.Errorf("compare on bytes +11%%: exit %d, want 1", got)
+	}
+	// Allocations appearing on a zero-alloc gated benchmark fail.
+	zero := writeReport(t, dir, "zero.json", []Result{{Name: "BenchmarkAblationX-2", NsPerOp: 500, BytesPerOp: f(0), AllocsPerOp: f(0)}})
+	one := writeReport(t, dir, "one.json", []Result{{Name: "BenchmarkAblationX-2", NsPerOp: 500, BytesPerOp: f(16), AllocsPerOp: f(1)}})
+	if got := gateReports(zero, one, 0.20); got != 1 {
+		t.Errorf("0 -> 1 allocs: gate exit %d, want 1", got)
+	}
+	// An exempt benchmark's drift is advisory.
+	thrash := func(name string, allocs float64) string {
+		return writeReport(t, dir, name, []Result{
+			{Name: "BenchmarkExecBufferPoolThrash-2", NsPerOp: 1e8, BytesPerOp: f(allocs * 200), AllocsPerOp: f(allocs)},
+			{Name: "BenchmarkExecScan-2", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
+		})
+	}
+	if got := gateReports(thrash("thrash1.json", 1e6), thrash("thrash2.json", 1.5e6), 0.20); got != 0 {
+		t.Errorf("exempt benchmark +50%% allocs: gate exit %d, want 0", got)
+	}
+}
+
+func TestGatePairsOnlySameGoMaxProcs(t *testing.T) {
+	dir := t.TempDir()
+	old := writeReport(t, dir, "cpu2.json", []Result{
+		{Name: "BenchmarkExecScan-2", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
+		{Name: "BenchmarkExecJoin-2", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
+	})
+	// BenchmarkExecScan ran at GOMAXPROCS 4 and allocates 5x as much: a
+	// different benchmark by name, so it is NEW, not a regression.
+	mixed := writeReport(t, dir, "mixed.json", []Result{
+		{Name: "BenchmarkExecScan-4", NsPerOp: 5000, BytesPerOp: f(5000), AllocsPerOp: f(500)},
+		{Name: "BenchmarkExecJoin-2", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
+	})
+	if got := gateReports(old, mixed, 0.20); got != 0 {
+		t.Errorf("-4 vs -2 names: gate exit %d, want 0", got)
+	}
+	// A run that pairs up with none of the baseline compared nothing.
+	cpu4 := writeReport(t, dir, "cpu4.json", []Result{
+		{Name: "BenchmarkExecScan-4", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
+		{Name: "BenchmarkExecJoin-4", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
+	})
+	if got := gateReports(old, cpu4, 0.20); got != 1 {
+		t.Errorf("no gated benchmark paired up: gate exit %d, want 1", got)
+	}
+}
+
+func TestGateIgnoresNsRegression(t *testing.T) {
+	dir := t.TempDir()
+	old := writeReport(t, dir, "old.json", []Result{{Name: "BenchmarkExecScan-2", NsPerOp: 1000, BytesPerOp: f(1000), AllocsPerOp: f(100)}})
+	slow := writeReport(t, dir, "slow.json", []Result{{Name: "BenchmarkExecScan-2", NsPerOp: 3000, BytesPerOp: f(1000), AllocsPerOp: f(100)}})
+	if got := gateReports(old, slow, 0.20); got != 0 {
+		t.Errorf("ns/op x3 alone: gate exit %d, want 0", got)
+	}
+	if got := compareReports(old, slow, 0.20); got != 1 {
+		t.Errorf("ns/op x3: compare exit %d, want 1 (advisory step)", got)
+	}
+}

@@ -2,12 +2,13 @@ package lantern
 
 // Engine micro-benchmarks for the executor, recorded to BENCH_engine.json
 // by `make bench`. The default path is the batch-at-a-time vectorized
-// pipeline; twins pin the ablations: *RowStream (Config.RowStreamExec)
-// forces the row-at-a-time streaming pipeline — the allocs/op gap against
-// the default is the point of vectorization — and *Reference
-// (Config.ReferenceExec) is full materialization, where
-// ExecLimitShortCircuit vs ExecLimitFullMaterialize remains the headline:
-// LIMIT 10 over a scan touches ten heap rows instead of the whole table.
+// pipeline, run through Exec; twins pin the variants: *Instrumented runs
+// the same engine and query through QueryInstrumented — the path every
+// /v2/query takes — so the gap against the default is what per-operator
+// actuals cost, and *Reference (Config.ReferenceExec) is full
+// materialization, where ExecLimitShortCircuit vs ExecLimitFullMaterialize
+// remains the headline: LIMIT 10 over a scan stops after the scan's first
+// small chunk instead of reading the whole table.
 //
 //	go test -bench 'BenchmarkExec' -benchmem .
 import (
@@ -52,6 +53,21 @@ const (
 	execStreamScanQuery        = `SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 25`
 )
 
+// benchQueryInstrumented is benchQuery through QueryInstrumented: parse,
+// plan, execute with per-operator actuals, and project.
+func benchQueryInstrumented(b *testing.B, e *engine.Engine, q string) {
+	b.Helper()
+	if _, err := e.QueryInstrumented(q); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.QueryInstrumented(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Joins -------------------------------------------------------------------
 
 func BenchmarkExecJoinHash(b *testing.B) {
@@ -60,10 +76,9 @@ func BenchmarkExecJoinHash(b *testing.B) {
 	}), execJoinHashQuery)
 }
 
-func BenchmarkExecJoinHashRowStream(b *testing.B) {
-	benchQuery(b, execBenchEngine(b, false, func(c *engine.Config) {
+func BenchmarkExecJoinHashInstrumented(b *testing.B) {
+	benchQueryInstrumented(b, execBenchEngine(b, false, func(c *engine.Config) {
 		c.EnableMergeJoin, c.EnableNestLoop = false, false
-		c.RowStreamExec = true
 	}), execJoinHashQuery)
 }
 
@@ -166,8 +181,8 @@ func BenchmarkExecStreamScan(b *testing.B) {
 	benchQuery(b, execBenchEngine(b, false, nil), execStreamScanQuery)
 }
 
-func BenchmarkExecStreamScanRowStream(b *testing.B) {
-	benchQuery(b, execBenchEngine(b, false, func(c *engine.Config) { c.RowStreamExec = true }), execStreamScanQuery)
+func BenchmarkExecStreamScanInstrumented(b *testing.B) {
+	benchQueryInstrumented(b, execBenchEngine(b, false, nil), execStreamScanQuery)
 }
 
 func BenchmarkExecStreamScanReference(b *testing.B) {

@@ -1,6 +1,6 @@
 package lantern
 
-// Differential check of the streaming iterator executor against the
+// Differential check of the batch executor against the
 // materializing reference executor over the full TPC-H workload on the
 // seed catalog — the engine-internal differential tests cover the
 // operator matrix on a small schema; this covers the paper's actual

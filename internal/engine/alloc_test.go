@@ -2,12 +2,12 @@
 
 package engine
 
-// Allocation regression guards for the streaming executor's hot paths.
-// These caps are the point of the pre-bound expression layer: filter
-// evaluation, the hash-join probe loop, and the top-K heap must not
-// allocate per row (the only sanctioned allocation is the emitted joined
-// row itself). Kept out of -race builds because the race runtime inflates
-// allocation counts; CI runs this package without -race as well.
+// Allocation regression guards for the batch executor's hot paths. These
+// caps are the point of the pre-bound expression layer and the batch
+// memory contract: filter evaluation, the hash-join probe loop and the
+// top-K heap must not allocate per row. Kept out of -race builds because
+// the race runtime inflates allocation counts; CI runs this package
+// without -race as well.
 
 import (
 	"fmt"
@@ -19,118 +19,6 @@ import (
 	"lantern/internal/datum"
 	"lantern/internal/storage"
 )
-
-// allocDB builds the shared engine without the *testing.T plumbing of
-// testDB (AllocsPerRun needs plain closures).
-func allocDB(t *testing.T) *Engine {
-	t.Helper()
-	return testDB(t, DefaultConfig())
-}
-
-// TestFilterEvalAllocs: evaluating a pre-bound scan filter is
-// allocation-free per row.
-func TestFilterEvalAllocs(t *testing.T) {
-	e := allocDB(t)
-	plan, err := e.PlanSQL("SELECT c_name FROM customer WHERE c_acctbal > 50 AND c_mktsegment = 'BUILDING'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := e.buildIter(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			if err := it.Open(); err != nil { // rewind: scans reset for free
-				t.Fatal(err)
-			}
-		}
-	})
-	if avg > 0 {
-		t.Fatalf("filter eval allocates %.2f allocs/row, want 0", avg)
-	}
-}
-
-// TestHashJoinProbeAllocs: the probe loop allocates exactly one object per
-// emitted row — the joined output row — and nothing per candidate.
-func TestHashJoinProbeAllocs(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EnableMergeJoin, cfg.EnableNestLoop = false, false
-	e := testDB(t, cfg)
-	plan, err := e.PlanSQL("SELECT o.o_orderkey, c.c_name FROM customer c, orders o WHERE c.c_custkey = o.o_custkey")
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := e.buildIter(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	// Every order matches exactly one customer: 60 output rows per pass.
-	// 50 pulls stay within one pass, so Open (which rebuilds the hash
-	// table) never runs inside the measured region.
-	avg := testing.AllocsPerRun(50, func() {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatal("iterator exhausted mid-measurement")
-		}
-	})
-	if avg > 1 {
-		t.Fatalf("hash-join probe allocates %.2f allocs/row, want <= 1 (the output row)", avg)
-	}
-}
-
-// TestInstrumentationDisabledAllocs: the instrumentation seam must be
-// invisible when disabled. The default build path (nil wrap hook) produces
-// no wrapper objects — the root of a scan plan is the scan iterator
-// itself, not an instrIter — and the hot Next() path stays at 0 allocs/row
-// exactly as before the bridge landed.
-func TestInstrumentationDisabledAllocs(t *testing.T) {
-	e := allocDB(t)
-	plan, err := e.PlanSQL("SELECT o_orderkey FROM orders WHERE o_totalprice > 100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := e.buildIter(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if _, wrapped := it.(*instrIter); wrapped {
-		t.Fatal("default build path wrapped the root operator in an instrIter")
-	}
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		_, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			if err := it.Open(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if avg > 0 {
-		t.Fatalf("uninstrumented Next allocates %.2f allocs/row, want 0", avg)
-	}
-}
 
 // --- Batch-pipeline guards ---------------------------------------------------
 //
@@ -187,7 +75,7 @@ func TestVecScanFilterBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := e.buildVec(plan)
+	it, err := e.buildVec(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +102,53 @@ func TestVecScanFilterBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestInstrumentationDisabledAllocs: the instrumentation seam must be
+// invisible when disabled. The uninstrumented build (buildVec with nil
+// stats, what Exec runs) produces no wrapper objects — the root of a scan plan is the scan
+// operator itself, not an instrVecIter — and the steady-state batch loop
+// stays at 0 allocs per batch. The instrumented build of the same plan
+// wraps the root.
+func TestInstrumentationDisabledAllocs(t *testing.T) {
+	e := vecAllocDB(t, DefaultConfig())
+	plan, err := e.PlanSQL("SELECT id FROM t WHERE v > 100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it, err := e.buildVec(plan, make(ExecStats)); err != nil {
+		t.Fatal(err)
+	} else if _, wrapped := it.(*instrVecIter); !wrapped {
+		t.Fatalf("instrumented build root = %T, want *instrVecIter", it)
+	}
+	it, err := e.buildVec(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	if _, wrapped := it.(*instrVecIter); wrapped {
+		t.Fatal("uninstrumented build wrapped the root operator in an instrVecIter")
+	}
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		b, err := it.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			if err := it.Open(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if avg > 0 {
+		t.Fatalf("uninstrumented NextBatch allocates %.2f allocs/batch, want 0", avg)
+	}
+}
+
 // TestVecHashJoinProbeBatchAllocs: the batch probe loop pays one
-// output-arena allocation per emitted batch — ~1/1024 of the row
-// pipeline's one-row-allocation-per-output-row — and nothing per probe row
-// or per bucket candidate.
+// output-arena allocation per emitted batch — ~1/1024 of one allocation
+// per output row — and nothing per probe row or per bucket candidate.
 func TestVecHashJoinProbeBatchAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnableMergeJoin, cfg.EnableNestLoop = false, false
@@ -226,7 +157,7 @@ func TestVecHashJoinProbeBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := e.buildVec(plan)
+	it, err := e.buildVec(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +210,7 @@ func TestVecHashJoinProbeBatchBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := e.buildVec(plan)
+		it, err := e.buildVec(plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +269,7 @@ func TestVecTopKQueryAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := e.buildVec(plan)
+	it, err := e.buildVec(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +306,7 @@ func TestVecLimitShortCircuitAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := e.buildVec(plan)
+	it, err := e.buildVec(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +366,7 @@ func TestVecScanZonePruneAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := e.buildVec(plan)
+	it, err := e.buildVec(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

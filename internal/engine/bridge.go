@@ -8,33 +8,30 @@ package engine
 //
 // The instrumentation contract:
 //
-//   - Collection is opt-in per execution. The normal path (Engine.Exec,
-//     execStream) runs the vectorized batch pipeline with no wrap hook, so
-//     a disabled run pays zero extra allocations and zero extra branches —
-//     the pipeline is the identical object graph the allocation guards in
-//     alloc_test.go measure.
-//   - When enabled (ExecPlanInstrumented, QueryInstrumented, EXPLAIN
-//     ANALYZE), serial plans route to the row-at-a-time pipeline and every
-//     plan operator's iterator is wrapped in an instrIter that counts Open
-//     calls (loops), rows returned by Next (actual rows), and inclusive
-//     wall time spent inside Open/Next — inclusive meaning a parent's time
-//     contains its children's, exactly as PostgreSQL reports actual time.
-//     Per-row wrapping keeps actual rows exact at every operator, which
-//     batch-boundary counting could not guarantee; the differential suite
-//     pins both pipelines to identical results, so the instrumented
-//     actuals describe the same query the batch path executes.
-//   - Parallel plans (driver DOP >= 2, parallel.go) cannot run on the row
-//     pipeline, so they execute the vectorized exchange with every batch
-//     operator wrapped in an instrVecIter. Its counters are atomic: the
-//     workers' clones of one operator share a single OpStats, so Rows and
-//     Time are exact totals across workers (time sums busy time, like CPU
-//     time). Loops are reported as 1 for these operators — per-morsel
-//     pipeline restarts are scheduling, not EXPLAIN loops — and the driver
+//   - Collection is opt-in per execution. Engine.Exec builds the batch
+//     pipeline with no stats hook, so a disabled run pays zero extra
+//     allocations and zero extra branches — the pipeline is the identical
+//     object graph the allocation guards in alloc_test.go measure.
+//   - When enabled (ExecPlanInstrumented, QueryInstrumented,
+//     QueryStreamInstrumented, EXPLAIN ANALYZE), the same batch pipeline
+//     runs, serial or parallel, with every operator wrapped in an
+//     instrVecIter (parallel.go) that counts rows and inclusive wall time
+//     per batch — inclusive meaning a parent's time contains its
+//     children's, exactly as PostgreSQL reports actual time. Its counters
+//     are atomic: in a parallel region the workers' clones of one
+//     operator share a single OpStats, so Rows and Time are exact totals
+//     across workers (time sums busy time, like CPU time), and the driver
 //     scan's stats additionally carry the worker count and per-worker
 //     rows/time breakdown (OpStats.Workers / PerWorker).
-//   - Actual rows are totals across all loops, matching EXPLAIN ANALYZE;
-//     pass-through operators (Hash, Materialize) get their own wrapper, so
-//     a Hash node reports the build-side row count.
+//   - Loops are reported as 1. No serial operator is re-opened (a nested
+//     loop materializes its inner side once), and per-morsel pipeline
+//     restarts in a parallel region are scheduling, not EXPLAIN loops.
+//   - Actual rows count whole batches. Under a streaming LIMIT an operator
+//     reports the rows of the batches it produced: a scan's adaptive first
+//     chunk is 64 rows, so `LIMIT 10` over a scan shows the scan at 64.
+//     A Sort under a LIMIT keeps a top-K heap and reports the limit.
+//   - Pass-through operators (Hash, Materialize) get their own wrapper,
+//     so a Hash node reports the build-side row count.
 //   - Whenever a plan was considered for parallelism, the driver's actual
 //     row count is fed back through the DOP policy: if the actuals would
 //     have earned more workers than the estimate did, WantedWorkers
@@ -60,12 +57,12 @@ type OpStats struct {
 	// Rows is the total number of rows the operator produced across all
 	// loops (summed across workers in a parallel region).
 	Rows int64
-	// Loops counts how many times the operator was (re)started (Open
-	// calls). Operators inside a parallel region report 1.
+	// Loops is how many times the operator ran; the batch pipeline never
+	// re-opens an operator, so it is always 1 (see the header).
 	Loops int64
 	// Time is the inclusive wall time spent in the operator's Open and
-	// Next calls, children included. In a parallel region it sums the
-	// workers' busy time, like CPU time.
+	// NextBatch calls, children included. In a parallel region it sums
+	// the workers' busy time, like CPU time.
 	Time time.Duration
 	// Workers is the degree of parallelism the operator actually ran with;
 	// 0 or 1 means serial. Set only on the driver scan of a parallel plan
@@ -96,65 +93,17 @@ type WorkerStat struct {
 // map means "no instrumentation".
 type ExecStats map[*Node]*OpStats
 
-// instrIter decorates one operator iterator with statistics collection.
-type instrIter struct {
-	child rowIter
-	st    *OpStats
-}
-
-func (it *instrIter) Open() error {
-	it.st.Loops++
-	start := time.Now()
-	err := it.child.Open()
-	it.st.Time += time.Since(start)
-	return err
-}
-
-func (it *instrIter) Next() (storage.Row, bool, error) {
-	start := time.Now()
-	r, ok, err := it.child.Next()
-	it.st.Time += time.Since(start)
-	if ok {
-		it.st.Rows++
-	}
-	return r, ok, err
-}
-
-func (it *instrIter) Close() error { return it.child.Close() }
-
 // ExecPlanInstrumented runs a physical plan with per-operator
 // instrumentation enabled, returning the result rows and the collected
-// statistics. Serial plans run the row-at-a-time executor (exact per-row
-// actuals); parallel plans run the vectorized exchange with atomic batch
-// counters (see the header).
+// statistics (see the header).
 func (e *Engine) ExecPlanInstrumented(n *Node) ([]storage.Row, ExecStats, error) {
-	if sh := e.activeParShape(n); sh != nil {
-		return e.execPlanInstrumentedVec(n, sh)
-	}
 	st := make(ExecStats)
-	b := &ibuild{e: e, stats: st.get, wrap: func(pn *Node, it rowIter) rowIter {
-		return &instrIter{child: it, st: st.get(pn)}
-	}}
-	it, err := b.build(n)
+	rows, err := e.execVec(n, st, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer it.Close()
-	if err := it.Open(); err != nil {
-		return nil, nil, err
-	}
-	var out []storage.Row
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			e.annotateWorkerStats(n, st)
-			return out, st, nil
-		}
-		out = append(out, r)
-	}
+	e.annotateWorkerStats(n, st)
+	return rows, st, nil
 }
 
 // get returns (allocating if needed) the stats slot for a node.
@@ -167,35 +116,7 @@ func (st ExecStats) get(n *Node) *OpStats {
 	return os
 }
 
-// execPlanInstrumentedVec is the instrumented runner for parallel plans:
-// the vectorized pipeline with every operator wrapped in an instrVecIter
-// (atomic counters shared across worker clones).
-func (e *Engine) execPlanInstrumentedVec(n *Node, sh *parShape) ([]storage.Row, ExecStats, error) {
-	st := make(ExecStats)
-	v := e.newVBuild(sh, st.get)
-	it, err := v.build(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer it.Close()
-	if err := it.Open(); err != nil {
-		return nil, nil, err
-	}
-	var out []storage.Row
-	for {
-		b, err := it.NextBatch()
-		if err != nil {
-			return nil, nil, err
-		}
-		if b == nil {
-			e.annotateWorkerStats(n, st)
-			return out, st, nil
-		}
-		out = append(out, b...)
-	}
-}
-
-// annotateWorkerStats normalizes parallel-run statistics after execution:
+// annotateWorkerStats normalizes run statistics after execution:
 // batch-instrumented operators never count loops, so any touched stats
 // entry without one gets Loops = 1; and when the plan was considered for
 // parallelism (driver DOP >= 1), the driver's actual row count is fed back
@@ -239,7 +160,7 @@ type QueryResult struct {
 }
 
 // QueryInstrumented parses, plans, and executes a SELECT with runtime
-// instrumentation, then projects the final output columns.
+// instrumentation, projecting the output columns batch by batch.
 func (e *Engine) QueryInstrumented(sql string) (*QueryResult, error) {
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
@@ -249,17 +170,19 @@ func (e *Engine) QueryInstrumented(sql string) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	pr, err := e.newProjector(sel, pl)
+	if err != nil {
+		return nil, err
+	}
+	st := make(ExecStats)
 	start := time.Now()
-	rows, st, err := e.ExecPlanInstrumented(pl)
+	rows, err := e.execVec(pl, st, pr)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.project(sel, pl, rows)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{Result: res, Plan: pl, Stats: st, Elapsed: elapsed}, nil
+	e.annotateWorkerStats(pl, st)
+	return &QueryResult{Result: &Result{Columns: pr.columns, Rows: rows}, Plan: pl, Stats: st, Elapsed: elapsed}, nil
 }
 
 // ToPlanNode converts a physical plan directly into the vendor-neutral

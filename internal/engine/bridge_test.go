@@ -9,10 +9,13 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
 	"lantern/internal/plan"
+	"lantern/internal/sqlparser"
+	"lantern/internal/storage"
 )
 
 // canonicalIgnoringSource renders a tree's canonical bytes with the Source
@@ -133,16 +136,20 @@ func TestNativeRoundTrip(t *testing.T) {
 
 // TestExecPlanInstrumented checks the collected actuals against ground
 // truth: the root's actual rows equal the result cardinality, every
-// operator was opened at least once, and the instrumented result is
-// identical to the uninstrumented one.
+// operator reports at least one loop, and the instrumented result,
+// projected, is identical to the uninstrumented batch Exec's.
 func TestExecPlanInstrumented(t *testing.T) {
 	e := testDB(t, DefaultConfig())
 	for _, q := range diffCorpus {
-		pl, err := e.PlanSQL(q)
+		sel, err := sqlparser.ParseSelect(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		pl, err := e.Plan(sel)
 		if err != nil {
 			t.Fatalf("plan %q: %v", q, err)
 		}
-		plainRows, err := e.execStream(pl)
+		plain, err := e.Exec(q)
 		if err != nil {
 			t.Fatalf("exec %q: %v", q, err)
 		}
@@ -150,8 +157,12 @@ func TestExecPlanInstrumented(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instrumented exec %q: %v", q, err)
 		}
-		if len(rows) != len(plainRows) {
-			t.Errorf("query %q: instrumented run returned %d rows, plain run %d", q, len(rows), len(plainRows))
+		projected, err := e.project(sel, pl, rows)
+		if err != nil {
+			t.Fatalf("project %q: %v", q, err)
+		}
+		if got, want := rowStrings(projected.Rows), rowStrings(plain.Rows); !slices.Equal(got, want) {
+			t.Errorf("query %q: instrumented run returned\n%v\nuninstrumented Exec\n%v", q, got, want)
 		}
 		root := st[pl]
 		if root == nil {
@@ -170,6 +181,61 @@ func TestExecPlanInstrumented(t *testing.T) {
 				t.Errorf("query %q: operator %s reports %d loops, want >= 1", q, n.Op.Name(), os.Loops)
 			}
 		})
+	}
+}
+
+// TestQueryStreamMatchesQueryInstrumented: the unary and the streaming
+// instrumented APIs run the same batch pipeline, so over the differential
+// corpus a drained stream returns the same rows, in the same order, with
+// the same canonical actuals-annotated plan as QueryInstrumented — for
+// serial plans and, with the DOP policy forced up, for parallel ones.
+func TestQueryStreamMatchesQueryInstrumented(t *testing.T) {
+	serial := testDB(t, DefaultConfig())
+	par := serial.Session()
+	par.Cfg.MaxQueryParallelism = 4
+	par.Cfg.ParallelRowsPerWorker = 1
+	canonical := func(pl *Node, st ExecStats) string {
+		var b bytes.Buffer
+		ToPlanNodeStats(pl, st).WriteCanonical(&b)
+		return b.String()
+	}
+	parallelPlans := 0
+	for name, e := range map[string]*Engine{"serial": serial, "parallel": par} {
+		for _, q := range diffCorpus {
+			qr, err := e.QueryInstrumented(q)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, q, err)
+			}
+			s, err := e.QueryStreamInstrumented(q)
+			if err != nil {
+				t.Fatalf("%s %q: stream: %v", name, q, err)
+			}
+			var rows []storage.Row
+			for {
+				r, ok, err := s.Next()
+				if err != nil {
+					t.Fatalf("%s %q: stream: %v", name, q, err)
+				}
+				if !ok {
+					break
+				}
+				rows = append(rows, r)
+			}
+			s.Close()
+			if got, want := rowStrings(rows), rowStrings(qr.Result.Rows); !slices.Equal(got, want) {
+				t.Errorf("%s %q: stream rows\n%v\nQueryInstrumented rows\n%v", name, q, got, want)
+			}
+			pl, st := s.Finish()
+			if got, want := canonical(pl, st), canonical(qr.Plan, qr.Stats); got != want {
+				t.Errorf("%s %q: stream actuals\n%s\nQueryInstrumented actuals\n%s", name, q, got, want)
+			}
+			if e.activeParShape(pl) != nil {
+				parallelPlans++
+			}
+		}
+	}
+	if parallelPlans == 0 {
+		t.Fatal("no corpus query planned parallel under the forced DOP policy")
 	}
 }
 

@@ -1,15 +1,15 @@
 package engine
 
 // Differential tests: every query runs through the vectorized batch
-// executor (the default), the row-at-a-time streaming executor
-// (Config.RowStreamExec) and the materializing reference executor
-// (Config.ReferenceExec), asserting all three produce identical results —
-// as ordered sequences under ORDER BY (which also pins tie order, i.e.
-// sort stability), as row multisets otherwise. A fixed-seed randomized
-// query generator widens the corpus beyond the hand-written cases, and
-// every query is repeated under planner configurations that force each
-// join algorithm and access path, so all operators are exercised in both
-// pipelines.
+// executor (the default), its instrumented run (QueryInstrumented, the
+// path /v2/query serves), the morsel-parallel executor and the
+// materializing reference executor (Config.ReferenceExec), asserting all
+// produce identical results — as ordered sequences under ORDER BY (which
+// also pins tie order, i.e. sort stability), as row multisets otherwise.
+// A fixed-seed randomized query generator widens the corpus beyond the
+// hand-written cases, and every query is repeated under planner
+// configurations that force each join algorithm and access path, so all
+// operators are exercised.
 
 import (
 	"fmt"
@@ -41,17 +41,19 @@ func diffConfigs() map[string]Config {
 	}
 }
 
-// assertSameResults runs sql through all four executors on e — vectorized
-// (default), row-streaming, the materializing reference, and the
+// assertSameResults runs sql through four executions on e — vectorized
+// (default), instrumented vectorized, the materializing reference, and the
 // morsel-parallel executor with forced-up DOP — and compares each against
 // the reference.
 func assertSameResults(t *testing.T, e *Engine, sql string) {
 	t.Helper()
-	e.Cfg.ReferenceExec, e.Cfg.RowStreamExec = false, false
+	e.Cfg.ReferenceExec = false
 	vec, vErr := e.Exec(sql)
-	e.Cfg.RowStreamExec = true
-	stream, sErr := e.Exec(sql)
-	e.Cfg.RowStreamExec = false
+	var instr *Result
+	qr, iErr := e.QueryInstrumented(sql)
+	if iErr == nil {
+		instr = qr.Result
+	}
 	e.Cfg.ReferenceExec = true
 	ref, rErr := e.Exec(sql)
 	e.Cfg.ReferenceExec = false
@@ -60,12 +62,12 @@ func assertSameResults(t *testing.T, e *Engine, sql string) {
 	// across 4 workers (the container may have GOMAXPROCS=1, so the cap
 	// deliberately oversubscribes).
 	par := e.Session()
-	par.Cfg.ReferenceExec, par.Cfg.RowStreamExec = false, false
+	par.Cfg.ReferenceExec = false
 	par.Cfg.MaxQueryParallelism = 4
 	par.Cfg.ParallelRowsPerWorker = 1
 	parRes, pErr := par.Exec(sql)
-	if (vErr != nil) != (rErr != nil) || (sErr != nil) != (rErr != nil) || (pErr != nil) != (rErr != nil) {
-		t.Fatalf("query %q: vectorized err = %v, row-stream err = %v, parallel err = %v, reference err = %v", sql, vErr, sErr, pErr, rErr)
+	if (vErr != nil) != (rErr != nil) || (iErr != nil) != (rErr != nil) || (pErr != nil) != (rErr != nil) {
+		t.Fatalf("query %q: vectorized err = %v, instrumented err = %v, parallel err = %v, reference err = %v", sql, vErr, iErr, pErr, rErr)
 	}
 	if rErr != nil {
 		return // all failed: acceptable as long as they agree
@@ -92,7 +94,7 @@ func assertSameResults(t *testing.T, e *Engine, sql string) {
 		}
 	}
 	compare("vectorized", vec)
-	compare("row-stream", stream)
+	compare("instrumented", instr)
 	compare("parallel", parRes)
 }
 

@@ -113,12 +113,13 @@ func TestZonePrunedScanZeroIO(t *testing.T) {
 		t.Fatalf("prune-everything query faulted %d payloads, want 0 (zero I/O)", got)
 	}
 
-	// The row-stream pipeline honors the same contract.
-	e.Cfg.RowStreamExec = true
+	// The instrumented run honors the same contract.
 	base = pool.Stats().Misses
-	mustExec(t, e, "SELECT v FROM zp WHERE k > 1000")
+	if _, err := e.QueryInstrumented("SELECT v FROM zp WHERE k > 1000"); err != nil {
+		t.Fatal(err)
+	}
 	if got := pool.Stats().Misses - base; got != 0 {
-		t.Fatalf("row-stream pruned scan faulted %d payloads, want 0", got)
+		t.Fatalf("instrumented pruned scan faulted %d payloads, want 0", got)
 	}
 }
 
@@ -152,10 +153,14 @@ func TestCorruptSegmentIsStructuredError(t *testing.T) {
 	if err := os.WriteFile(file, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"vectorized", "row-stream", "reference"} {
-		e.Cfg.RowStreamExec = mode == "row-stream"
+	for _, mode := range []string{"vectorized", "instrumented", "reference"} {
 		e.Cfg.ReferenceExec = mode == "reference"
-		_, err := e.Exec("SELECT COUNT(*) FROM bad")
+		var err error
+		if mode == "instrumented" {
+			_, err = e.QueryInstrumented("SELECT COUNT(*) FROM bad")
+		} else {
+			_, err = e.Exec("SELECT COUNT(*) FROM bad")
+		}
 		if !errors.Is(err, pager.ErrChecksum) {
 			t.Fatalf("%s executor on corrupt segment: err = %v, want ErrChecksum", mode, err)
 		}

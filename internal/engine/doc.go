@@ -38,10 +38,17 @@
 // key only when one column comes from each input, and any other conjunct
 // is residual.
 //
+// An inner JOIN ... ON in the same query splits likewise: its
+// cross-input column equalities are the keys the join algorithm is
+// chosen over, and every other conjunct becomes the join's filter, with
+// its selectivity applied to the row estimate. Without a key the join is
+// a filtered cross join (nested loop).
+//
 // # Execution model
 //
-// SELECT queries execute batch-at-a-time by default (vec.go, vecjoin.go,
-// vecsort.go): every vectorized operator implements
+// Every SELECT executes batch-at-a-time (vec.go, vecjoin.go, vecsort.go):
+// Exec, subqueries, the streaming query API and every instrumented run
+// build the same pipeline, in which every operator implements
 //
 //	type vecIter interface {
 //		Open() error
@@ -66,24 +73,21 @@
 // full batch, while long scans reach full batch width within three
 // calls.
 //
-// The row-at-a-time streaming pipeline (iter.go) — rowIter with
-// Open/Next/Close — is retained in full. It is the execution path for
-// serial instrumented runs (EXPLAIN ANALYZE semantics need exact
-// per-operator actuals, which per-row wrappers collect), for
-// Config.RowStreamExec (pinned in benchmarks as the vectorization
-// ablation), and the adapter pair in vec.go bridges the two models:
-// rowToVec lifts a row iterator into batches where no native vectorized
-// operator exists, and the row-streaming Exec surface (StreamingQuery,
-// the session pool, LIMIT short-circuit consumption) drains the batch
-// pipeline one row at a time through vecToRow without buffering whole
-// results.
+// Five operators — Aggregate, Unique, Merge Join, Nested Loop and Result
+// — have no batch implementation yet and run row-at-a-time (iter.go,
+// rowIter with Open/Next/Close) inside the batch pipeline: vecToRow
+// feeds them their vectorized children one row at a time and rowToVec
+// packs their output back into batches. The engine thus has two
+// executors, this one and the reference executor (the differential
+// oracle), plus the morsel-parallel exchange, which runs the same batch
+// operators on worker clones (see Morsel-driven parallelism).
 //
 // # Columnar scans and zone-map pruning
 //
 // The storage layer (internal/storage) keeps each table as immutable
 // column-major sealed segments plus a row-major mutable tail, and every
-// scan — vectorized, row-stream, parallel, reference — operates a
-// Snapshot taken at Open. The scan contract against that layout:
+// scan — vectorized, parallel, reference — operates a Snapshot taken at
+// Open. The scan contract against that layout:
 //
 //   - A Snapshot is a stable point-in-time view: concurrent INSERTs,
 //     UPDATEs, DELETEs, and CreateIndex calls never change what an open
@@ -103,7 +107,7 @@
 //     zone map refutes the predicate under the same datum.Compare total
 //     order the row-level verdicts use, so a pruned segment can never
 //     contain a surviving row. The differential pruning corpus
-//     (pruning_diff_test.go) pins all four executors identical across
+//     (pruning_diff_test.go) pins every execution identical across
 //     segment-boundary literals, all-NULL segments, NULL-literal
 //     comparisons, and prune-everything predicates.
 //   - The unsealed tail has no zone maps and is scanned row-at-a-time via
@@ -178,13 +182,12 @@
 // the dispenser and drains the pool; Close during a parallel stream
 // (client disconnect) does the same, pinned by the cancellation tests.
 //
-// Instrumented parallel runs keep the vectorized pipeline (per-row
-// wrapping would serialize the workers): instrVecIter counts batches
-// with atomic adds, and per-worker actuals (rows, busy time) aggregate
-// into the driving operator's stats as OpStats.PerWorker, with
-// OpStats.Workers carrying the worker count the narrator calls out and
-// WantedWorkers recording the DOP a mis-estimated plan left on the
-// table.
+// Instrumented parallel runs count batches with atomic adds, since the
+// workers' clones of an operator share one OpStats; per-worker actuals
+// (rows, busy time) aggregate into the driving operator's stats as
+// OpStats.PerWorker, with OpStats.Workers carrying the worker count the
+// narrator calls out and WantedWorkers recording the DOP a mis-estimated
+// plan left on the table.
 //
 // # Operator contracts
 //
@@ -213,12 +216,11 @@
 // # Limit short-circuiting and top-K
 //
 // Limit stops pulling from its child once offset+limit rows have been
-// seen, so `LIMIT 10` over a scan touches ten heap rows instead of the
-// whole table — at batch granularity in the vectorized path: the first
-// 1024-row chunk is processed even when only ten rows are needed, which
-// trades a bounded amount of work on tiny limits for the batch loop's
-// throughput everywhere else. Whole batches inside the OFFSET are skipped
-// without touching their rows. When a Sort feeds a Limit directly, the
+// seen, so `LIMIT 10` over a scan stops after the scan's first 64-row
+// chunk instead of reading the whole table: batch granularity trades a
+// bounded amount of work on tiny limits for the batch loop's throughput
+// everywhere else. Whole batches inside the OFFSET are skipped without
+// touching their rows. When a Sort feeds a Limit directly, the
 // planner marks
 // the Sort with SortLimit = limit + offset and the executor keeps a
 // bounded top-K heap (O(n log k), O(k) space) instead of buffering and
@@ -240,20 +242,20 @@
 // Runtime instrumentation is opt-in per execution and follows EXPLAIN
 // ANALYZE semantics:
 //
-//   - Disabled (the default): the vectorized pipeline runs with no
-//     wrapper objects and no counters — zero extra allocations and zero
-//     extra branches per batch. The allocation guards in alloc_test.go
-//     enforce this.
-//   - Enabled (ExecPlanInstrumented, QueryInstrumented, or the EXPLAIN
-//     ANALYZE statement): serial plans route to the row pipeline and
-//     every operator's iterator is wrapped in an instrIter collecting
-//     actual rows (totals across all loops), loops (Open calls), and
-//     inclusive wall time — a parent's time contains its children's, as
-//     PostgreSQL reports it. Parallel plans stay on the vectorized
-//     pipeline (see Morsel-driven parallelism) with batch-granular
-//     atomic counters instead. The differential suite pins all pipelines
-//     to identical results, so instrumented counts describe the same
-//     query either way.
+//   - Disabled (Exec): the batch pipeline runs with no wrapper objects
+//     and no counters — zero extra allocations and zero extra branches
+//     per batch. The allocation guards in alloc_test.go enforce this.
+//   - Enabled (ExecPlanInstrumented, QueryInstrumented,
+//     QueryStreamInstrumented, or the EXPLAIN ANALYZE statement): the
+//     same batch pipeline runs, serial or parallel, with every operator
+//     wrapped in an instrVecIter that adds each batch's row count and
+//     inclusive wall time (a parent's time contains its children's, as
+//     PostgreSQL reports it) to the operator's OpStats. Loops are 1: no
+//     operator is re-opened. Counting per batch makes actual rows
+//     batch-granular under a streaming LIMIT: the scan below `LIMIT 10`
+//     reports the 64 rows of its first chunk, while a Sort below a LIMIT
+//     keeps a top-K heap and reports the limit. BenchmarkExec*Instrumented
+//     pins what instrumentation costs against the uninstrumented twins.
 //
 // Collected stats annotate bridged trees via the standardized attrs
 // AttrActualRows / AttrLoops / AttrTimeMs, plus AttrWorkers /
@@ -266,9 +268,9 @@
 //
 // The original materialize-everything executor (executor.go) is retained
 // behind Config.ReferenceExec as the semantic oracle: the differential
-// tests run the full corpus and a randomized query generator through all
-// three executors — vectorized, row-streaming, reference — and assert
-// identical row multisets (sequences, under ORDER BY), and the engine
-// benchmarks report vectorized / row-stream / reference triples. Plan
-// selection is identical in all modes.
+// tests run the full corpus and a randomized query generator through the
+// batch executor (plain and instrumented), the morsel-parallel exchange
+// and the reference executor, and assert identical row multisets
+// (sequences, under ORDER BY); the engine benchmarks report batch /
+// reference pairs. Plan selection is identical in all modes.
 package engine

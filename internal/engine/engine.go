@@ -26,13 +26,6 @@ type Config struct {
 	// choice is unaffected. It exists for differential testing and for
 	// benchmarking against full materialization.
 	ReferenceExec bool
-	// RowStreamExec routes execution through the row-at-a-time streaming
-	// iterator executor (iter.go) instead of the batch executor. Plan
-	// choice is unaffected. The three-way differential tests use it to pin
-	// batch results equal to the row pipeline; instrumented execution
-	// (EXPLAIN ANALYZE, the query/streaming APIs) runs the row pipeline
-	// for serial plans, so per-operator actuals stay exact.
-	RowStreamExec bool
 	// MaxQueryParallelism caps the degree of intra-query parallelism
 	// (parallel.go): 0 defaults to runtime.GOMAXPROCS, 1 (or negative)
 	// forces serial execution, values above the core count deliberately
@@ -173,22 +166,16 @@ func (e *Engine) PlanSQL(sql string) (*Node, error) {
 
 // runSelect plans, executes, and projects a SELECT. Execution runs
 // batch-at-a-time through the vectorized executor unless the config asks
-// for the materializing reference path or the row-at-a-time streaming
-// path (both kept as differential oracles).
+// for the materializing reference path (kept as the differential oracle).
 func (e *Engine) runSelect(sel *sqlparser.SelectStmt) (*Result, error) {
 	plan, err := e.planSelect(sel)
 	if err != nil {
 		return nil, err
 	}
-	var rows []storage.Row
-	switch {
-	case e.Cfg.ReferenceExec:
-		rows, err = e.execNode(plan)
-	case e.Cfg.RowStreamExec:
-		rows, err = e.execStream(plan)
-	default:
+	if !e.Cfg.ReferenceExec {
 		return e.runSelectVec(sel, plan)
 	}
+	rows, err := e.execNode(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -212,11 +199,12 @@ func (e *Engine) project(sel *sqlparser.SelectStmt, plan *Node, rows []storage.R
 	return res, nil
 }
 
-// projector renders one plan output row into the final select items. It is
+// projector renders plan output rows into the final select items. It is
 // built once per query — stars expanded, computed expressions pre-bound
-// against the plan schema — and then applied row by row, which is what
-// lets the streaming query path project incrementally instead of
-// materializing the whole result first.
+// against the plan schema — and then applied per batch on the batch
+// pipeline (projectBatch), which is what lets the streaming query path
+// project incrementally instead of materializing the whole result first,
+// or row by row (project) over the reference executor's result.
 type projector struct {
 	columns []string
 	pos     []int       // >= 0: direct copy of plan column

@@ -1,24 +1,17 @@
 package engine
 
-// iter.go is the streaming iterator executor: every operator implements
-// rowIter (Open/Next/Close), expressions are pre-bound to ordinals at
-// construction time (bind.go), and pipelined operators — scans, filters,
-// limit/offset, the probe side of hash joins, the outer side of nested
-// loops, unique — never buffer their input. Only the operators whose
-// semantics require it materialize: sort (bounded to a top-K heap when the
-// planner set SortLimit), aggregation, the build side of a hash join, the
-// inner side of a nested loop, and both merge-join inputs (whose key
-// datums are evaluated once into flat arenas rather than per comparison).
-//
-// Limit short-circuits by simply not pulling from its child once
-// offset+limit rows have been seen, so `LIMIT 10` over a scan touches ten
-// heap rows instead of the whole table. The materializing executor in
-// executor.go is kept as the reference implementation; differential tests
-// assert both produce identical row multisets.
+// iter.go holds the operators that still run row-at-a-time: Aggregate,
+// Unique, Merge Join, Nested Loop and Result. Each implements rowIter
+// (Open/Next/Close) and sits in the batch pipeline (vec.go) behind the
+// adapters — vecToRow feeds it its vectorized children, rowToVec packs
+// its output back into batches. Expressions are pre-bound to ordinals at
+// construction time (bind.go). Aggregation and both merge-join inputs
+// materialize at Open (merge-join key datums are evaluated once into flat
+// arenas rather than per comparison), a nested loop materializes its
+// inner side once, and Unique streams.
 
 import (
 	"fmt"
-	"sort"
 
 	"lantern/internal/datum"
 	"lantern/internal/sqlparser"
@@ -36,573 +29,24 @@ type rowIter interface {
 	Close() error
 }
 
-// execStream runs a plan through the streaming executor and collects the
-// result. Errors from construction (e.g. unresolvable columns) surface just
-// like execution errors.
-func (e *Engine) execStream(n *Node) ([]storage.Row, error) {
-	it, err := e.buildIter(n)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	var out []storage.Row
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, r)
-	}
-}
-
-// buildIter constructs the iterator tree for a plan node, binding all
-// expressions against the operator schemas. This is the uninstrumented
-// fast path: no wrap hook, so the built pipeline is byte-for-byte the one
-// the allocation guards measure.
-func (e *Engine) buildIter(n *Node) (rowIter, error) {
-	return (&ibuild{e: e}).build(n)
-}
-
-// ibuild carries per-construction state through iterator building. The
-// optional wrap hook decorates every operator iterator as it is built —
-// the instrumentation seam (bridge.go) — and is nil on the normal path,
-// where construction and execution are identical to a hookless build.
-// The optional child hook replaces subtree construction wholesale: the
-// vectorized builder (vec.go) installs it so that a row-only operator
-// built through buildOp pulls from batch-executing children through the
-// vecToRow adapter. The two hooks are never set together — instrumented
-// pipelines are pure row pipelines.
-type ibuild struct {
-	e     *Engine
-	wrap  func(n *Node, it rowIter) rowIter
-	child func(n *Node) (rowIter, error)
-	// stats, when non-nil, returns the shared OpStats slot for a node;
-	// scans use it to record segment-level accounting (scanned vs pruned)
-	// that per-row wrapping cannot observe. Set together with wrap by the
-	// instrumented runner; nil on the normal path.
-	stats func(n *Node) *OpStats
-}
-
-// build constructs the iterator for n and applies the wrap hook, if any.
-func (b *ibuild) build(n *Node) (rowIter, error) {
-	if b.child != nil {
-		return b.child(n)
-	}
-	it, err := b.buildOp(n)
-	if err != nil {
-		return nil, err
-	}
-	if b.wrap != nil {
-		it = b.wrap(n, it)
-	}
-	return it, nil
-}
-
-func (b *ibuild) buildOp(n *Node) (rowIter, error) {
+// buildRowOp builds a row-only operator over vectorized children.
+func (v *vbuild) buildRowOp(n *Node) (rowIter, error) {
 	switch n.Op {
-	case OpSeqScan:
-		return b.newSeqScanIter(n)
-	case OpIndexScan:
-		return b.newIndexScanIter(n)
-	case OpHash, OpMaterialize:
-		// Pass-through operators reuse the child iterator; under
-		// instrumentation they still get their own wrapper, so Hash nodes
-		// report the build-side row count just like PostgreSQL's ANALYZE.
-		return b.build(n.Children[0])
-	case OpHashJoin:
-		return b.newHashJoinIter(n)
 	case OpMergeJoin:
-		return b.newMergeJoinIter(n)
+		return v.newMergeJoinIter(n)
 	case OpNestedLoop:
-		return b.newNestedLoopIter(n)
-	case OpSort:
-		return b.newSortIter(n)
+		return v.newNestedLoopIter(n)
 	case OpAggregate, OpHashAggregate, OpGroupAggregate:
-		return b.newAggIter(n)
+		return v.newAggIter(n)
 	case OpUnique:
-		return b.newUniqueIter(n)
-	case OpLimit:
-		child, err := b.build(n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &limitIter{child: child, limit: n.Limit, offset: n.Offset}, nil
+		return v.newUniqueIter(n)
 	case OpResult:
-		return b.newResultIter(n)
+		return v.newResultIter(n)
 	}
 	return nil, fmt.Errorf("engine: cannot execute operator %s", n.Op.Name())
 }
 
-// --- Scans -----------------------------------------------------------------
-
-// seqScanIter walks the sealed segments and then the tail row-at-a-time.
-// Filtered scans still consult zone maps: a compiled pruner (the same
-// specialization vexpr.go gives the batch pipeline) refutes whole segments
-// before any row is touched, so EXPLAIN ANALYZE's serial row pipeline
-// reports the identical segments-scanned/segments-pruned accounting as the
-// batch path. Row-level filtering stays on the bound closure.
-type seqScanIter struct {
-	snap   storage.Snapshot
-	filter boundExpr // nil when unfiltered
-	pruner vecPred   // compiled for zone-map checks only; nil when no filter
-	prune  bool
-	st     *OpStats
-	env    rowEnv
-
-	curSD    *storage.SegData // loaded payload cur aliases; nil for the tail
-	cur      []storage.Row
-	seg      int
-	pos      int
-	tailDone bool
-	done     bool
-}
-
-func (b *ibuild) newSeqScanIter(n *Node) (*seqScanIter, error) {
-	t, err := b.e.Cat.Table(n.Relation)
-	if err != nil {
-		return nil, err
-	}
-	it := &seqScanIter{snap: t.Snapshot(), prune: !b.e.Cfg.DisableZonePruning}
-	if b.stats != nil {
-		it.st = b.stats(n)
-	}
-	if n.Filter != nil {
-		if it.filter, err = bindExpr(n.Filter, n.Schema, b.e.subquery); err != nil {
-			return nil, err
-		}
-		if it.pruner, err = compileVecPred(n.Filter, n.Schema, b.e.subquery); err != nil {
-			return nil, err
-		}
-	}
-	return it, nil
-}
-
-func (it *seqScanIter) Open() error {
-	it.releaseSeg()
-	it.cur = nil
-	it.seg, it.pos = 0, 0
-	it.tailDone, it.done = false, false
-	return it.advance()
-}
-
-// releaseSeg unpins the current segment's buffer pool frame, if any.
-// Handed-out rows stay valid past the release (GC holds the payload while
-// referenced); only the pool's eviction eligibility changes.
-func (it *seqScanIter) releaseSeg() {
-	if it.curSD != nil {
-		it.curSD.Release()
-		it.curSD = nil
-	}
-}
-
-// advance moves to the next run of rows: the next sealed segment surviving
-// zone-map pruning, then the tail, then end-of-stream. Pruning reads only
-// resident zone maps; surviving segments fault their payload in through
-// the buffer pool, so a pruned segment costs zero I/O.
-func (it *seqScanIter) advance() error {
-	it.releaseSeg()
-	segs := it.snap.Segments()
-	for it.seg < len(segs) {
-		s := segs[it.seg]
-		it.seg++
-		if it.prune && it.pruner != nil && segPruned(it.pruner, s) {
-			it.noteSeg(true)
-			continue
-		}
-		it.noteSeg(false)
-		sd, err := s.Load()
-		if err != nil {
-			it.done = true
-			return err
-		}
-		it.curSD, it.cur, it.pos = sd, sd.Rows(), 0
-		return nil
-	}
-	if !it.tailDone {
-		it.tailDone = true
-		it.cur, it.pos = it.snap.Tail(), 0
-		return nil
-	}
-	it.done = true
-	return nil
-}
-
-// noteSeg records segment accounting. The row pipeline is serial, so plain
-// increments suffice.
-func (it *seqScanIter) noteSeg(pruned bool) {
-	if it.st == nil {
-		return
-	}
-	if pruned {
-		it.st.SegsPruned++
-	} else {
-		it.st.SegsScanned++
-	}
-}
-
-func (it *seqScanIter) Next() (storage.Row, bool, error) {
-	for !it.done {
-		if it.pos >= len(it.cur) {
-			if err := it.advance(); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		r := it.cur[it.pos]
-		it.pos++
-		if it.filter == nil {
-			return r, true, nil
-		}
-		it.env.left = r
-		v, err := it.filter(&it.env)
-		if err != nil {
-			return nil, false, err
-		}
-		if truthy(v) {
-			return r, true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-func (it *seqScanIter) Close() error {
-	it.releaseSeg()
-	return nil
-}
-
-type indexScanIter struct {
-	eng     *Engine
-	n       *Node
-	snap    storage.Snapshot
-	recheck boundExpr // index condition ∧ residual filter
-	env     rowEnv
-	ids     []int
-	pos     int
-}
-
-func (b *ibuild) newIndexScanIter(n *Node) (*indexScanIter, error) {
-	if _, err := b.e.Cat.Table(n.Relation); err != nil {
-		return nil, err
-	}
-	// Re-check the full index condition alongside the residual filter
-	// (cheap, and keeps multi-conjunct conditions exact when the scan
-	// bounds only captured part of them) — mirrors the reference executor.
-	combined := sqlparser.JoinConjuncts(append(sqlparser.SplitConjuncts(n.IndexCond), sqlparser.SplitConjuncts(n.Filter)...))
-	it := &indexScanIter{eng: b.e, n: n}
-	if combined != nil {
-		var err error
-		if it.recheck, err = bindExpr(combined, n.Schema, b.e.subquery); err != nil {
-			return nil, err
-		}
-	}
-	return it, nil
-}
-
-func (it *indexScanIter) Open() error {
-	t, err := it.eng.Cat.Table(it.n.Relation)
-	if err != nil {
-		return err
-	}
-	it.snap = t.Snapshot()
-	col, lo, hi, incLo, incHi, eq, hasEq, err := indexBounds(it.n.IndexCond)
-	if err != nil {
-		return err
-	}
-	ix := it.snap.Index(col)
-	if ix == nil {
-		return fmt.Errorf("engine: planned index on %s.%s does not exist", it.n.Relation, col)
-	}
-	if hasEq {
-		it.ids = ix.Lookup(eq)
-	} else {
-		it.ids = ix.Range(lo, hi, incLo, incHi)
-	}
-	it.pos = 0
-	return nil
-}
-
-func (it *indexScanIter) Next() (storage.Row, bool, error) {
-	for it.pos < len(it.ids) {
-		r, err := it.snap.FetchRow(it.ids[it.pos])
-		if err != nil {
-			return nil, false, err
-		}
-		it.pos++
-		if it.recheck == nil {
-			return r, true, nil
-		}
-		it.env.left = r
-		v, err := it.recheck(&it.env)
-		if err != nil {
-			return nil, false, err
-		}
-		if truthy(v) {
-			return r, true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-func (it *indexScanIter) Close() error { return nil }
-
-// --- Limit -----------------------------------------------------------------
-
-// limitIter implements LIMIT/OFFSET by counting rows pulled from its child;
-// once limit rows are emitted it stops pulling, short-circuiting the whole
-// subtree below it.
-type limitIter struct {
-	child            rowIter
-	limit, offset    int64 // limit < 0 means unbounded (OFFSET-only)
-	skipped, emitted int64
-}
-
-func (it *limitIter) Open() error {
-	it.skipped, it.emitted = 0, 0
-	return it.child.Open()
-}
-
-func (it *limitIter) Next() (storage.Row, bool, error) {
-	if it.limit >= 0 && it.emitted >= it.limit {
-		return nil, false, nil
-	}
-	for {
-		r, ok, err := it.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if it.skipped < it.offset {
-			it.skipped++
-			continue
-		}
-		it.emitted++
-		return r, true, nil
-	}
-}
-
-func (it *limitIter) Close() error { return it.child.Close() }
-
-// --- Hash join -------------------------------------------------------------
-
-// hashJoinIter materializes the build side once at Open, caching the
-// evaluated join-key datums per build row in a flat arena so the
-// hash-collision recheck is a pure datum comparison (no expression
-// re-evaluation per probe×build pair). The probe side streams: each probe
-// row's keys are evaluated once into a reusable buffer, and candidate
-// pairs are checked through a two-part rowEnv so the joined row is only
-// allocated for pairs that survive key, residual and filter checks.
-type hashJoinIter struct {
-	probe, build rowIter
-	probeKeys    []boundExpr
-	buildKeys    []boundExpr
-	nKeys        int
-	residual     boundExpr // pair-bound residual join condition
-	outFilter    boundExpr // pair-bound post-join filter (n.Filter)
-	leftOuter    bool
-	nullsRight   storage.Row
-
-	entries  []storage.Row
-	keyArena []datum.D // len(entries)*nKeys, parallel to entries
-	table    map[uint64][]int32
-
-	env         rowEnv
-	probeRow    storage.Row
-	probeKeyBuf []datum.D
-	bucket      []int32
-	bi          int
-	matched     bool
-}
-
-func (b *ibuild) newHashJoinIter(n *Node) (*hashJoinIter, error) {
-	probeNode, hashNode := n.Children[0], n.Children[1]
-	probeKeyExprs, buildKeyExprs, residual := joinKeyPairs(n.JoinCond, probeNode.Schema, hashNode.Schema)
-	if len(probeKeyExprs) == 0 {
-		return nil, fmt.Errorf("engine: hash join without equi-condition")
-	}
-	it := &hashJoinIter{
-		nKeys:     len(probeKeyExprs),
-		leftOuter: n.JoinType == sqlparser.LeftJoin,
-	}
-	var err error
-	if it.probe, err = b.build(probeNode); err != nil {
-		return nil, err
-	}
-	if it.build, err = b.build(hashNode); err != nil {
-		return nil, err
-	}
-	if it.probeKeys, err = bindExprs(probeKeyExprs, probeNode.Schema, b.e.subquery); err != nil {
-		return nil, err
-	}
-	if it.buildKeys, err = bindExprs(buildKeyExprs, hashNode.Schema, b.e.subquery); err != nil {
-		return nil, err
-	}
-	// n.Schema is always probe schema followed by build schema (see
-	// planner buildJoin), so pair binding matches the output row layout.
-	if cond := sqlparser.JoinConjuncts(residual); cond != nil {
-		if it.residual, err = bindPairExpr(cond, probeNode.Schema, hashNode.Schema, b.e.subquery); err != nil {
-			return nil, err
-		}
-	}
-	if n.Filter != nil {
-		if it.outFilter, err = bindPairExpr(n.Filter, probeNode.Schema, hashNode.Schema, b.e.subquery); err != nil {
-			return nil, err
-		}
-	}
-	it.nullsRight = make(storage.Row, len(hashNode.Schema))
-	for i := range it.nullsRight {
-		it.nullsRight[i] = datum.Null
-	}
-	it.probeKeyBuf = make([]datum.D, it.nKeys)
-	return it, nil
-}
-
-func (it *hashJoinIter) Open() error {
-	if err := it.build.Open(); err != nil {
-		return err
-	}
-	it.entries = it.entries[:0]
-	it.keyArena = it.keyArena[:0]
-	it.table = make(map[uint64][]int32)
-	var env rowEnv
-	for {
-		r, ok, err := it.build.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		env.left = r
-		h := uint64(1469598103934665603)
-		null := false
-		off := len(it.keyArena)
-		for _, k := range it.buildKeys {
-			v, err := k(&env)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			it.keyArena = append(it.keyArena, v)
-			h = h*1099511628211 ^ v.Hash()
-		}
-		if null {
-			it.keyArena = it.keyArena[:off] // NULL keys never match
-			continue
-		}
-		it.table[h] = append(it.table[h], int32(len(it.entries)))
-		it.entries = append(it.entries, r)
-	}
-	it.probeRow, it.bucket, it.bi = nil, nil, 0
-	return it.probe.Open()
-}
-
-func (it *hashJoinIter) Next() (storage.Row, bool, error) {
-	for {
-		if it.probeRow == nil {
-			r, ok, err := it.probe.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			it.probeRow = r
-			it.matched = false
-			it.bucket, it.bi = nil, 0
-			it.env.left = r
-			h := uint64(1469598103934665603)
-			null := false
-			for i, k := range it.probeKeys {
-				v, err := k(&it.env)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() {
-					null = true
-					break
-				}
-				it.probeKeyBuf[i] = v
-				h = h*1099511628211 ^ v.Hash()
-			}
-			if !null {
-				it.bucket = it.table[h]
-			}
-		}
-		it.env.left = it.probeRow
-		for it.bi < len(it.bucket) {
-			idx := it.bucket[it.bi]
-			it.bi++
-			off := int(idx) * it.nKeys
-			if !datumsEqual(it.probeKeyBuf, it.keyArena[off:off+it.nKeys]) {
-				continue // hash collision
-			}
-			br := it.entries[idx]
-			it.env.right = br
-			if it.residual != nil {
-				v, err := it.residual(&it.env)
-				if err != nil {
-					return nil, false, err
-				}
-				if !truthy(v) {
-					continue
-				}
-			}
-			// The ON condition (keys + residual) alone decides matched:
-			// the pushed-down WHERE filter only gates emission, exactly as
-			// the reference executor applies it after null-extension.
-			it.matched = true
-			if it.outFilter != nil {
-				v, err := it.outFilter(&it.env)
-				if err != nil {
-					return nil, false, err
-				}
-				if !truthy(v) {
-					continue
-				}
-			}
-			return concatRows(it.probeRow, br), true, nil
-		}
-		pr := it.probeRow
-		it.probeRow = nil
-		if it.leftOuter && !it.matched {
-			it.env.left, it.env.right = pr, it.nullsRight
-			if it.outFilter != nil {
-				v, err := it.outFilter(&it.env)
-				if err != nil {
-					return nil, false, err
-				}
-				if !truthy(v) {
-					continue
-				}
-			}
-			return concatRows(pr, it.nullsRight), true, nil
-		}
-	}
-}
-
-func (it *hashJoinIter) Close() error {
-	err := it.probe.Close()
-	if err2 := it.build.Close(); err == nil {
-		err = err2
-	}
-	return err
-}
-
-func datumsEqual(a, b []datum.D) bool {
-	for i := range a {
-		if !datum.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// rowArena packs row-pipeline join output into flat datum chunks — one
+// rowArena packs row-at-a-time join output into flat datum chunks — one
 // chunk allocation per ~batchSize emitted rows instead of one allocation
 // per row (the row-at-a-time analogue of the batch writer's arena). Chunks
 // are never reused: each emitted row is a three-index subslice of its
@@ -643,23 +87,23 @@ type nestedLoopIter struct {
 	matched  bool
 }
 
-func (b *ibuild) newNestedLoopIter(n *Node) (*nestedLoopIter, error) {
+func (v *vbuild) newNestedLoopIter(n *Node) (*nestedLoopIter, error) {
 	outerNode, innerNode := n.Children[0], n.Children[1]
 	it := &nestedLoopIter{leftOuter: n.JoinType == sqlparser.LeftJoin}
 	var err error
-	if it.outer, err = b.build(outerNode); err != nil {
+	if it.outer, err = v.rowChild(outerNode); err != nil {
 		return nil, err
 	}
-	if it.innerSrc, err = b.build(innerNode); err != nil {
+	if it.innerSrc, err = v.rowChild(innerNode); err != nil {
 		return nil, err
 	}
 	if n.JoinCond != nil {
-		if it.cond, err = bindPairExpr(n.JoinCond, outerNode.Schema, innerNode.Schema, b.e.subquery); err != nil {
+		if it.cond, err = bindPairExpr(n.JoinCond, outerNode.Schema, innerNode.Schema, v.e.subquery); err != nil {
 			return nil, err
 		}
 	}
 	if n.Filter != nil {
-		if it.outFilter, err = bindPairExpr(n.Filter, outerNode.Schema, innerNode.Schema, b.e.subquery); err != nil {
+		if it.outFilter, err = bindPairExpr(n.Filter, outerNode.Schema, innerNode.Schema, v.e.subquery); err != nil {
 			return nil, err
 		}
 	}
@@ -777,7 +221,7 @@ type mergeJoinIter struct {
 	out          rowArena
 }
 
-func (b *ibuild) newMergeJoinIter(n *Node) (*mergeJoinIter, error) {
+func (v *vbuild) newMergeJoinIter(n *Node) (*mergeJoinIter, error) {
 	leftNode, rightNode := n.Children[0], n.Children[1]
 	lKeyExprs, rKeyExprs, residual := joinKeyPairs(n.JoinCond, leftNode.Schema, rightNode.Schema)
 	if len(lKeyExprs) == 0 {
@@ -789,25 +233,25 @@ func (b *ibuild) newMergeJoinIter(n *Node) (*mergeJoinIter, error) {
 		rEst:  estCap(rightNode.EstRows),
 	}
 	var err error
-	if it.left, err = b.build(leftNode); err != nil {
+	if it.left, err = v.rowChild(leftNode); err != nil {
 		return nil, err
 	}
-	if it.right, err = b.build(rightNode); err != nil {
+	if it.right, err = v.rowChild(rightNode); err != nil {
 		return nil, err
 	}
-	if it.lKeyExprs, err = bindExprs(lKeyExprs, leftNode.Schema, b.e.subquery); err != nil {
+	if it.lKeyExprs, err = bindExprs(lKeyExprs, leftNode.Schema, v.e.subquery); err != nil {
 		return nil, err
 	}
-	if it.rKeyExprs, err = bindExprs(rKeyExprs, rightNode.Schema, b.e.subquery); err != nil {
+	if it.rKeyExprs, err = bindExprs(rKeyExprs, rightNode.Schema, v.e.subquery); err != nil {
 		return nil, err
 	}
 	if cond := sqlparser.JoinConjuncts(residual); cond != nil {
-		if it.residual, err = bindPairExpr(cond, leftNode.Schema, rightNode.Schema, b.e.subquery); err != nil {
+		if it.residual, err = bindPairExpr(cond, leftNode.Schema, rightNode.Schema, v.e.subquery); err != nil {
 			return nil, err
 		}
 	}
 	if n.Filter != nil {
-		if it.outFilter, err = bindPairExpr(n.Filter, leftNode.Schema, rightNode.Schema, b.e.subquery); err != nil {
+		if it.outFilter, err = bindPairExpr(n.Filter, leftNode.Schema, rightNode.Schema, v.e.subquery); err != nil {
 			return nil, err
 		}
 	}
@@ -816,20 +260,6 @@ func (b *ibuild) newMergeJoinIter(n *Node) (*mergeJoinIter, error) {
 
 // drainKeyed materializes an already-opened child and its per-row key
 // datums.
-// estCap clamps a planner cardinality estimate to a sane preallocation
-// capacity: materializing operators size their buffers from it so the
-// common case is one allocation instead of log-many append regrowths, and
-// a wild over-estimate cannot balloon memory.
-func estCap(est float64) int {
-	if est < 16 {
-		return 16
-	}
-	if est > 1<<20 {
-		return 1 << 20
-	}
-	return int(est)
-}
-
 func drainKeyed(child rowIter, keys []boundExpr, est int) ([]storage.Row, []datum.D, error) {
 	rows := make([]storage.Row, 0, est)
 	arena := make([]datum.D, 0, est*len(keys))
@@ -980,254 +410,6 @@ func (it *mergeJoinIter) Close() error {
 	return err
 }
 
-// --- Sort / top-K -----------------------------------------------------------
-
-// sortIter materializes and sorts its input at Open. When the planner set
-// SortLimit (a Sort feeding a Limit), it keeps a bounded top-K heap instead
-// of buffering and sorting everything; sequence numbers break ties so the
-// result is identical to a stable full sort followed by truncation.
-type sortIter struct {
-	child rowIter
-	keys  []boundExpr
-	desc  []bool
-	topK  int64 // 0 = full sort
-	est   int   // planner cardinality estimate, for preallocation
-	out   []storage.Row
-	pos   int
-}
-
-func (b *ibuild) newSortIter(n *Node) (*sortIter, error) {
-	it := &sortIter{topK: n.SortLimit, est: estCap(n.EstRows)}
-	var err error
-	if it.child, err = b.build(n.Children[0]); err != nil {
-		return nil, err
-	}
-	exprs := make([]sqlparser.Expr, len(n.SortKeys))
-	it.desc = make([]bool, len(n.SortKeys))
-	for i, k := range n.SortKeys {
-		exprs[i] = k.Expr
-		it.desc[i] = k.Desc
-	}
-	if it.keys, err = bindExprs(exprs, n.Children[0].Schema, b.e.subquery); err != nil {
-		return nil, err
-	}
-	return it, nil
-}
-
-func (it *sortIter) Open() error {
-	if err := it.child.Open(); err != nil {
-		return err
-	}
-	it.pos = 0
-	if it.topK > 0 {
-		return it.openTopK()
-	}
-	rows, arena, err := drainKeyed(it.child, it.keys, it.est)
-	if err != nil {
-		return err
-	}
-	nKeys := len(it.keys)
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		a, b := idx[x], idx[y]
-		for j := 0; j < nKeys; j++ {
-			c := datum.Compare(arena[a*nKeys+j], arena[b*nKeys+j])
-			if it.desc[j] {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	it.out = make([]storage.Row, len(rows))
-	for i, j := range idx {
-		it.out[i] = rows[j]
-	}
-	return nil
-}
-
-func (it *sortIter) openTopK() error {
-	h := newTopKHeap(int(it.topK), len(it.keys), it.desc)
-	scratch := make([]datum.D, len(it.keys))
-	var env rowEnv
-	for {
-		r, ok, err := it.child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		env.left = r
-		for i, k := range it.keys {
-			v, err := k(&env)
-			if err != nil {
-				return err
-			}
-			scratch[i] = v
-		}
-		h.push(r, scratch)
-	}
-	it.out = h.finish()
-	return nil
-}
-
-func (it *sortIter) Next() (storage.Row, bool, error) {
-	if it.pos >= len(it.out) {
-		return nil, false, nil
-	}
-	r := it.out[it.pos]
-	it.pos++
-	return r, true, nil
-}
-
-func (it *sortIter) Close() error { return it.child.Close() }
-
-// topKHeap retains the K rows that order first, as a max-heap keyed on
-// (sort keys, arrival sequence): the root is the row that orders last among
-// those retained, so a new row either displaces the root in place or is
-// dropped — zero allocations per row once the heap is full. The sequence
-// tiebreak makes the selection and final order exactly equal to a stable
-// full sort truncated to K.
-type topKHeap struct {
-	k, nKeys int
-	desc     []bool
-	rows     []storage.Row
-	keys     []datum.D // slot-major arena, nKeys per slot
-	seqs     []int64
-	order    []int32 // heap of slot indices
-	next     int64   // arrival counter
-}
-
-func newTopKHeap(k, nKeys int, desc []bool) *topKHeap {
-	// k comes from a user-supplied LIMIT and may vastly exceed the input
-	// size; cap the initial capacity and let append grow the slices, so a
-	// huge LIMIT costs memory proportional to the actual input.
-	hint := k
-	if hint > 1024 {
-		hint = 1024
-	}
-	return &topKHeap{
-		k: k, nKeys: nKeys, desc: desc,
-		rows:  make([]storage.Row, 0, hint),
-		keys:  make([]datum.D, 0, hint*nKeys),
-		seqs:  make([]int64, 0, hint),
-		order: make([]int32, 0, hint),
-	}
-}
-
-// before reports whether (keyA, seqA) orders strictly before slot y.
-func (h *topKHeap) before(keyA []datum.D, seqA int64, y int32) bool {
-	off := int(y) * h.nKeys
-	for j := 0; j < h.nKeys; j++ {
-		c := datum.Compare(keyA[j], h.keys[off+j])
-		if h.desc[j] {
-			c = -c
-		}
-		if c != 0 {
-			return c < 0
-		}
-	}
-	return seqA < h.seqs[y]
-}
-
-func (h *topKHeap) slotBefore(x, y int32) bool {
-	off := int(x) * h.nKeys
-	return h.before(h.keys[off:off+h.nKeys], h.seqs[x], y)
-}
-
-func (h *topKHeap) push(r storage.Row, key []datum.D) {
-	seq := h.next
-	h.next++
-	h.pushSeq(r, key, seq)
-}
-
-// pushSeq inserts with a caller-assigned sequence. The parallel sort
-// workers (parallel.go) use it to tag each row with its serial arrival
-// order, so merged per-worker heaps reproduce the serial top-K exactly.
-func (h *topKHeap) pushSeq(r storage.Row, key []datum.D, seq int64) {
-	if h.k == 0 {
-		return
-	}
-	if len(h.rows) < h.k {
-		slot := int32(len(h.rows))
-		h.rows = append(h.rows, r)
-		h.keys = append(h.keys, key...)
-		h.seqs = append(h.seqs, seq)
-		h.order = append(h.order, slot)
-		// Sift up: a child that orders after its parent rises.
-		i := len(h.order) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !h.slotBefore(h.order[parent], h.order[i]) {
-				break
-			}
-			h.order[parent], h.order[i] = h.order[i], h.order[parent]
-			i = parent
-		}
-		return
-	}
-	worst := h.order[0]
-	if !h.before(key, seq, worst) {
-		return // orders at or after everything retained
-	}
-	// Displace the root in place.
-	h.rows[worst] = r
-	copy(h.keys[int(worst)*h.nKeys:], key)
-	h.seqs[worst] = seq
-	h.siftDown(0)
-}
-
-func (h *topKHeap) siftDown(i int) {
-	n := len(h.order)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && h.slotBefore(h.order[largest], h.order[l]) {
-			largest = l
-		}
-		if r < n && h.slotBefore(h.order[largest], h.order[r]) {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		h.order[i], h.order[largest] = h.order[largest], h.order[i]
-		i = largest
-	}
-}
-
-// finish returns the retained rows in ascending sort order.
-func (h *topKHeap) finish() []storage.Row {
-	sort.Slice(h.order, func(x, y int) bool { return h.slotBefore(h.order[x], h.order[y]) })
-	out := make([]storage.Row, len(h.order))
-	for i, slot := range h.order {
-		out[i] = h.rows[slot]
-	}
-	return out
-}
-
-// finishRuns returns the retained rows in ascending sort order together
-// with their keys (row-major) and sequences — the sorted-run form the
-// parallel exchange merges across workers.
-func (h *topKHeap) finishRuns() ([]storage.Row, []datum.D, []int64) {
-	sort.Slice(h.order, func(x, y int) bool { return h.slotBefore(h.order[x], h.order[y]) })
-	rows := make([]storage.Row, len(h.order))
-	keys := make([]datum.D, 0, len(h.order)*h.nKeys)
-	seqs := make([]int64, len(h.order))
-	for i, slot := range h.order {
-		rows[i] = h.rows[slot]
-		keys = append(keys, h.keys[int(slot)*h.nKeys:(int(slot)+1)*h.nKeys]...)
-		seqs[i] = h.seqs[slot]
-	}
-	return rows, keys, seqs
-}
-
 // --- Aggregation -----------------------------------------------------------
 
 // aggIter computes grouped aggregation at Open (aggregation is inherently
@@ -1244,14 +426,14 @@ type aggIter struct {
 	pos       int
 }
 
-func (b *ibuild) newAggIter(n *Node) (*aggIter, error) {
+func (v *vbuild) newAggIter(n *Node) (*aggIter, error) {
 	childSchema := n.Children[0].Schema
 	it := &aggIter{aggs: n.Aggs, plain: len(n.GroupKeys) == 0}
 	var err error
-	if it.child, err = b.build(n.Children[0]); err != nil {
+	if it.child, err = v.rowChild(n.Children[0]); err != nil {
 		return nil, err
 	}
-	if it.groupKeys, err = bindExprs(n.GroupKeys, childSchema, b.e.subquery); err != nil {
+	if it.groupKeys, err = bindExprs(n.GroupKeys, childSchema, v.e.subquery); err != nil {
 		return nil, err
 	}
 	it.aggArgs = make([]boundExpr, len(n.Aggs))
@@ -1259,12 +441,12 @@ func (b *ibuild) newAggIter(n *Node) (*aggIter, error) {
 		if a.Call.Star {
 			continue
 		}
-		if it.aggArgs[i], err = bindExpr(a.Call.Args[0], childSchema, b.e.subquery); err != nil {
+		if it.aggArgs[i], err = bindExpr(a.Call.Args[0], childSchema, v.e.subquery); err != nil {
 			return nil, err
 		}
 	}
 	if n.HavingFilter != nil {
-		if it.having, err = bindExpr(n.HavingFilter, n.Schema, b.e.subquery); err != nil {
+		if it.having, err = bindExpr(n.HavingFilter, n.Schema, v.e.subquery); err != nil {
 			return nil, err
 		}
 	}
@@ -1390,17 +572,17 @@ type uniqueIter struct {
 	env   rowEnv
 }
 
-func (b *ibuild) newUniqueIter(n *Node) (*uniqueIter, error) {
+func (v *vbuild) newUniqueIter(n *Node) (*uniqueIter, error) {
 	it := &uniqueIter{}
 	var err error
-	if it.child, err = b.build(n.Children[0]); err != nil {
+	if it.child, err = v.rowChild(n.Children[0]); err != nil {
 		return nil, err
 	}
 	exprs := make([]sqlparser.Expr, len(n.SortKeys))
 	for i, k := range n.SortKeys {
 		exprs[i] = k.Expr
 	}
-	if it.keys, err = bindExprs(exprs, n.Children[0].Schema, b.e.subquery); err != nil {
+	if it.keys, err = bindExprs(exprs, n.Children[0].Schema, v.e.subquery); err != nil {
 		return nil, err
 	}
 	return it, nil
@@ -1446,10 +628,10 @@ type resultIter struct {
 	done  bool
 }
 
-func (b *ibuild) newResultIter(n *Node) (*resultIter, error) {
+func (v *vbuild) newResultIter(n *Node) (*resultIter, error) {
 	it := &resultIter{items: make([]boundExpr, len(n.ResultItems))}
 	for i, item := range n.ResultItems {
-		bound, err := bindExpr(item.Expr, nil, b.e.subquery)
+		bound, err := bindExpr(item.Expr, nil, v.e.subquery)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,6 @@
 package engine
 
-// Tests for streaming-executor behavior that the differential tests cannot
+// Tests for executor behavior that the differential tests cannot
 // express: LIMIT/OFFSET edge-case semantics, proof that Limit actually
 // short-circuits its subtree, top-K equivalence with a stable sort, and
 // the top-K heap in isolation.
@@ -8,6 +8,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lantern/internal/datum"
@@ -106,46 +107,51 @@ func TestTopKStableWithDuplicateKeys(t *testing.T) {
 	}
 }
 
-// TestLimitShortCircuitsScan proves the streaming claim directly: LIMIT 3
-// over a sequential scan pulls exactly 3 rows from the heap, not all 20.
+// TestLimitShortCircuitsScan proves the short circuit through the
+// instrumented actuals, which also pins their batch granularity under a
+// LIMIT: LIMIT 3 over a 500-row scan stops the scan after its adaptive
+// first chunk, so the scan reports initialChunkSize (64) actual rows, not
+// the whole table, while the Limit reports 3. Under ORDER BY the Sort
+// keeps a top-K heap and reports the limit itself.
 func TestLimitShortCircuitsScan(t *testing.T) {
-	e := testDB(t, DefaultConfig())
-	plan, err := e.PlanSQL("SELECT c_name FROM customer LIMIT 3")
-	if err != nil {
-		t.Fatal(err)
+	e := New(DefaultConfig())
+	mustExec(t, e, "CREATE TABLE big (id INTEGER, v INTEGER)")
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO big VALUES ")
+	for i := 0; i < 500; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d)", i, (i*37)%500)
 	}
-	it, err := e.buildIter(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := it.Next()
+	mustExec(t, e, sb.String())
+	for _, c := range []struct {
+		sql  string
+		op   Op
+		want int64
+	}{
+		{"SELECT id FROM big LIMIT 3", OpSeqScan, initialChunkSize},
+		{"SELECT id FROM big ORDER BY v LIMIT 3", OpSort, 3},
+	} {
+		pl, err := e.PlanSQL(c.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		if pl.Op != OpLimit {
+			t.Fatalf("%s: plan root is %s, want Limit", c.sql, pl.Op.Name())
 		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("drained %d rows, want 3", n)
-	}
-	lim, ok := it.(*limitIter)
-	if !ok {
-		t.Fatalf("plan root iterator is %T, want *limitIter", it)
-	}
-	scan, ok := lim.child.(*seqScanIter)
-	if !ok {
-		t.Fatalf("limit child is %T, want *seqScanIter", lim.child)
-	}
-	if scan.pos != 3 {
-		t.Fatalf("seq scan pulled %d heap rows, want 3 (short-circuit broken)", scan.pos)
+		rows, st, err := e.ExecPlanInstrumented(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 3 || st[pl].Rows != 3 {
+			t.Fatalf("%s: %d rows, Limit actual rows %d; want 3 and 3", c.sql, len(rows), st[pl].Rows)
+		}
+		pl.Walk(func(n *Node) {
+			if n.Op == c.op && st[n].Rows != c.want {
+				t.Fatalf("%s: %s actual rows = %d, want %d", c.sql, n.Op.Name(), st[n].Rows, c.want)
+			}
+		})
 	}
 }
 

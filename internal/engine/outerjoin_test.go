@@ -347,3 +347,101 @@ func TestLeftJoinOraclePrePushdown(t *testing.T) {
 		})
 	}
 }
+
+// innerOnDB holds c (100 rows), o (1,000 rows, ten per c row) and n
+// (25 rows). c.nk runs to 29, so some c rows find no n row and
+// null-extend.
+func innerOnDB(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	e := New(cfg)
+	if _, err := e.ExecScript(`CREATE TABLE c (ck INTEGER, nk INTEGER, bal FLOAT);
+		CREATE TABLE o (ok INTEGER, ck INTEGER, price FLOAT);
+		CREATE TABLE n (nk INTEGER, name VARCHAR(10));`); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(table string, rows int, row func(i int) string) {
+		var sb strings.Builder
+		for i := 0; i < rows; i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(row(i))
+		}
+		mustExec(t, e, "INSERT INTO "+table+" VALUES "+sb.String())
+	}
+	insert("c", 100, func(i int) string { return fmt.Sprintf("(%d, %d, %d.5)", i, i%30, (i*37)%500) })
+	insert("o", 1000, func(i int) string { return fmt.Sprintf("(%d, %d, %d.0)", i, i%100, (i*7919)%500) })
+	insert("n", 25, func(i int) string { return fmt.Sprintf("(%d, 'nation%d')", i, i) })
+	return e
+}
+
+// innerJoinOnCases are inner JOIN ... ON clauses inside an outer-join
+// query, each with its join keys alone and the non-key conjuncts it moves
+// to WHERE. The later LEFT JOIN preserves both inner-join tables, so the
+// query with the conjuncts in WHERE is equivalent.
+var innerJoinOnCases = []struct{ items, on, keys, moved string }{
+	// No key at all: every executor failed with "merge join without
+	// equi-condition" while each ON conjunct went to buildJoin.
+	{"COUNT(*)", "o.price > 400", "TRUE", "o.price > 400"},
+	{"COUNT(*), SUM(o.price)", "c.bal < o.price AND o.price > 450", "TRUE", "c.bal < o.price AND o.price > 450"},
+	// A key plus conjuncts on one input, the other, or both.
+	{"c.ck, o.ok, n.name", "c.ck = o.ck AND o.price > 100", "c.ck = o.ck", "o.price > 100"},
+	{"c.ck, o.ok, n.name", "c.ck = o.ck AND c.bal < o.price", "c.ck = o.ck", "c.bal < o.price"},
+	{"o.ok, n.name", "o.ck = c.ck AND c.nk = 3 AND o.ok = o.ck", "o.ck = c.ck", "c.nk = 3 AND o.ok = o.ck"},
+}
+
+const innerOnQuery = "SELECT %s FROM c JOIN o ON %s LEFT JOIN n ON c.nk = n.nk%s"
+
+// TestInnerJoinOnInOuterJoinQuery requires every case to run, under every
+// planner configuration, on every executor, with the same result as the
+// query whose non-key ON conjuncts sit in WHERE.
+func TestInnerJoinOnInOuterJoinQuery(t *testing.T) {
+	for name, cfg := range diffConfigs() {
+		t.Run(name, func(t *testing.T) {
+			e := innerOnDB(t, cfg)
+			for _, c := range innerJoinOnCases {
+				q := fmt.Sprintf(innerOnQuery, c.items, c.on, "")
+				moved := fmt.Sprintf(innerOnQuery, c.items, c.keys, " WHERE "+c.moved)
+				got, want := sortedRowStrings(mustExec(t, e, q).Rows), sortedRowStrings(mustExec(t, e, moved).Rows)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: %d rows, but %d with the non-key conjuncts in WHERE", q, len(got), len(want))
+				}
+				assertSameResults(t, e, q)
+			}
+		})
+	}
+}
+
+// TestInnerJoinOnSplitsKeysFromFilter pins the plan: the cross-input
+// equality is the inner join's condition, the other conjunct its filter,
+// and the filter's selectivity lowers the join's row estimate.
+func TestInnerJoinOnSplitsKeysFromFilter(t *testing.T) {
+	e := innerOnDB(t, DefaultConfig())
+	innerJoin := func(on string) *Node {
+		t.Helper()
+		plan, err := e.PlanSQL(fmt.Sprintf(innerOnQuery, "COUNT(*)", on, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var j *Node
+		plan.Walk(func(n *Node) {
+			if n.JoinType == sqlparser.InnerJoin && len(n.Children) == 2 && n.Op != OpHash {
+				j = n
+			}
+		})
+		if j == nil {
+			t.Fatalf("ON %s: no inner join in\n%s", on, ExplainText(plan))
+		}
+		return j
+	}
+	j := innerJoin("c.ck = o.ck AND o.price > 100")
+	if got := condStrings(j.JoinCond); len(got) != 1 || got[0] != "c.ck = o.ck" {
+		t.Errorf("join condition = %q, want only the key c.ck = o.ck", got)
+	}
+	if got := condStrings(j.Filter); len(got) != 1 || got[0] != "o.price > 100" {
+		t.Errorf("join filter = %q, want o.price > 100", got)
+	}
+	if keyOnly := innerJoin("c.ck = o.ck"); j.EstRows >= keyOnly.EstRows {
+		t.Errorf("filtered join estimates %.0f rows, the key-only join %.0f: the filter is not costed", j.EstRows, keyOnly.EstRows)
+	}
+}

@@ -466,12 +466,15 @@ func (it *instrVecIter) NextBatch() ([]storage.Row, error) {
 
 func (it *instrVecIter) Close() error { return it.child.Close() }
 
+func newInstrVecIter(it vecIter, os *OpStats) *instrVecIter {
+	return &instrVecIter{child: it, rows: &os.Rows, nanos: (*int64)(&os.Time)}
+}
+
 func (v *vbuild) instr(n *Node, it vecIter) vecIter {
 	if v.stats == nil {
 		return it
 	}
-	os := v.stats(n)
-	return &instrVecIter{child: it, rows: &os.Rows, nanos: (*int64)(&os.Time)}
+	return newInstrVecIter(it, v.stats(n))
 }
 
 // --- Exchange ---------------------------------------------------------------
@@ -1376,7 +1379,7 @@ func plainBuildScan(n *Node) *Node {
 func (x *exchangeVec) buildSharedSerial(s *hashShared, shell *hashJoinVec, n *Node) error {
 	// Build through a serial vbuild so nested operators (and, under
 	// instrumentation, their stats) behave exactly like a serial join open.
-	nv := x.e.newVBuild(nil, x.v.stats)
+	nv := &vbuild{e: x.e, stats: x.v.stats}
 	src, err := nv.build(n.Children[1])
 	if err != nil {
 		return err
@@ -1423,6 +1426,13 @@ type buildPart struct {
 func (x *exchangeVec) buildSharedParallel(s *hashShared, shell *hashJoinVec, n, scanNode *Node, snap storage.Snapshot) error {
 	disp := newMorselDispenser(buildMorsels(snap, x.e.Cfg.morselRows()))
 	parts := make(chan *buildPart, x.dop)
+	// The scan's stats slot is resolved before the goroutines start: the
+	// stats map is not safe for concurrent insertion, and two goroutines
+	// each creating the slot would lose one's counts.
+	var scanStats *OpStats
+	if x.v.stats != nil {
+		scanStats = x.v.stats(scanNode)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < x.dop; i++ {
 		wg.Add(1)
@@ -1430,7 +1440,7 @@ func (x *exchangeVec) buildSharedParallel(s *hashShared, shell *hashJoinVec, n, 
 			defer wg.Done()
 			// Per-goroutine pipeline state: compiled predicate, key binds,
 			// scratch buffers. The hash-side schema is the scan's own.
-			ms := &morselScanVec{prune: !x.e.Cfg.DisableZonePruning}
+			ms := &morselScanVec{prune: !x.e.Cfg.DisableZonePruning, st: scanStats}
 			if scanNode.Filter != nil {
 				pred, err := compileVecPred(scanNode.Filter, scanNode.Schema, x.e.subquery)
 				if err != nil {
@@ -1439,12 +1449,9 @@ func (x *exchangeVec) buildSharedParallel(s *hashShared, shell *hashJoinVec, n, 
 				}
 				ms.pred = pred
 			}
-			if x.v.stats != nil {
-				ms.st = x.v.stats(scanNode)
-			}
 			var scan vecIter = ms
-			if x.v.stats != nil {
-				scan = x.v.instr(scanNode, ms)
+			if scanStats != nil {
+				scan = newInstrVecIter(ms, scanStats)
 			}
 			defer scan.Close() // unpin the last-held segment payload
 			var env rowEnv

@@ -412,7 +412,7 @@ func TestAdaptiveFirstBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := e.buildVec(pl)
+	it, err := e.buildVec(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -881,11 +881,7 @@ func (p *planner) planSyntactic() (*Node, error) {
 			if r.Type == sqlparser.LeftJoin {
 				return p.buildLeftJoin(left, table, r.On)
 			}
-			right, err := p.syntacticScan(table, nil)
-			if err != nil {
-				return nil, err
-			}
-			return p.buildJoin(left, right, sqlparser.SplitConjuncts(r.On)), nil
+			return p.buildInnerJoin(left, table, r.On)
 		}
 		return nil, fmt.Errorf("engine: unsupported FROM element %T", ref)
 	}
@@ -921,6 +917,56 @@ func (p *planner) syntacticScan(table *sqlparser.BaseTable, filters []sqlparser.
 	return p.seqScanNode(rel, t, rows, filters), nil
 }
 
+// isCrossKey reports whether e is a column equality between one of left's
+// tables and alias: a join key between the two inputs.
+func (p *planner) isCrossKey(e sqlparser.Expr, left *Node, alias string) bool {
+	lc, rc, ok := columnEquality(e)
+	if !ok {
+		return false
+	}
+	lt, rt := p.ownerOf(lc), p.ownerOf(rc)
+	inLeft := func(t string) bool {
+		for _, c := range left.Schema {
+			if c.Qual == t {
+				return true
+			}
+		}
+		return false
+	}
+	return (rt == alias && inLeft(lt)) || (lt == alias && inLeft(rt))
+}
+
+// buildInnerJoin plans `left JOIN table ON on` inside an outer-join query.
+// The ON clause splits like a LEFT JOIN's: column equalities between the
+// two inputs are the join keys buildJoin chooses an algorithm over, and
+// every other conjunct becomes the join's filter, its selectivity applied
+// to the row estimate. Without a key the join is a filtered cross join.
+func (p *planner) buildInnerJoin(left *Node, table *sqlparser.BaseTable, on sqlparser.Expr) (*Node, error) {
+	right, err := p.syntacticScan(table, nil)
+	if err != nil {
+		return nil, err
+	}
+	alias := baseRelation(table).alias
+	var keys, rest []sqlparser.Expr
+	for _, c := range sqlparser.SplitConjuncts(on) {
+		if p.isCrossKey(c, left, alias) {
+			keys = append(keys, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	j := p.buildJoin(left, right, keys)
+	if len(rest) > 0 {
+		sel := 1.0
+		for _, c := range rest {
+			sel *= p.est.selectivity(c)
+		}
+		j.Filter = sqlparser.JoinConjuncts(rest)
+		j.EstRows = maxf(1, j.EstRows*sel)
+	}
+	return j, nil
+}
+
 // buildLeftJoin plans `left LEFT JOIN table ON on` without commuting its
 // operands (see "Outer-join planning" in doc.go). Column equalities
 // between the two inputs are the hash keys; conjuncts on the nullable
@@ -932,23 +978,11 @@ func (p *planner) syntacticScan(table *sqlparser.BaseTable, filters []sqlparser.
 // Join.
 func (p *planner) buildLeftJoin(left *Node, table *sqlparser.BaseTable, on sqlparser.Expr) (*Node, error) {
 	alias := baseRelation(table).alias
-	inLeft := make(map[string]bool)
-	for _, c := range left.Schema {
-		inLeft[c.Qual] = true
-	}
-	crossKey := func(e sqlparser.Expr) bool {
-		lc, rc, ok := columnEquality(e)
-		if !ok {
-			return false
-		}
-		lt, rt := p.ownerOf(lc), p.ownerOf(rc)
-		return (inLeft[lt] && rt == alias) || (inLeft[rt] && lt == alias)
-	}
 	var cond, pushed []sqlparser.Expr
 	hasKey := false
 	for _, c := range sqlparser.SplitConjuncts(on) {
 		switch tables := p.tablesOf(c); {
-		case crossKey(c):
+		case p.isCrossKey(c, left, alias):
 			hasKey = true
 			cond = append(cond, c)
 		case len(tables) == 1 && tables[alias]:

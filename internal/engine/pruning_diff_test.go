@@ -3,7 +3,7 @@ package engine
 // Differential tests for zone-map pruning edge cases. The table is built
 // with a tiny segment capacity so a handful of rows spans several sealed
 // segments plus an unsealed tail, and every query runs through all four
-// executors (vectorized, row-stream, reference, morsel-parallel) under
+// executions (vectorized, instrumented, reference, morsel-parallel) under
 // every planner configuration — the reference executor never consults
 // zone maps, so any unsound prune shows up as a row-set mismatch. The
 // whole corpus then repeats with DisableZonePruning set, pinning that the

@@ -1,12 +1,13 @@
 package engine
 
 // stream.go is the incremental counterpart of QueryInstrumented: the same
-// parse→plan→instrumented-execute→project loop, but handing rows to the
-// caller as the iterator pipeline produces them instead of materializing
-// the whole result first. The serving layer's /v2/query?stream=ndjson path
-// rides this — a client sees the first row while the scan is still
-// running, and the narration (which needs the complete actuals) arrives as
-// a trailer after the last row.
+// parse→plan→instrumented batch pipeline→projectBatch loop, but handing
+// rows to the caller one projected batch at a time instead of
+// materializing the whole result first. The serving layer's
+// /v2/query?stream=ndjson path rides this — a client sees the first rows
+// while the scan is still running (a scan's first batch is its 64-row
+// adaptive chunk), and the narration (which needs the complete actuals)
+// arrives as a trailer after the last row.
 
 import (
 	"errors"
@@ -35,8 +36,10 @@ type StreamingQuery struct {
 	Columns []string
 
 	e        *Engine
-	it       rowIter
+	it       vecIter
 	pr       *projector
+	batch    []storage.Row // projected rows of the current batch
+	pos      int           // next row of batch
 	plan     *Node
 	stats    ExecStats
 	started  time.Time
@@ -48,7 +51,7 @@ type StreamingQuery struct {
 }
 
 // QueryStreamInstrumented parses and plans a SELECT, opens its
-// instrumented iterator pipeline, and returns the live stream. The
+// instrumented batch pipeline, and returns the live stream. The
 // engine session must stay checked out until Close.
 func (e *Engine) QueryStreamInstrumented(sql string) (*StreamingQuery, error) {
 	sel, err := sqlparser.ParseSelect(sql)
@@ -64,29 +67,11 @@ func (e *Engine) QueryStreamInstrumented(sql string) (*StreamingQuery, error) {
 		return nil, err
 	}
 	st := make(ExecStats)
-	var it rowIter
-	if sh := e.activeParShape(pl); sh != nil {
-		// Parallel plan: run the vectorized exchange pipeline (with atomic
-		// per-operator instrumentation) and stream rows off it through the
-		// vecToRow adapter. Close cancels and drains the workers.
-		vi, verr := e.newVBuild(sh, st.get).build(pl)
-		if verr != nil {
-			return nil, verr
-		}
-		it = &vecToRow{child: vi}
-	} else {
-		b := &ibuild{e: e, wrap: func(pn *Node, it rowIter) rowIter {
-			os := st[pn]
-			if os == nil {
-				os = &OpStats{}
-				st[pn] = os
-			}
-			return &instrIter{child: it, st: os}
-		}}
-		it, err = b.build(pl)
-		if err != nil {
-			return nil, err
-		}
+	// Parallel plans run the exchange, whose workers Close cancels and
+	// drains.
+	it, err := e.buildVec(pl, st)
+	if err != nil {
+		return nil, err
 	}
 	q := &StreamingQuery{
 		e:       e,
@@ -106,9 +91,10 @@ func (e *Engine) QueryStreamInstrumented(sql string) (*StreamingQuery, error) {
 }
 
 // Next returns the next projected output row, with ok=false at end of
-// stream. The returned row is freshly allocated and owned by the caller.
-// Once the stream has been closed or has failed mid-iteration, Next
-// returns ErrAbandonedStream rather than pretending the stream drained.
+// stream. The returned row is owned by the caller: a capped subslice of a
+// fresh projection arena, never aliasing table storage. Once the stream
+// has been closed or has failed mid-iteration, Next returns
+// ErrAbandonedStream rather than pretending the stream drained.
 func (q *StreamingQuery) Next() (storage.Row, bool, error) {
 	if q.done || q.closed {
 		if q.complete {
@@ -116,25 +102,27 @@ func (q *StreamingQuery) Next() (storage.Row, bool, error) {
 		}
 		return nil, false, ErrAbandonedStream
 	}
-	r, ok, err := q.it.Next()
-	if err != nil {
-		q.done = true
-		q.elapsed = time.Since(q.started)
-		return nil, false, err
+	for q.pos >= len(q.batch) {
+		b, err := q.it.NextBatch()
+		if err == nil && b != nil {
+			b, err = q.pr.projectBatch(b)
+		}
+		if err != nil {
+			q.done = true
+			q.elapsed = time.Since(q.started)
+			return nil, false, err
+		}
+		if b == nil {
+			q.done = true
+			q.complete = true
+			q.elapsed = time.Since(q.started)
+			q.e.annotateWorkerStats(q.plan, q.stats)
+			return nil, false, nil
+		}
+		q.batch, q.pos = b, 0
 	}
-	if !ok {
-		q.done = true
-		q.complete = true
-		q.elapsed = time.Since(q.started)
-		q.e.annotateWorkerStats(q.plan, q.stats)
-		return nil, false, nil
-	}
-	out, err := q.pr.project(r)
-	if err != nil {
-		q.done = true
-		q.elapsed = time.Since(q.started)
-		return nil, false, err
-	}
+	out := q.batch[q.pos]
+	q.pos++
 	q.rows++
 	return out, true, nil
 }
@@ -160,9 +148,9 @@ func (q *StreamingQuery) Complete() bool { return q.complete }
 
 // Finish returns the physical plan and its per-operator actuals. The
 // statistics are exact only when Complete reports true; on an abandoned
-// stream they cover the rows actually pulled — which is also what a real
-// EXPLAIN ANALYZE under LIMIT would report — and must be marked partial by
-// the consumer.
+// stream they cover the batches actually pulled, much as a real EXPLAIN
+// ANALYZE under LIMIT would report, and must be marked partial by the
+// consumer.
 func (q *StreamingQuery) Finish() (*Node, ExecStats) { return q.plan, q.stats }
 
 // Close releases the iterator pipeline. Idempotent.

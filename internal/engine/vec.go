@@ -20,19 +20,16 @@ package engine
 //   - Batches are never empty: producers either return >= 1 row or nil for
 //     end-of-stream.
 //
-// The row-at-a-time pipeline (iter.go) is retained in full: vecToRow
-// adapts any vecIter back to the rowIter contract, which keeps operators
-// without a native batch implementation (aggregation, unique, merge join,
-// nested loop, result) working unchanged over vectorized children, and
-// Config.RowStreamExec forces whole queries onto the row pipeline — the
-// differential tests pin vectorized results equal to both the row-stream
-// and the materializing reference executors. Instrumented execution
-// (bridge.go, EXPLAIN ANALYZE, the streaming query API) uses the row
-// pipeline for serial plans so per-operator actual rows/loops stay
-// exact; parallel plans stay on the batch pipeline with atomic
-// batch-granular counters (parallel.go), since per-row wrapping would
-// serialize the workers. The uninstrumented batch path is the fast path
-// that Exec and subqueries take.
+// This is the engine's one production executor: Exec, subqueries, the
+// streaming query API and every instrumented run (ExecPlanInstrumented,
+// QueryInstrumented, QueryStreamInstrumented, EXPLAIN ANALYZE) build the
+// same operator tree. Instrumented builds wrap each operator in an
+// instrVecIter (parallel.go) that counts rows and time per batch; an
+// uninstrumented build adds no wrapper. The five operators without a
+// batch implementation yet — Aggregate, Unique, Merge Join, Nested Loop
+// and Result — run row-at-a-time (iter.go) behind the rowToVec/vecToRow
+// adapters, and the materializing reference executor (executor.go) stays
+// as the differential oracle.
 
 import (
 	"fmt"
@@ -57,39 +54,22 @@ type vecIter interface {
 	Close() error
 }
 
-// buildVec constructs the vectorized iterator tree for a plan node.
-// Operators without a native batch implementation are built through the
-// row-op constructors (iter.go) with their children vectorized and adapted
-// back to rows, so every plan the planner can produce executes. Plans the
-// planner marked parallel (driver DOP >= 2) get an exchangeVec at the
+// buildVec constructs the vectorized iterator tree for a plan node. A
+// non-nil st wraps every operator in an instrVecIter collecting into it
+// (bridge.go's instrumentation); a nil st builds no wrapper at all. Plans
+// the planner marked parallel (driver DOP >= 2) get an exchangeVec at the
 // exchange point (parallel.go).
-func (e *Engine) buildVec(n *Node) (vecIter, error) {
-	return e.newVBuild(e.activeParShape(n), nil).build(n)
-}
-
-// newVBuild assembles a vbuild with its row-op builder wired back through
-// the batch adapter. sh activates the parallel exchange; stats, when
-// non-nil, wraps every built operator in an instrVecIter sharing the
-// returned OpStats (bridge.go's vectorized instrumentation).
-func (e *Engine) newVBuild(sh *parShape, stats func(*Node) *OpStats) *vbuild {
-	rb := &ibuild{e: e, stats: stats}
-	v := &vbuild{e: e, rb: rb, par: sh, stats: stats}
-	rb.child = func(c *Node) (rowIter, error) {
-		vi, err := v.build(c)
-		if err != nil {
-			return nil, err
-		}
-		return &vecToRow{child: vi}, nil
+func (e *Engine) buildVec(n *Node, st ExecStats) (vecIter, error) {
+	v := &vbuild{e: e, par: e.activeParShape(n)}
+	if st != nil {
+		v.stats = st.get
 	}
-	return v
+	return v.build(n)
 }
 
-// vbuild constructs vecIter trees. rb is the row-op builder with its child
-// hook pointed back at vbuild, so a row-only operator embedded in a batch
-// pipeline pulls from vectorized children through the adapter.
+// vbuild constructs vecIter trees.
 type vbuild struct {
-	e  *Engine
-	rb *ibuild
+	e *Engine
 	// par, when non-nil, is the active parallel shape: building par.exchange
 	// produces the exchange operator instead of the serial one.
 	par *parShape
@@ -133,19 +113,43 @@ func (v *vbuild) build0(n *Node) (vecIter, error) {
 		return &limitVec{child: child, limit: n.Limit, offset: n.Offset}, nil
 	}
 	// Row-only operator: build it through iter.go with vectorized children.
-	it, err := v.rb.buildOp(n)
+	it, err := v.buildRowOp(n)
 	if err != nil {
 		return nil, err
 	}
 	return &rowToVec{child: it}, nil
 }
 
+// rowChild builds n on the batch pipeline and adapts it to the rowIter
+// contract, for a row-only operator's input.
+func (v *vbuild) rowChild(n *Node) (rowIter, error) {
+	vi, err := v.build(n)
+	if err != nil {
+		return nil, err
+	}
+	return &vecToRow{child: vi}, nil
+}
+
+// estCap clamps a planner cardinality estimate to a sane preallocation
+// capacity: materializing operators size their buffers from it so the
+// common case is one allocation instead of log-many append regrowths, and
+// a wild over-estimate cannot balloon memory.
+func estCap(est float64) int {
+	if est < 16 {
+		return 16
+	}
+	if est > 1<<20 {
+		return 1 << 20
+	}
+	return int(est)
+}
+
 // --- Adapters ---------------------------------------------------------------
 
 // vecToRow adapts a vecIter to the rowIter contract: the thin row-at-a-time
-// Next over batches that keeps row-only operators and the differential
-// oracle working on top of vectorized children. Handed-out rows stay valid
-// across batches (row data is immortal); only the batch slice is replaced.
+// Next over batches that keeps row-only operators working on top of
+// vectorized children. Handed-out rows stay valid across batches (row
+// data is immortal); only the batch slice is replaced.
 type vecToRow struct {
 	child vecIter
 	batch []storage.Row
@@ -438,9 +442,11 @@ func (it *seqScanVec) Close() error {
 	return nil
 }
 
-// indexScanVec resolves the index at Open exactly like indexScanIter, then
-// gathers candidate rows per batch and rechecks the full index condition
-// plus residual filter through a compiled predicate. Index and row data
+// indexScanVec resolves the index at Open, then gathers candidate rows per
+// batch and rechecks the full index condition plus residual filter
+// through a compiled predicate (cheap, and it keeps multi-conjunct
+// conditions exact when the scan bounds captured only part of them, as
+// the reference executor does). Index and row data
 // come from the same snapshot, so the gather is consistent under
 // concurrent DML.
 type indexScanVec struct {
@@ -458,8 +464,6 @@ func (v *vbuild) newIndexScanVec(n *Node) (*indexScanVec, error) {
 	if _, err := v.e.Cat.Table(n.Relation); err != nil {
 		return nil, err
 	}
-	// Same recheck expression as indexScanIter: full index condition plus
-	// residual filter.
 	combined := sqlparser.JoinConjuncts(append(sqlparser.SplitConjuncts(n.IndexCond), sqlparser.SplitConjuncts(n.Filter)...))
 	it := &indexScanVec{eng: v.e, n: n}
 	if combined != nil {
@@ -541,8 +545,8 @@ func (it *indexScanVec) Close() error { return nil }
 // limitVec implements LIMIT/OFFSET on batches by slicing: whole batches
 // inside the offset are skipped without touching their rows, and the final
 // batch is truncated to the remaining limit. Once the limit is reached the
-// child is never pulled again — the same short-circuit as limitIter.
-// limit < 0 means unbounded (OFFSET-only), matching the row pipeline.
+// child is never pulled again, which short-circuits the whole subtree
+// below it. limit < 0 means unbounded (OFFSET-only).
 type limitVec struct {
 	child            vecIter
 	limit, offset    int64
@@ -593,7 +597,18 @@ func (e *Engine) runSelectVec(sel *sqlparser.SelectStmt, plan *Node) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	it, err := e.buildVec(plan)
+	rows, err := e.execVec(plan, nil, pr)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Columns: pr.columns, Rows: rows}, nil
+}
+
+// execVec runs plan through the batch pipeline and collects its output:
+// each batch projected through pr when pr is non-nil, the plan's own rows
+// otherwise. A non-nil st instruments every operator into it.
+func (e *Engine) execVec(plan *Node, st ExecStats, pr *projector) ([]storage.Row, error) {
+	it, err := e.buildVec(plan, st)
 	if err != nil {
 		return nil, err
 	}
@@ -601,19 +616,20 @@ func (e *Engine) runSelectVec(sel *sqlparser.SelectStmt, plan *Node) (*Result, e
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
-	res := &Result{Columns: pr.columns}
+	var out []storage.Row
 	for {
 		b, err := it.NextBatch()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			return res, nil
+			return out, nil
 		}
-		rows, err := pr.projectBatch(b)
-		if err != nil {
-			return nil, err
+		if pr != nil {
+			if b, err = pr.projectBatch(b); err != nil {
+				return nil, err
+			}
 		}
-		res.Rows = append(res.Rows, rows...)
+		out = append(out, b...)
 	}
 }

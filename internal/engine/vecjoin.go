@@ -1,14 +1,15 @@
 package engine
 
-// vecjoin.go is the batch hash join. The build phase is the same flat
-// keyArena + bucket table as the row pipeline's hashJoinIter (NULL keys
-// are skipped on insert — they can never match), consumed batch-at-a-time;
-// the probe phase walks each probe batch in a tight loop, loading key
-// datums by ordinal when the join keys are bare column references, and
-// packs surviving joined rows into batchWriter arena chunks — typically
-// one or two allocations per output batch where the row pipeline pays one
-// concatRows allocation per output row. NULL semantics are identical on
-// both sides: a probe row with any NULL key component gets an empty
+// vecjoin.go is the batch hash join. The build phase drains the build
+// side batch-at-a-time into a flat keyArena (the evaluated key datums of
+// every build row, so the hash-collision recheck is a pure datum
+// comparison) and a bucket table; NULL keys are skipped on insert, since
+// they can never match. The probe phase walks each probe batch in a tight
+// loop, loading key datums by ordinal when the join keys are bare column
+// references, and packs surviving joined rows into batchWriter arena
+// chunks — typically one or two allocations per output batch instead of
+// one concatRows allocation per output row. NULL semantics are identical
+// on both sides: a probe row with any NULL key component gets an empty
 // bucket (and, for LEFT JOIN, flows to the null-extension path), and
 // `matched` is decided by the ON condition (keys + residual) alone — the
 // pushed-down WHERE filter only gates emission, after null-extension,
@@ -301,4 +302,13 @@ func (it *hashJoinVec) Close() error {
 		}
 	}
 	return err
+}
+
+func datumsEqual(a, b []datum.D) bool {
+	for i := range a {
+		if !datum.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,11 +1,11 @@
 package engine
 
-// vecsort.go is the batch sort. Like the row pipeline's sortIter it
-// materializes at Open — full stable sort, or the bounded topKHeap when
-// the planner set SortLimit (which is offset+limit, so OFFSET rows survive
-// truncation) — but it consumes batches and evaluates sort keys by ordinal
-// when they are bare column references, so the top-K push path does no
-// closure calls and no allocations once the heap is full. The heap's
+// vecsort.go is the batch sort. It materializes at Open — full stable
+// sort, or the bounded topKHeap when the planner set SortLimit (which is
+// offset+limit, so OFFSET rows survive truncation) — consuming batches and
+// evaluating sort keys by ordinal when they are bare column references,
+// so the top-K push path does no closure calls and no allocations once
+// the heap is full. The heap's
 // arrival-sequence tiebreak keeps the result identical to the reference
 // executor's stable full sort truncated to K, including when duplicate
 // keys cross the limit boundary.
@@ -78,8 +78,7 @@ func (it *sortVec) Open() error {
 		return it.openTopK()
 	}
 	// Full sort: drain batches into rows + a flat key arena, then stable
-	// sort an index permutation — same shape as sortIter's full path. Both
-	// buffers preallocate from the planner estimate so an accurately
+	// sort an index permutation. Both buffers preallocate from the planner estimate so an accurately
 	// costed sort materializes with one allocation each.
 	rows := make([]storage.Row, 0, it.est)
 	arena := make([]datum.D, 0, it.est*it.nKeys)
@@ -163,3 +162,143 @@ func (it *sortVec) NextBatch() ([]storage.Row, error) {
 }
 
 func (it *sortVec) Close() error { return it.child.Close() }
+
+// topKHeap retains the K rows that order first, as a max-heap keyed on
+// (sort keys, arrival sequence): the root is the row that orders last among
+// those retained, so a new row either displaces the root in place or is
+// dropped — zero allocations per row once the heap is full. The sequence
+// tiebreak makes the selection and final order exactly equal to a stable
+// full sort truncated to K.
+type topKHeap struct {
+	k, nKeys int
+	desc     []bool
+	rows     []storage.Row
+	keys     []datum.D // slot-major arena, nKeys per slot
+	seqs     []int64
+	order    []int32 // heap of slot indices
+	next     int64   // arrival counter
+}
+
+func newTopKHeap(k, nKeys int, desc []bool) *topKHeap {
+	// k comes from a user-supplied LIMIT and may vastly exceed the input
+	// size; cap the initial capacity and let append grow the slices, so a
+	// huge LIMIT costs memory proportional to the actual input.
+	hint := k
+	if hint > 1024 {
+		hint = 1024
+	}
+	return &topKHeap{
+		k: k, nKeys: nKeys, desc: desc,
+		rows:  make([]storage.Row, 0, hint),
+		keys:  make([]datum.D, 0, hint*nKeys),
+		seqs:  make([]int64, 0, hint),
+		order: make([]int32, 0, hint),
+	}
+}
+
+// before reports whether (keyA, seqA) orders strictly before slot y.
+func (h *topKHeap) before(keyA []datum.D, seqA int64, y int32) bool {
+	off := int(y) * h.nKeys
+	for j := 0; j < h.nKeys; j++ {
+		c := datum.Compare(keyA[j], h.keys[off+j])
+		if h.desc[j] {
+			c = -c
+		}
+		if c != 0 {
+			return c < 0
+		}
+	}
+	return seqA < h.seqs[y]
+}
+
+func (h *topKHeap) slotBefore(x, y int32) bool {
+	off := int(x) * h.nKeys
+	return h.before(h.keys[off:off+h.nKeys], h.seqs[x], y)
+}
+
+func (h *topKHeap) push(r storage.Row, key []datum.D) {
+	seq := h.next
+	h.next++
+	h.pushSeq(r, key, seq)
+}
+
+// pushSeq inserts with a caller-assigned sequence. The parallel sort
+// workers (parallel.go) use it to tag each row with its serial arrival
+// order, so merged per-worker heaps reproduce the serial top-K exactly.
+func (h *topKHeap) pushSeq(r storage.Row, key []datum.D, seq int64) {
+	if h.k == 0 {
+		return
+	}
+	if len(h.rows) < h.k {
+		slot := int32(len(h.rows))
+		h.rows = append(h.rows, r)
+		h.keys = append(h.keys, key...)
+		h.seqs = append(h.seqs, seq)
+		h.order = append(h.order, slot)
+		// Sift up: a child that orders after its parent rises.
+		i := len(h.order) - 1
+		for i > 0 {
+			parent := (i - 1) / 2
+			if !h.slotBefore(h.order[parent], h.order[i]) {
+				break
+			}
+			h.order[parent], h.order[i] = h.order[i], h.order[parent]
+			i = parent
+		}
+		return
+	}
+	worst := h.order[0]
+	if !h.before(key, seq, worst) {
+		return // orders at or after everything retained
+	}
+	// Displace the root in place.
+	h.rows[worst] = r
+	copy(h.keys[int(worst)*h.nKeys:], key)
+	h.seqs[worst] = seq
+	h.siftDown(0)
+}
+
+func (h *topKHeap) siftDown(i int) {
+	n := len(h.order)
+	for {
+		l, r := 2*i+1, 2*i+2
+		largest := i
+		if l < n && h.slotBefore(h.order[largest], h.order[l]) {
+			largest = l
+		}
+		if r < n && h.slotBefore(h.order[largest], h.order[r]) {
+			largest = r
+		}
+		if largest == i {
+			return
+		}
+		h.order[i], h.order[largest] = h.order[largest], h.order[i]
+		i = largest
+	}
+}
+
+// finish returns the retained rows in ascending sort order.
+func (h *topKHeap) finish() []storage.Row {
+	sort.Slice(h.order, func(x, y int) bool { return h.slotBefore(h.order[x], h.order[y]) })
+	out := make([]storage.Row, len(h.order))
+	for i, slot := range h.order {
+		out[i] = h.rows[slot]
+	}
+	return out
+}
+
+// finishRuns returns the retained rows in ascending sort order together
+// with their keys (row-major) and sequences — the sorted-run form the
+// parallel exchange merges across workers.
+func (h *topKHeap) finishRuns() ([]storage.Row, []datum.D, []int64) {
+	sort.Slice(h.order, func(x, y int) bool { return h.slotBefore(h.order[x], h.order[y]) })
+	rows := make([]storage.Row, len(h.order))
+	keys := make([]datum.D, 0, len(h.order)*h.nKeys)
+	seqs := make([]int64, len(h.order))
+	for i, slot := range h.order {
+		rows[i] = h.rows[slot]
+		keys = append(keys, h.keys[int(slot)*h.nKeys:(int(slot)+1)*h.nKeys]...)
+		seqs[i] = h.seqs[slot]
+	}
+	return rows, keys, seqs
+}

@@ -9,11 +9,11 @@ package engine
 // one ordinal load and one datum comparison per row, no closure calls, no
 // three-valued-logic boxing. Anything the specializer does not recognize
 // falls back to the pre-bound closure from bind.go evaluated row-by-row,
-// so vectorized filtering is never less general than the row pipeline.
+// so vectorized filtering is never less general than a bound expression.
 //
 // SQL semantics are preserved exactly: a comparison with a NULL operand is
 // not true, so the row is dropped — identical to what truthy(bound(env))
-// yields in the row pipeline, and pinned by the three-way differential
+// yields, and pinned against the reference executor by the differential
 // tests.
 
 import (
