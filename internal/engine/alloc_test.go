@@ -426,3 +426,128 @@ func TestTopKPushAllocs(t *testing.T) {
 		t.Fatalf("top-K push allocates %.2f allocs/row, want 0", avg)
 	}
 }
+
+// TestVecUniqueBatchAllocs: Unique keys rows through the AppendKey
+// encoding into a reused buffer, so over many duplicate string keys
+// `SELECT DISTINCT k` allocates a fixed cost, not one string per input
+// row. Doubling the input may add a few allocations for extra batches of
+// the sort below it, never one per row.
+func TestVecUniqueBatchAllocs(t *testing.T) {
+	run := func(rows int) float64 {
+		e := New(DefaultConfig())
+		if _, err := e.Exec("CREATE TABLE u (k TEXT)"); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for base := 0; base < rows; base += 500 {
+			sb.Reset()
+			sb.WriteString("INSERT INTO u VALUES ")
+			for i := base; i < base+500; i++ {
+				if i > base {
+					sb.WriteString(", ")
+				}
+				fmt.Fprintf(&sb, "('key%d')", i%10)
+			}
+			if _, err := e.Exec(sb.String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan, err := e.PlanSQL("SELECT DISTINCT k FROM u")
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := e.buildVec(plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := it.(*uniqueVec); !ok {
+			t.Fatalf("vectorized plan root = %T, want *uniqueVec", it)
+		}
+		defer it.Close()
+		return testing.AllocsPerRun(5, func() {
+			if err := it.Open(); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for {
+				b, err := it.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+				n += len(b)
+			}
+			if n != 10 {
+				t.Fatalf("DISTINCT returned %d rows, want 10", n)
+			}
+		})
+	}
+	small, large := run(4000), run(8000)
+	if large-small > 40 {
+		t.Fatalf("SELECT DISTINCT allocates %.0f allocs over 4000 rows and %.0f over 8000: it grows with the input", small, large)
+	}
+}
+
+// TestVecAggregateBatchAllocs: once every group of a HashAggregate exists,
+// folding a further input batch allocates nothing — keys encode into a
+// reused buffer, the group map lookup does not copy it, and the states
+// fold in place.
+func TestVecAggregateBatchAllocs(t *testing.T) {
+	e := vecAllocDB(t, DefaultConfig())
+	plan, err := e.PlanSQL("SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(id), MAX(v) FROM t GROUP BY grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Op != OpHashAggregate {
+		t.Fatalf("plan root is %s, want HashAggregate", plan.Op.Name())
+	}
+	it, err := e.buildVec(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, ok := it.(*aggVec)
+	if !ok {
+		t.Fatalf("vectorized plan root = %T, want *aggVec", it)
+	}
+	defer it.Close()
+	// Collect the input batches, then fold them all once so every group
+	// exists before measuring.
+	if err := agg.child.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var batches [][]storage.Row
+	for {
+		b, err := agg.child.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		batches = append(batches, append([]storage.Row(nil), b...))
+	}
+	agg.acc.reset()
+	var seq int64
+	add := func(b []storage.Row) {
+		if err := agg.acc.addBatch(b, seq); err != nil {
+			t.Fatal(err)
+		}
+		seq += int64(len(b))
+	}
+	for _, b := range batches {
+		add(b)
+	}
+	if len(agg.acc.groups) != 200 {
+		t.Fatalf("%d groups, want 200", len(agg.acc.groups))
+	}
+	n := 0
+	avg := testing.AllocsPerRun(50, func() {
+		add(batches[n%len(batches)])
+		n++
+	})
+	if avg > 0 {
+		t.Fatalf("aggregating a batch of existing groups allocates %.2f allocs/batch, want 0", avg)
+	}
+}

@@ -1,7 +1,7 @@
 package engine
 
 // bind.go compiles sqlparser expressions into bound closures for the
-// streaming executor (iter.go). Binding resolves every column reference to
+// batch executor (vec.go). Binding resolves every column reference to
 // an ordinal once, when an operator is constructed, so per-row evaluation
 // performs no schema scans, no FormatExpr-based computed-column probing,
 // and no allocation beyond what the SQL semantics require (string

@@ -23,9 +23,10 @@ package engine
 //     across workers (time sums busy time, like CPU time), and the driver
 //     scan's stats additionally carry the worker count and per-worker
 //     rows/time breakdown (OpStats.Workers / PerWorker).
-//   - Loops are reported as 1. No serial operator is re-opened (a nested
-//     loop materializes its inner side once), and per-morsel pipeline
-//     restarts in a parallel region are scheduling, not EXPLAIN loops.
+//   - Loops are reported as 1. No serial operator is re-opened (a Nested
+//     Loop runs as the keyless hash join and materializes its inner side
+//     once), and per-morsel pipeline restarts in a parallel region are
+//     scheduling, not EXPLAIN loops.
 //   - Actual rows count whole batches. Under a streaming LIMIT an operator
 //     reports the rows of the batches it produced: a scan's adaptive first
 //     chunk is 64 rows, so `LIMIT 10` over a scan shows the scan at 64.

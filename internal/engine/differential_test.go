@@ -22,7 +22,8 @@ import (
 )
 
 // diffConfigs are the planner configurations each differential query runs
-// under, forcing distinct plan shapes over the same SQL.
+// under, forcing distinct plan shapes over the same SQL. no-hash-agg runs
+// every grouped query as Sort → GroupAggregate.
 func diffConfigs() map[string]Config {
 	def := DefaultConfig()
 	hashOnly := def
@@ -35,9 +36,12 @@ func diffConfigs() map[string]Config {
 	noIndex.EnableIndexScan = false
 	greedy := def
 	greedy.DPThreshold = 1
+	noHashAgg := def
+	noHashAgg.EnableHashAgg = false
 	return map[string]Config{
 		"default": def, "hash-only": hashOnly, "merge-only": mergeOnly,
 		"nl-only": nlOnly, "no-index": noIndex, "greedy": greedy,
+		"no-hash-agg": noHashAgg,
 	}
 }
 
@@ -298,26 +302,11 @@ func TestDifferentialTopKStability(t *testing.T) {
 }
 
 // TestDifferentialBatchBoundary exercises the batch executor across batch
-// edges: the test tables elsewhere hold at most 60 rows, so filters,
-// joins, sorts and limits that straddle the 1024-row batch size would
-// otherwise never run against a multi-batch input.
+// edges under every planner configuration: the test tables elsewhere hold
+// at most 60 rows, so filters, joins, sorts, limits, aggregates and
+// Unique that straddle the 1024-row batch size would otherwise never run
+// against a multi-batch input or fill a multi-batch output.
 func TestDifferentialBatchBoundary(t *testing.T) {
-	e := testDB(t, DefaultConfig())
-	mustExec(t, e, "CREATE TABLE big (id INTEGER, grp INTEGER, val INTEGER)")
-	var sb strings.Builder
-	const n = 3000
-	for i := 0; i < n; i++ {
-		if sb.Len() == 0 {
-			sb.WriteString("INSERT INTO big VALUES ")
-		} else {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, %d, %d)", i, i%7, (i*37)%1000)
-		if (i+1)%250 == 0 || i == n-1 {
-			mustExec(t, e, sb.String())
-			sb.Reset()
-		}
-	}
 	queries := []string{
 		"SELECT COUNT(*) FROM big",
 		"SELECT id FROM big WHERE val > 500",
@@ -330,10 +319,52 @@ func TestDifferentialBatchBoundary(t *testing.T) {
 		"SELECT grp, COUNT(*), SUM(val) FROM big GROUP BY grp",
 		"SELECT b.id, c.c_name FROM big b, customer c WHERE b.grp = c.c_custkey AND b.val < 100",
 		"SELECT DISTINCT grp FROM big",
+		// 17,144 rows: output batches fill inside one key group (a Merge
+		// Join under merge-only, a Nested Loop under nl-only), with and
+		// without a residual.
+		"SELECT a.id, b.id FROM big a, big b WHERE a.grp = b.grp AND a.id < 40",
+		"SELECT a.id, b.id FROM big a, big b WHERE a.grp = b.grp AND a.id < 40 AND b.val > a.val",
+		// Unique emitting 1,500 rows, and 3,000 groups over three output
+		// batches.
+		"SELECT DISTINCT id % 1500 FROM big",
+		"SELECT grp, val, COUNT(*) FROM big GROUP BY grp, val",
+		// Duplicates span morsels, so the parallel leg merges DISTINCT
+		// states across workers.
+		"SELECT COUNT(DISTINCT grp), SUM(DISTINCT val) FROM big",
 	}
-	for _, q := range queries {
-		mustExec(t, e, q)
-		assertSameResults(t, e, q)
+	for name, cfg := range diffConfigs() {
+		t.Run(name, func(t *testing.T) {
+			e := testDB(t, cfg)
+			bigTable(t, e)
+			for _, q := range queries {
+				mustExec(t, e, q)
+				assertSameResults(t, e, q)
+			}
+		})
+	}
+}
+
+// TestDistinctAggregateFoldOrder pins that a DISTINCT aggregate folds each
+// value at its first arrival, as the reference executor does: over 1e16,
+// -1e16, 1, 1 that sum is 1, while folding the distinct values in sorted
+// order would cancel the 1 against 1e16 and give 0. Float SUM/AVG are not
+// mergeable, so the forced-parallel leg runs them serially over a gather
+// and must agree too.
+func TestDistinctAggregateFoldOrder(t *testing.T) {
+	e := New(DefaultConfig())
+	mustExec(t, e, "CREATE TABLE fl (f FLOAT)")
+	for _, v := range []string{"10000000000000000.0", "-10000000000000000.0", "1.0", "1.0"} {
+		mustExec(t, e, "INSERT INTO fl VALUES ("+v+")")
+	}
+	const q = "SELECT SUM(DISTINCT f), AVG(DISTINCT f) FROM fl"
+	assertSameResults(t, e, q)
+	for _, cfg := range []Config{DefaultConfig(), parTestConfig()} {
+		se := e.Session()
+		se.Cfg = cfg
+		rows := mustExec(t, se, q).Rows
+		if got := rowStrings(rows); len(got) != 1 || got[0] != "1|0.3333333333333333" {
+			t.Fatalf("%s = %v, want [1|0.3333333333333333]", q, got)
+		}
 	}
 }
 

@@ -46,9 +46,10 @@
 //
 // # Execution model
 //
-// Every SELECT executes batch-at-a-time (vec.go, vecjoin.go, vecsort.go):
-// Exec, subqueries, the streaming query API and every instrumented run
-// build the same pipeline, in which every operator implements
+// Every SELECT executes batch-at-a-time (vec.go, vecjoin.go, vecsort.go,
+// vecagg.go): Exec, subqueries, the streaming query API and every
+// instrumented run build the same pipeline, and every operator the planner
+// emits implements one contract:
 //
 //	type vecIter interface {
 //		Open() error
@@ -59,13 +60,18 @@
 // NextBatch returns up to batchSize (1024) rows per call, never an empty
 // batch; nil signals end of stream. Scans slice storage-owned row memory
 // directly (an unfiltered chunk is a zero-copy subslice) and run compiled
-// predicates over whole chunks in tight typed loops; the hash join packs
-// joined rows into flat datum arena chunks (typically one or two per
-// output batch instead of one allocation per row, never regrown or
-// copied); sort keeps the bounded top-K heap or sorts an index
-// permutation over a flat key arena. The allocation
-// guards in alloc_test.go pin the steady-state batch loops at (near) zero
-// allocations per batch.
+// predicates over whole chunks in tight typed loops. The joins pack joined
+// rows into flat datum arena chunks (typically one or two per output
+// batch instead of one allocation per row, never regrown or copied) and
+// resume mid-bucket or mid-group when a batch fills. A Nested Loop is the
+// keyless hash join: its whole condition is the residual and every inner
+// row sits in one bucket, so each outer row is checked against the inner
+// rows in order and the inner side is materialized once. Sort keeps the
+// bounded top-K heap or stably sorts an index permutation over a flat key
+// arena. Unique filters each input batch and passes on the rows it keeps.
+// Aggregation folds batches into one accumulator (aggAcc) shared with the
+// parallel workers. The allocation guards in alloc_test.go pin the
+// steady-state batch loops at (near) zero allocations per batch.
 //
 // The first batches of a scan are deliberately small: NextBatch starts
 // at initialChunkSize (64) rows and grows the chunk ×4 per call up to
@@ -73,14 +79,10 @@
 // full batch, while long scans reach full batch width within three
 // calls.
 //
-// Five operators — Aggregate, Unique, Merge Join, Nested Loop and Result
-// — have no batch implementation yet and run row-at-a-time (iter.go,
-// rowIter with Open/Next/Close) inside the batch pipeline: vecToRow
-// feeds them their vectorized children one row at a time and rowToVec
-// packs their output back into batches. The engine thus has two
-// executors, this one and the reference executor (the differential
-// oracle), plus the morsel-parallel exchange, which runs the same batch
-// operators on worker clones (see Morsel-driven parallelism).
+// The engine thus has one production executor, this one, beside the
+// reference executor (the differential oracle); the morsel-parallel
+// exchange runs the same batch operators on worker clones (see
+// Morsel-driven parallelism).
 //
 // # Columnar scans and zone-map pruning
 //
@@ -163,8 +165,10 @@
 //   - Gather emits each morsel's output in morsel order, which IS the
 //     serial row order — parallel execution is order-indistinguishable
 //     from serial even without ORDER BY, pinned by test.
-//   - Aggregations pre-aggregate per worker and merge partial states,
-//     ordering groups by first appearance (minimum first-row sequence).
+//   - Aggregations pre-aggregate per worker in the serial aggregate's
+//     accumulator and merge the workers' groups, ordering them by first
+//     appearance (minimum first-row sequence) before the shared finish
+//     step.
 //   - Sort / top-K merge per-worker runs by (sort key, sequence), so
 //     ties break by arrival order exactly as the serial stable sort.
 //   - Hash-join build sides above the parallelism threshold are built

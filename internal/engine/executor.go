@@ -11,10 +11,10 @@ import (
 
 // execNode materializes the rows produced by a plan node. This is the
 // reference executor: every operator fully materializes its output. The
-// streaming iterator executor in iter.go is the default query path
-// (see Config.ReferenceExec); this path is retained as the semantic
-// oracle for the differential tests and as the "full materialization"
-// baseline in the engine benchmarks.
+// batch executor in vec.go is the default query path (see
+// Config.ReferenceExec); this path is retained as the semantic oracle for
+// the differential tests and as the "full materialization" baseline in
+// the engine benchmarks.
 func (e *Engine) execNode(n *Node) ([]storage.Row, error) {
 	switch n.Op {
 	case OpSeqScan:
@@ -576,12 +576,14 @@ func sortRows(e *Engine, rows []storage.Row, schema []colRef, keys []sortKey) ([
 // aggState accumulates one aggregate within one group. needs records
 // which folds this aggregate's finalize will read, so the per-row
 // accumulate skips the others — a SUM never pays the min/max compares.
+// distinct, non-nil for a DISTINCT aggregate, holds the values folded so
+// far, keyed by their String form.
 type aggState struct {
 	count    int64
 	needs    uint8
 	sum      datum.D
 	min, max datum.D
-	distinct map[string]bool
+	distinct map[string]datum.D
 }
 
 const (
@@ -609,7 +611,11 @@ func aggNeeds(call *sqlparser.FuncCall) uint8 {
 
 // newAggState returns the empty accumulator for one aggregate call.
 func newAggState(call *sqlparser.FuncCall) aggState {
-	return aggState{needs: aggNeeds(call), sum: datum.Null, min: datum.Null, max: datum.Null}
+	st := aggState{needs: aggNeeds(call), sum: datum.Null, min: datum.Null, max: datum.Null}
+	if call.Distinct {
+		st.distinct = make(map[string]datum.D)
+	}
+	return st
 }
 
 func (e *Engine) execAggregate(n *Node) ([]storage.Row, error) {
@@ -645,9 +651,6 @@ func (e *Engine) execAggregate(n *Node) ([]storage.Row, error) {
 			for i := range g.states {
 				st := newAggState(n.Aggs[i].Call)
 				g.states[i] = &st
-				if n.Aggs[i].Call.Distinct {
-					g.states[i].distinct = make(map[string]bool)
-				}
 			}
 			groups[keyText] = g
 			order = append(order, keyText)
@@ -709,17 +712,18 @@ func accumulate(ctx *evalCtx, st *aggState, call *sqlparser.FuncCall) error {
 }
 
 // accumulateDatum folds one evaluated argument into an aggregate state;
-// shared by the reference and streaming executors.
+// shared by the reference and batch executors. A DISTINCT state folds a
+// value at its first arrival and skips its repeats.
 func accumulateDatum(st *aggState, v datum.D) error {
 	if v.IsNull() {
 		return nil
 	}
 	if st.distinct != nil {
 		key := v.String()
-		if st.distinct[key] {
+		if _, seen := st.distinct[key]; seen {
 			return nil
 		}
-		st.distinct[key] = true
+		st.distinct[key] = v
 	}
 	st.count++
 	if st.needs&aggNeedSum != 0 && v.IsNumeric() {

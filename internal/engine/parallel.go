@@ -16,13 +16,15 @@ package engine
 //   - sort merge: each worker sorts (or top-K's) its share tagged with the
 //     serial arrival sequence; the exchange merges the runs by (keys, seq),
 //     which is precisely the stable full sort of the serial pipeline.
-//   - aggregation merge: each worker pre-aggregates its share; the
-//     exchange merges partial states and emits groups ordered by first
-//     arrival, matching the serial aggregate's insertion order. Only
-//     provably order-insensitive aggregates are merged this way (COUNT,
-//     MIN, MAX, and SUM/AVG over integer columns); float sums would
-//     reassociate, so those plans fall back to a serial aggregate over an
-//     ordered gather of the input.
+//   - aggregation merge: each worker pre-aggregates its share in the same
+//     accumulator the serial aggregate uses (vecagg.go); the exchange
+//     merges the workers' groups into one more and emits them ordered by
+//     first arrival, matching the serial aggregate's insertion order, then
+//     finishes them with the serial finish step. Only provably
+//     order-insensitive aggregates are merged this way (COUNT, MIN, MAX,
+//     and SUM/AVG over integer columns); float sums would reassociate, so
+//     those plans fall back to a serial aggregate over an ordered gather
+//     of the input.
 //
 // Hash-join build sides on the driver spine are built once, before the
 // workers start, and shared read-only by every worker's probe clone. When
@@ -497,13 +499,8 @@ type parWorker struct {
 	root vecIter
 	scan *morselScanVec
 
-	// Sort merge: per-worker key evaluation state.
-	sortKeyOrds []int
-	sortKeys    []boundExpr
-
-	// Aggregation merge: per-worker accumulator construction state.
-	aggGroupKeys []boundExpr
-	aggArgs      []boundExpr
+	sortKeys sortKeyEval // sort merge: per-worker key evaluation
+	agg      *aggAcc     // aggregation merge: per-worker accumulator
 
 	rows  int64 // rows this worker's subtree emitted
 	nanos int64 // busy wall time
@@ -526,7 +523,7 @@ type workerRun struct {
 	keys []datum.D
 	seqs []int64
 	// Agg: partial groups in worker-local first-arrival order.
-	groups []*parGroup
+	groups []aggGroup
 }
 
 // exchangeVec is the one merge point of a parallel plan. Open prepares
@@ -546,12 +543,9 @@ type exchangeVec struct {
 	shells  []*hashJoinVec
 
 	sortDesc []bool
-	sortN    int
 	topK     int64
 
-	aggs     []aggSpec
-	plainAgg bool
-	having   boundExpr
+	agg *aggAcc // aggregation merge: merges the workers' groups
 
 	// Run state.
 	disp    *morselDispenser
@@ -564,33 +558,19 @@ type exchangeVec struct {
 	// Gather merge state.
 	pending map[int][]storage.Row
 	nextM   int
-	cur     []storage.Row
-	curPos  int
+	cur     rowsOut
 
 	// Sort/agg merges materialize like their serial counterparts.
-	out    []storage.Row
-	outPos int
+	out rowsOut
 }
 
 func (v *vbuild) newExchangeVec(n *Node) (*exchangeVec, error) {
 	sh := v.par
-	x := &exchangeVec{e: v.e, n: n, sh: sh, v: v, dop: sh.driver.DOP}
-	switch sh.kind {
-	case parSort:
-		x.sortN = len(n.SortKeys)
-		x.topK = n.SortLimit
-		x.sortDesc = make([]bool, x.sortN)
-		for i, k := range n.SortKeys {
-			x.sortDesc[i] = k.Desc
-		}
-	case parAgg:
-		x.aggs = n.Aggs
-		x.plainAgg = len(n.GroupKeys) == 0
-		if n.HavingFilter != nil {
-			var err error
-			if x.having, err = bindExpr(n.HavingFilter, n.Schema, v.e.subquery); err != nil {
-				return nil, err
-			}
+	x := &exchangeVec{e: v.e, n: n, sh: sh, v: v, dop: sh.driver.DOP, topK: n.SortLimit}
+	if sh.kind == parAgg {
+		var err error
+		if x.agg, err = v.newAggAcc(n); err != nil {
+			return nil, err
 		}
 	}
 	workRoot := workerRootNode(sh, n)
@@ -679,38 +659,18 @@ func (x *exchangeVec) sharedFor(n *Node) *hashShared {
 	return s
 }
 
-// bindWorkerMerge prepares the per-worker expression state the merge kind
-// needs (sort keys, aggregate group keys and arguments).
+// bindWorkerMerge prepares the per-worker state the merge kind needs: a
+// sort-key evaluator or an aggregation accumulator.
 func (x *exchangeVec) bindWorkerMerge(v *vbuild, n *Node, w *parWorker) error {
 	var err error
 	switch x.sh.kind {
 	case parSort:
-		childSchema := n.Children[0].Schema
-		exprs := make([]sqlparser.Expr, len(n.SortKeys))
-		for i, k := range n.SortKeys {
-			exprs[i] = k.Expr
-		}
-		if w.sortKeyOrds = keyOrdinals(exprs, childSchema); w.sortKeyOrds == nil {
-			if w.sortKeys, err = bindExprs(exprs, childSchema, v.e.subquery); err != nil {
-				return err
-			}
-		}
+		w.sortKeys, err = bindSortKeys(n.SortKeys, n.Children[0].Schema, v.e.subquery)
+		x.sortDesc = w.sortKeys.desc
 	case parAgg:
-		childSchema := n.Children[0].Schema
-		if w.aggGroupKeys, err = bindExprs(n.GroupKeys, childSchema, v.e.subquery); err != nil {
-			return err
-		}
-		w.aggArgs = make([]boundExpr, len(n.Aggs))
-		for i, a := range n.Aggs {
-			if a.Call.Star {
-				continue
-			}
-			if w.aggArgs[i], err = bindExpr(a.Call.Args[0], childSchema, v.e.subquery); err != nil {
-				return err
-			}
-		}
+		w.agg, err = v.newAggAcc(n)
 	}
-	return nil
+	return err
 }
 
 func (x *exchangeVec) Open() error {
@@ -733,8 +693,7 @@ func (x *exchangeVec) Open() error {
 	x.results = make(chan morselOut, x.dop)
 	x.err = nil
 	x.pending = make(map[int][]storage.Row)
-	x.nextM, x.cur, x.curPos = 0, nil, 0
-	x.out, x.outPos = nil, 0
+	x.nextM, x.cur, x.out = 0, rowsOut{}, rowsOut{}
 	x.running = true
 	x.wg.Add(len(x.workers))
 	for _, w := range x.workers {
@@ -871,10 +830,10 @@ func (x *exchangeVec) runSort(w *parWorker) {
 	run := &workerRun{}
 	var heap *topKHeap
 	if x.topK > 0 {
-		heap = newTopKHeap(int(x.topK), x.sortN, x.sortDesc)
+		heap = newTopKHeap(int(x.topK), len(x.sortDesc), x.sortDesc)
 	}
 	var env rowEnv
-	scratch := make([]datum.D, x.sortN)
+	scratch := make([]datum.D, len(x.sortDesc))
 	for {
 		m, mo, ok := x.disp.grab()
 		if !ok || x.canceled() {
@@ -883,7 +842,7 @@ func (x *exchangeVec) runSort(w *parWorker) {
 		within := int64(0)
 		err := w.drainMorsel(mo, func(b []storage.Row) error {
 			for _, r := range b {
-				if err := x.evalSortKeys(w, r, scratch, &env); err != nil {
+				if err := w.sortKeys.eval(r, scratch, &env); err != nil {
 					return err
 				}
 				seq := int64(m)*seqStride + within
@@ -909,48 +868,17 @@ func (x *exchangeVec) runSort(w *parWorker) {
 	if heap != nil {
 		run.rows, run.keys, run.seqs = heap.finishRuns()
 	} else {
-		sortRunBySeqKeys(run, x.sortN, x.sortDesc)
+		run.sortByKeys(x.sortDesc)
 	}
 	x.send(morselOut{m: -1, run: run})
 }
 
-func (x *exchangeVec) evalSortKeys(w *parWorker, r storage.Row, dst []datum.D, env *rowEnv) error {
-	if w.sortKeyOrds != nil {
-		for i, ord := range w.sortKeyOrds {
-			dst[i] = r[ord]
-		}
-		return nil
-	}
-	env.left = r
-	for i, k := range w.sortKeys {
-		v, err := k(env)
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
-}
-
-// sortRunBySeqKeys sorts a full-sort run by (keys, seq) in place.
-func sortRunBySeqKeys(run *workerRun, nKeys int, desc []bool) {
-	idx := make([]int, len(run.rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		a, b := idx[x], idx[y]
-		for j := 0; j < nKeys; j++ {
-			c := datum.Compare(run.keys[a*nKeys+j], run.keys[b*nKeys+j])
-			if desc[j] {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return run.seqs[a] < run.seqs[b]
-	})
+// sortByKeys orders a full-sort run by (keys, seq). A worker grabs
+// morsels in increasing order, so its rows arrive in increasing seq order
+// and the stable sort by keys alone yields exactly that order.
+func (run *workerRun) sortByKeys(desc []bool) {
+	nKeys := len(desc)
+	idx := stableKeyOrder(run.keys, len(run.rows), desc)
 	rows := make([]storage.Row, len(idx))
 	keys := make([]datum.D, 0, len(idx)*nKeys)
 	seqs := make([]int64, len(idx))
@@ -963,23 +891,17 @@ func sortRunBySeqKeys(run *workerRun, nKeys int, desc []bool) {
 }
 
 func (x *exchangeVec) runAgg(w *parWorker) {
-	acc := newParAggAcc(x.aggs, len(w.aggGroupKeys))
-	var env rowEnv
+	w.agg.reset()
 	for {
 		m, mo, ok := x.disp.grab()
 		if !ok || x.canceled() {
 			break
 		}
-		within := int64(0)
+		seq := int64(m) * seqStride
 		err := w.drainMorsel(mo, func(b []storage.Row) error {
-			for _, r := range b {
-				seq := int64(m)*seqStride + within
-				within++
-				if err := acc.add(w, r, seq, &env); err != nil {
-					return err
-				}
-			}
-			return nil
+			err := w.agg.addBatch(b, seq)
+			seq += int64(len(b))
+			return err
 		})
 		if err != nil {
 			x.send(morselOut{m: -1, err: err})
@@ -989,7 +911,7 @@ func (x *exchangeVec) runAgg(w *parWorker) {
 	if x.canceled() {
 		return
 	}
-	x.send(morselOut{m: -1, run: &workerRun{groups: acc.groups}})
+	x.send(morselOut{m: -1, run: &workerRun{groups: w.agg.take()}})
 }
 
 // --- Gather merge -----------------------------------------------------------
@@ -999,25 +921,10 @@ func (x *exchangeVec) NextBatch() ([]storage.Row, error) {
 		return nil, x.err
 	}
 	if x.sh.kind != parGather {
-		if x.outPos >= len(x.out) {
-			return nil, nil
-		}
-		end := x.outPos + batchSize
-		if end > len(x.out) {
-			end = len(x.out)
-		}
-		b := x.out[x.outPos:end]
-		x.outPos = end
-		return b, nil
+		return x.out.next(), nil
 	}
 	for {
-		if x.curPos < len(x.cur) {
-			end := x.curPos + batchSize
-			if end > len(x.cur) {
-				end = len(x.cur)
-			}
-			b := x.cur[x.curPos:end]
-			x.curPos = end
+		if b := x.cur.next(); b != nil {
 			return b, nil
 		}
 		if x.nextM >= x.disp.count() {
@@ -1027,7 +934,7 @@ func (x *exchangeVec) NextBatch() ([]storage.Row, error) {
 		rows, ok := x.pending[x.nextM]
 		if ok {
 			delete(x.pending, x.nextM)
-			x.cur, x.curPos = rows, 0
+			x.cur.set(rows)
 			x.nextM++
 			continue
 		}
@@ -1059,7 +966,7 @@ func (x *exchangeVec) collectRuns() error {
 	}
 	x.finish()
 	if x.sh.kind == parSort {
-		x.out = mergeSortRuns(runs, x.sortN, x.sortDesc, x.topK)
+		x.out.set(mergeSortRuns(runs, x.sortDesc, x.topK))
 		return nil
 	}
 	out, err := x.mergeAggRuns(runs)
@@ -1067,7 +974,7 @@ func (x *exchangeVec) collectRuns() error {
 		x.err = err
 		return err
 	}
-	x.out = out
+	x.out.set(out)
 	return nil
 }
 
@@ -1075,7 +982,7 @@ func (x *exchangeVec) collectRuns() error {
 // seq tiebreak is the row's serial arrival order, so the merged sequence
 // is exactly the serial stable sort; truncation to topK happens after the
 // merge (each run already holds at most topK rows).
-func mergeSortRuns(runs []*workerRun, nKeys int, desc []bool, topK int64) []storage.Row {
+func mergeSortRuns(runs []*workerRun, desc []bool, topK int64) []storage.Row {
 	total := 0
 	for _, r := range runs {
 		total += len(r.rows)
@@ -1091,7 +998,7 @@ func mergeSortRuns(runs []*workerRun, nKeys int, desc []bool, topK int64) []stor
 			if pos[i] >= len(r.rows) {
 				continue
 			}
-			if best < 0 || runBefore(runs[i], pos[i], runs[best], pos[best], nKeys, desc) {
+			if best < 0 || runBefore(runs[i], pos[i], runs[best], pos[best], desc) {
 				best = i
 			}
 		}
@@ -1104,222 +1011,27 @@ func mergeSortRuns(runs []*workerRun, nKeys int, desc []bool, topK int64) []stor
 	return out
 }
 
-func runBefore(a *workerRun, ai int, b *workerRun, bi int, nKeys int, desc []bool) bool {
-	ao, bo := ai*nKeys, bi*nKeys
-	for j := 0; j < nKeys; j++ {
-		c := datum.Compare(a.keys[ao+j], b.keys[bo+j])
-		if desc[j] {
-			c = -c
-		}
-		if c != 0 {
-			return c < 0
-		}
+func runBefore(a *workerRun, ai int, b *workerRun, bi int, desc []bool) bool {
+	n := len(desc)
+	if c := compareSortKeys(a.keys[ai*n:(ai+1)*n], b.keys[bi*n:(bi+1)*n], desc); c != 0 {
+		return c < 0
 	}
 	return a.seqs[ai] < b.seqs[bi]
 }
 
 // mergeAggRuns merges per-worker partial groups, orders them by global
-// first arrival (the serial aggregate's insertion order), finalizes, and
-// applies HAVING.
+// first arrival (the serial aggregate's insertion order) and finishes them
+// as the serial aggregate does.
 func (x *exchangeVec) mergeAggRuns(runs []*workerRun) ([]storage.Row, error) {
-	idx := make(map[string]int)
-	var groups []*parGroup
-	keyBuf := make([]byte, 0, 64)
+	x.agg.reset()
 	for _, run := range runs {
-		for _, g := range run.groups {
-			keyBuf = keyBuf[:0]
-			for _, v := range g.keyVals {
-				keyBuf = v.AppendKey(keyBuf)
-				keyBuf = append(keyBuf, 0)
-			}
-			gi, ok := idx[string(keyBuf)]
-			if !ok {
-				idx[string(keyBuf)] = len(groups)
-				groups = append(groups, g)
-				continue
-			}
-			if err := groups[gi].merge(g); err != nil {
-				return nil, err
-			}
+		if err := x.agg.merge(run.groups); err != nil {
+			return nil, err
 		}
 	}
+	groups := x.agg.groups
 	sort.Slice(groups, func(a, b int) bool { return groups[a].firstSeq < groups[b].firstSeq })
-	if x.plainAgg && len(groups) == 0 {
-		groups = append(groups, newParGroup(nil, x.aggs, 0))
-	}
-	var env rowEnv
-	out := make([]storage.Row, 0, len(groups))
-	for _, g := range groups {
-		row := make(storage.Row, 0, len(g.keyVals)+len(g.states))
-		row = append(row, g.keyVals...)
-		for i, a := range x.aggs {
-			row = append(row, g.states[i].finalize(a.Call))
-		}
-		if x.having != nil {
-			env.left = row
-			v, err := x.having(&env)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// --- Partial aggregation ----------------------------------------------------
-
-// parAggState is one mergeable partial aggregate. DISTINCT aggregates
-// defer accumulation entirely: workers collect the distinct value set and
-// the merged set is folded at finalize, so cross-worker duplicates are
-// deduplicated exactly once.
-type parAggState struct {
-	st    aggState
-	dvals map[string]datum.D
-}
-
-func (s *parAggState) accumulate(v datum.D) error {
-	if v.IsNull() {
-		return nil
-	}
-	if s.dvals != nil {
-		s.dvals[v.String()] = v
-		return nil
-	}
-	return accumulateDatum(&s.st, v)
-}
-
-func (s *parAggState) merge(o *parAggState) error {
-	if s.dvals != nil {
-		for k, v := range o.dvals {
-			s.dvals[k] = v
-		}
-		return nil
-	}
-	s.st.count += o.st.count
-	if !o.st.sum.IsNull() {
-		if s.st.sum.IsNull() {
-			s.st.sum = o.st.sum
-		} else {
-			sum, err := datum.Arith('+', s.st.sum, o.st.sum)
-			if err != nil {
-				return err
-			}
-			s.st.sum = sum
-		}
-	}
-	if !o.st.min.IsNull() && (s.st.min.IsNull() || datum.Compare(o.st.min, s.st.min) < 0) {
-		s.st.min = o.st.min
-	}
-	if !o.st.max.IsNull() && (s.st.max.IsNull() || datum.Compare(o.st.max, s.st.max) > 0) {
-		s.st.max = o.st.max
-	}
-	return nil
-}
-
-func (s *parAggState) finalize(call *sqlparser.FuncCall) datum.D {
-	if s.dvals != nil {
-		keys := make([]string, 0, len(s.dvals))
-		for k := range s.dvals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		st := newAggState(call)
-		for _, k := range keys {
-			accumulateDatum(&st, s.dvals[k])
-		}
-		return finalize(&st, call)
-	}
-	return finalize(&s.st, call)
-}
-
-// parGroup is one group's partial states plus the serial sequence of its
-// first input row — the merge orders groups by the minimum across workers,
-// which is the group's first appearance in the serial input.
-type parGroup struct {
-	keyVals  []datum.D
-	states   []parAggState
-	firstSeq int64
-}
-
-func newParGroup(keyVals []datum.D, aggs []aggSpec, firstSeq int64) *parGroup {
-	g := &parGroup{keyVals: keyVals, states: make([]parAggState, len(aggs)), firstSeq: firstSeq}
-	for i := range g.states {
-		g.states[i].st = newAggState(aggs[i].Call)
-		if aggs[i].Call.Distinct {
-			g.states[i].dvals = make(map[string]datum.D)
-		}
-	}
-	return g
-}
-
-func (g *parGroup) merge(o *parGroup) error {
-	if o.firstSeq < g.firstSeq {
-		g.firstSeq = o.firstSeq
-	}
-	for i := range g.states {
-		if err := g.states[i].merge(&o.states[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parAggAcc accumulates one worker's partial groups, keyed exactly like
-// the serial aggIter (AppendKey encoding).
-type parAggAcc struct {
-	aggs       []aggSpec
-	idx        map[string]int
-	groups     []*parGroup
-	keyBuf     []byte
-	keyScratch []datum.D
-}
-
-func newParAggAcc(aggs []aggSpec, nKeys int) *parAggAcc {
-	return &parAggAcc{
-		aggs:       aggs,
-		idx:        make(map[string]int),
-		keyBuf:     make([]byte, 0, 64),
-		keyScratch: make([]datum.D, nKeys),
-	}
-}
-
-func (a *parAggAcc) add(w *parWorker, r storage.Row, seq int64, env *rowEnv) error {
-	env.left = r
-	a.keyBuf = a.keyBuf[:0]
-	for i, k := range w.aggGroupKeys {
-		v, err := k(env)
-		if err != nil {
-			return err
-		}
-		a.keyScratch[i] = v
-		a.keyBuf = v.AppendKey(a.keyBuf)
-		a.keyBuf = append(a.keyBuf, 0)
-	}
-	gi, ok := a.idx[string(a.keyBuf)]
-	if !ok {
-		gi = len(a.groups)
-		a.idx[string(a.keyBuf)] = gi
-		a.groups = append(a.groups, newParGroup(append([]datum.D(nil), a.keyScratch...), a.aggs, seq))
-	}
-	g := a.groups[gi]
-	for i, spec := range a.aggs {
-		if spec.Call.Star {
-			g.states[i].st.count++
-			continue
-		}
-		v, err := w.aggArgs[i](env)
-		if err != nil {
-			return err
-		}
-		if err := g.states[i].accumulate(v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return x.agg.finish()
 }
 
 // --- Shared hash builds -----------------------------------------------------

@@ -2,7 +2,7 @@ package engine
 
 // vec.go is the batch-at-a-time (vectorized) executor. Operators implement
 // vecIter and hand rows downstream in batches of up to batchSize, so the
-// per-row costs of the streaming executor — an interface call per Next, a
+// per-row costs of row-at-a-time execution — an interface call per row, a
 // closure call per filter evaluation, an allocation per joined or projected
 // row — are amortized across the batch: scans filter through tight typed
 // loops (vexpr.go), joins and projection pack their output rows into flat
@@ -23,13 +23,12 @@ package engine
 // This is the engine's one production executor: Exec, subqueries, the
 // streaming query API and every instrumented run (ExecPlanInstrumented,
 // QueryInstrumented, QueryStreamInstrumented, EXPLAIN ANALYZE) build the
-// same operator tree. Instrumented builds wrap each operator in an
-// instrVecIter (parallel.go) that counts rows and time per batch; an
-// uninstrumented build adds no wrapper. The five operators without a
-// batch implementation yet — Aggregate, Unique, Merge Join, Nested Loop
-// and Result — run row-at-a-time (iter.go) behind the rowToVec/vecToRow
-// adapters, and the materializing reference executor (executor.go) stays
-// as the differential oracle.
+// same operator tree, and every operator the planner emits implements
+// vecIter. Instrumented builds wrap each operator in an instrVecIter
+// (parallel.go) that counts rows and time per batch; an uninstrumented
+// build adds no wrapper. Blocking operators (sort, aggregation, Result)
+// hand out their materialized output through rowsOut. The materializing
+// reference executor (executor.go) stays as the differential oracle.
 
 import (
 	"fmt"
@@ -101,10 +100,18 @@ func (v *vbuild) build0(n *Node) (vecIter, error) {
 		return v.newIndexScanVec(n)
 	case OpHash, OpMaterialize:
 		return v.build(n.Children[0])
-	case OpHashJoin:
+	case OpHashJoin, OpNestedLoop:
 		return v.newHashJoinVec(n)
+	case OpMergeJoin:
+		return v.newMergeJoinVec(n)
 	case OpSort:
 		return v.newSortVec(n)
+	case OpAggregate, OpHashAggregate, OpGroupAggregate:
+		return v.newAggVec(n)
+	case OpUnique:
+		return v.newUniqueVec(n)
+	case OpResult:
+		return v.newResultVec(n)
 	case OpLimit:
 		child, err := v.build(n.Children[0])
 		if err != nil {
@@ -112,22 +119,7 @@ func (v *vbuild) build0(n *Node) (vecIter, error) {
 		}
 		return &limitVec{child: child, limit: n.Limit, offset: n.Offset}, nil
 	}
-	// Row-only operator: build it through iter.go with vectorized children.
-	it, err := v.buildRowOp(n)
-	if err != nil {
-		return nil, err
-	}
-	return &rowToVec{child: it}, nil
-}
-
-// rowChild builds n on the batch pipeline and adapts it to the rowIter
-// contract, for a row-only operator's input.
-func (v *vbuild) rowChild(n *Node) (rowIter, error) {
-	vi, err := v.build(n)
-	if err != nil {
-		return nil, err
-	}
-	return &vecToRow{child: vi}, nil
+	return nil, fmt.Errorf("engine: cannot execute operator %s", n.Op.Name())
 }
 
 // estCap clamps a planner cardinality estimate to a sane preallocation
@@ -144,75 +136,28 @@ func estCap(est float64) int {
 	return int(est)
 }
 
-// --- Adapters ---------------------------------------------------------------
+// --- Materialized output ----------------------------------------------------
 
-// vecToRow adapts a vecIter to the rowIter contract: the thin row-at-a-time
-// Next over batches that keeps row-only operators working on top of
-// vectorized children. Handed-out rows stay valid across batches (row
-// data is immortal); only the batch slice is replaced.
-type vecToRow struct {
-	child vecIter
-	batch []storage.Row
-	pos   int
+// rowsOut hands out a materialized row set batchSize rows at a time: the
+// output of sort, aggregation, Result and the parallel exchange's merges
+// and gathered morsels.
+type rowsOut struct {
+	rows []storage.Row
+	pos  int
 }
 
-func (it *vecToRow) Open() error {
-	it.batch, it.pos = nil, 0
-	return it.child.Open()
-}
+func (o *rowsOut) set(rows []storage.Row) { o.rows, o.pos = rows, 0 }
 
-func (it *vecToRow) Next() (storage.Row, bool, error) {
-	for it.pos >= len(it.batch) {
-		b, err := it.child.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return nil, false, nil
-		}
-		it.batch, it.pos = b, 0
+// next returns the next batch, or nil once every row has been handed out.
+func (o *rowsOut) next() []storage.Row {
+	if o.pos >= len(o.rows) {
+		return nil
 	}
-	r := it.batch[it.pos]
-	it.pos++
-	return r, true, nil
+	end := min(o.pos+batchSize, len(o.rows))
+	b := o.rows[o.pos:end]
+	o.pos = end
+	return b
 }
-
-func (it *vecToRow) Close() error { return it.child.Close() }
-
-// rowToVec adapts a rowIter to the vecIter contract by accumulating rows
-// into a reused batch buffer. Rows produced by row operators are already
-// retainable (they alias the heap or are freshly allocated), so only the
-// slice header is transient — exactly the batch contract.
-type rowToVec struct {
-	child rowIter
-	buf   []storage.Row
-}
-
-func (it *rowToVec) Open() error { return it.child.Open() }
-
-func (it *rowToVec) NextBatch() ([]storage.Row, error) {
-	if it.buf == nil {
-		it.buf = make([]storage.Row, 0, batchSize)
-	}
-	buf := it.buf[:0]
-	for len(buf) < batchSize {
-		r, ok, err := it.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		buf = append(buf, r)
-	}
-	it.buf = buf
-	if len(buf) == 0 {
-		return nil, nil
-	}
-	return buf, nil
-}
-
-func (it *rowToVec) Close() error { return it.child.Close() }
 
 // --- Batch output writer ----------------------------------------------------
 
@@ -587,6 +532,108 @@ func (it *limitVec) NextBatch() ([]storage.Row, error) {
 }
 
 func (it *limitVec) Close() error { return it.child.Close() }
+
+// --- Unique -----------------------------------------------------------------
+
+// uniqueVec filters each input batch down to the rows whose key it has not
+// seen before and passes on their headers. Keys encode through
+// appendGroupKey into a reused buffer, so a duplicate row costs one map
+// probe and no allocation; only a new key's insert copies it.
+type uniqueVec struct {
+	child vecIter
+	keys  sortKeyEval
+	vals  []datum.D
+	seen  map[string]struct{}
+	buf   []byte
+	out   []storage.Row
+	env   rowEnv
+}
+
+func (v *vbuild) newUniqueVec(n *Node) (*uniqueVec, error) {
+	child, err := v.build(n.Children[0])
+	if err != nil {
+		return nil, err
+	}
+	keys, err := bindSortKeys(n.SortKeys, n.Children[0].Schema, v.e.subquery)
+	if err != nil {
+		return nil, err
+	}
+	return &uniqueVec{child: child, keys: keys, vals: make([]datum.D, len(n.SortKeys))}, nil
+}
+
+func (it *uniqueVec) Open() error {
+	it.seen = make(map[string]struct{})
+	return it.child.Open()
+}
+
+func (it *uniqueVec) NextBatch() ([]storage.Row, error) {
+	for {
+		b, err := it.child.NextBatch()
+		if err != nil || b == nil {
+			return nil, err
+		}
+		if cap(it.out) < len(b) {
+			it.out = make([]storage.Row, 0, len(b))
+		}
+		out := it.out[:0]
+		for _, r := range b {
+			if err := it.keys.eval(r, it.vals, &it.env); err != nil {
+				return nil, err
+			}
+			it.buf = appendGroupKey(it.buf[:0], it.vals)
+			if _, dup := it.seen[string(it.buf)]; dup {
+				continue
+			}
+			it.seen[string(it.buf)] = struct{}{}
+			out = append(out, r)
+		}
+		it.out = out
+		if len(out) > 0 {
+			return out, nil
+		}
+	}
+}
+
+func (it *uniqueVec) Close() error { return it.child.Close() }
+
+// --- Result -----------------------------------------------------------------
+
+// resultVec evaluates the single constant row of a FROM-less SELECT at Open
+// and returns it as one batch.
+type resultVec struct {
+	items []boundExpr
+	out   rowsOut
+}
+
+func (v *vbuild) newResultVec(n *Node) (*resultVec, error) {
+	it := &resultVec{items: make([]boundExpr, len(n.ResultItems))}
+	for i, item := range n.ResultItems {
+		bound, err := bindExpr(item.Expr, nil, v.e.subquery)
+		if err != nil {
+			return nil, err
+		}
+		it.items[i] = bound
+	}
+	return it, nil
+}
+
+func (it *resultVec) Open() error {
+	var env rowEnv
+	row := make(storage.Row, len(it.items))
+	for i, item := range it.items {
+		v, err := item(&env)
+		if err != nil {
+			return err
+		}
+		row[i] = v
+	}
+	it.out.set([]storage.Row{row})
+	return nil
+}
+
+func (it *resultVec) NextBatch() ([]storage.Row, error) { return it.out.next(), nil }
+
+func (it *resultVec) Close() error { return nil }
 
 // --- Query entry ------------------------------------------------------------
 

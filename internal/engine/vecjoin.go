@@ -1,19 +1,31 @@
 package engine
 
-// vecjoin.go is the batch hash join. The build phase drains the build
-// side batch-at-a-time into a flat keyArena (the evaluated key datums of
-// every build row, so the hash-collision recheck is a pure datum
-// comparison) and a bucket table; NULL keys are skipped on insert, since
-// they can never match. The probe phase walks each probe batch in a tight
-// loop, loading key datums by ordinal when the join keys are bare column
-// references, and packs surviving joined rows into batchWriter arena
-// chunks — typically one or two allocations per output batch instead of
-// one concatRows allocation per output row. NULL semantics are identical
-// on both sides: a probe row with any NULL key component gets an empty
-// bucket (and, for LEFT JOIN, flows to the null-extension path), and
+// vecjoin.go holds the batch joins. The hash join's build phase drains the
+// build side batch-at-a-time into a flat keyArena (the evaluated key
+// datums of every build row, so the hash-collision recheck is a pure
+// datum comparison) and a bucket table; NULL keys are skipped on insert,
+// since they can never match. The probe phase walks each probe batch in a
+// tight loop, loading key datums by ordinal when the join keys are bare
+// column references, and packs surviving joined rows into batchWriter
+// arena chunks — typically one or two allocations per output batch
+// instead of one concatRows allocation per output row. NULL semantics are
+// identical on both sides: a probe row with any NULL key component gets an
+// empty bucket (and, for LEFT JOIN, flows to the null-extension path), and
 // `matched` is decided by the ON condition (keys + residual) alone — the
 // pushed-down WHERE filter only gates emission, after null-extension,
 // exactly as the reference executor applies it.
+//
+// A Nested Loop is the keyless hash join: no keys are extracted from its
+// condition, every inner (build) row lands in the one bucket in inner
+// order, and the whole JoinCond is the residual. Each outer row is
+// therefore checked against every inner row in order, the inner side is
+// materialized once, and the output order and match semantics are the
+// nested-loop algorithm's.
+//
+// The merge join drains both (sorted) inputs at Open with their key datums
+// evaluated once into flat arenas, so the merge itself is pure datum
+// comparison, and emits equal-key groups pairwise through a batchWriter,
+// resuming mid-group when a batch fills.
 
 import (
 	"fmt"
@@ -28,7 +40,8 @@ type hashJoinVec struct {
 
 	// Key evaluation: ordinal fast path when every key is a bare column
 	// reference, pre-bound closures otherwise. Exactly one of
-	// {probeKeyOrds, probeKeys} is non-nil, same for the build side.
+	// {probeKeyOrds, probeKeys} is non-nil, same for the build side,
+	// except in a nested loop, which has no keys.
 	probeKeyOrds []int
 	probeKeys    []boundExpr
 	buildKeyOrds []int
@@ -84,28 +97,33 @@ func (v *vbuild) newHashJoinVec(n *Node) (*hashJoinVec, error) {
 // binds, and the output writer. The serial constructor attaches probe and
 // build children; the parallel exchange attaches a per-worker probe clone
 // and a shared prebuilt table instead.
+//
+// A Nested Loop (OpNestedLoop) gets no keys and its whole JoinCond as the
+// residual.
 func (v *vbuild) hashJoinShell(n *Node) (*hashJoinVec, error) {
 	probeNode, hashNode := n.Children[0], n.Children[1]
-	probeKeyExprs, buildKeyExprs, residual := joinKeyPairs(n.JoinCond, probeNode.Schema, hashNode.Schema)
-	if len(probeKeyExprs) == 0 {
-		return nil, fmt.Errorf("engine: hash join without equi-condition")
-	}
-	it := &hashJoinVec{
-		nKeys:     len(probeKeyExprs),
-		leftOuter: n.JoinType == sqlparser.LeftJoin,
-	}
+	it := &hashJoinVec{leftOuter: n.JoinType == sqlparser.LeftJoin}
+	cond := n.JoinCond
 	var err error
-	if it.probeKeyOrds = keyOrdinals(probeKeyExprs, probeNode.Schema); it.probeKeyOrds == nil {
-		if it.probeKeys, err = bindExprs(probeKeyExprs, probeNode.Schema, v.e.subquery); err != nil {
-			return nil, err
+	if n.Op == OpHashJoin {
+		probeKeyExprs, buildKeyExprs, residual := joinKeyPairs(n.JoinCond, probeNode.Schema, hashNode.Schema)
+		if len(probeKeyExprs) == 0 {
+			return nil, fmt.Errorf("engine: hash join without equi-condition")
 		}
-	}
-	if it.buildKeyOrds = keyOrdinals(buildKeyExprs, hashNode.Schema); it.buildKeyOrds == nil {
-		if it.buildKeys, err = bindExprs(buildKeyExprs, hashNode.Schema, v.e.subquery); err != nil {
-			return nil, err
+		it.nKeys = len(probeKeyExprs)
+		if it.probeKeyOrds = keyOrdinals(probeKeyExprs, probeNode.Schema); it.probeKeyOrds == nil {
+			if it.probeKeys, err = bindExprs(probeKeyExprs, probeNode.Schema, v.e.subquery); err != nil {
+				return nil, err
+			}
 		}
+		if it.buildKeyOrds = keyOrdinals(buildKeyExprs, hashNode.Schema); it.buildKeyOrds == nil {
+			if it.buildKeys, err = bindExprs(buildKeyExprs, hashNode.Schema, v.e.subquery); err != nil {
+				return nil, err
+			}
+		}
+		cond = sqlparser.JoinConjuncts(residual)
 	}
-	if cond := sqlparser.JoinConjuncts(residual); cond != nil {
+	if cond != nil {
 		if it.residual, err = bindPairExpr(cond, probeNode.Schema, hashNode.Schema, v.e.subquery); err != nil {
 			return nil, err
 		}
@@ -127,7 +145,8 @@ func (v *vbuild) hashJoinShell(n *Node) (*hashJoinVec, error) {
 
 // hashRowKeys evaluates r's key datums into dst (which must hold nKeys),
 // returning the FNV hash and whether any component was NULL (in which case
-// dst is partial and the row can never match).
+// dst is partial and the row can never match). With no keys every row
+// hashes alike, into the one bucket of a nested loop.
 func hashRowKeys(r storage.Row, ords []int, keys []boundExpr, dst []datum.D, env *rowEnv) (uint64, bool, error) {
 	h := uint64(1469598103934665603)
 	if ords != nil {
@@ -311,4 +330,220 @@ func datumsEqual(a, b []datum.D) bool {
 		}
 	}
 	return true
+}
+
+// --- Merge join -------------------------------------------------------------
+
+type mergeJoinVec struct {
+	left, right          vecIter
+	lKeyExprs, rKeyExprs []boundExpr
+	nKeys                int
+	residual             boundExpr // pair-bound
+	outFilter            boundExpr // pair-bound
+	lEst, rEst           int       // planner cardinality estimates, for preallocation
+	est                  int       // planner's output estimate, clamped; seeds w.left at Open
+
+	lRows, rRows []storage.Row
+	lKeys, rKeys []datum.D
+	li, ri       int // next ungrouped positions
+	lEnd, rEnd   int // current group bounds
+	a, b         int // cross-product cursors, preserved when a batch fills mid-group
+	inGroup      bool
+	env          rowEnv
+	w            batchWriter
+}
+
+func (v *vbuild) newMergeJoinVec(n *Node) (*mergeJoinVec, error) {
+	leftNode, rightNode := n.Children[0], n.Children[1]
+	lKeyExprs, rKeyExprs, residual := joinKeyPairs(n.JoinCond, leftNode.Schema, rightNode.Schema)
+	if len(lKeyExprs) == 0 {
+		return nil, fmt.Errorf("engine: merge join without equi-condition")
+	}
+	it := &mergeJoinVec{
+		nKeys: len(lKeyExprs),
+		lEst:  estCap(leftNode.EstRows),
+		rEst:  estCap(rightNode.EstRows),
+		est:   estCap(n.EstRows),
+	}
+	it.w.width = len(leftNode.Schema) + len(rightNode.Schema)
+	var err error
+	if it.left, err = v.build(leftNode); err != nil {
+		return nil, err
+	}
+	if it.right, err = v.build(rightNode); err != nil {
+		return nil, err
+	}
+	if it.lKeyExprs, err = bindExprs(lKeyExprs, leftNode.Schema, v.e.subquery); err != nil {
+		return nil, err
+	}
+	if it.rKeyExprs, err = bindExprs(rKeyExprs, rightNode.Schema, v.e.subquery); err != nil {
+		return nil, err
+	}
+	if cond := sqlparser.JoinConjuncts(residual); cond != nil {
+		if it.residual, err = bindPairExpr(cond, leftNode.Schema, rightNode.Schema, v.e.subquery); err != nil {
+			return nil, err
+		}
+	}
+	if n.Filter != nil {
+		if it.outFilter, err = bindPairExpr(n.Filter, leftNode.Schema, rightNode.Schema, v.e.subquery); err != nil {
+			return nil, err
+		}
+	}
+	return it, nil
+}
+
+// drainKeyed opens child and materializes its rows and their key datums.
+func drainKeyed(child vecIter, keys []boundExpr, est int) ([]storage.Row, []datum.D, error) {
+	if err := child.Open(); err != nil {
+		return nil, nil, err
+	}
+	rows := make([]storage.Row, 0, est)
+	arena := make([]datum.D, 0, est*len(keys))
+	var env rowEnv
+	for {
+		b, err := child.NextBatch()
+		if err != nil {
+			return nil, nil, err
+		}
+		if b == nil {
+			return rows, arena, nil
+		}
+		for _, r := range b {
+			env.left = r
+			for _, k := range keys {
+				v, err := k(&env)
+				if err != nil {
+					return nil, nil, err
+				}
+				arena = append(arena, v)
+			}
+		}
+		rows = append(rows, b...)
+	}
+}
+
+func (it *mergeJoinVec) Open() error {
+	var err error
+	if it.lRows, it.lKeys, err = drainKeyed(it.left, it.lKeyExprs, it.lEst); err != nil {
+		return err
+	}
+	if it.rRows, it.rKeys, err = drainKeyed(it.right, it.rKeyExprs, it.rEst); err != nil {
+		return err
+	}
+	it.li, it.ri, it.inGroup = 0, 0, false
+	it.w.left = it.est
+	return nil
+}
+
+func (it *mergeJoinVec) key(arena []datum.D, i int) []datum.D {
+	return arena[i*it.nKeys : (i+1)*it.nKeys]
+}
+
+func keyHasNull(k []datum.D) bool {
+	for _, v := range k {
+		if v.IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+func compareKeys(a, b []datum.D) int {
+	for i := range a {
+		if c := datum.Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// advance finds the next equal-key group; reports false when either input
+// is exhausted.
+func (it *mergeJoinVec) advance() bool {
+	for it.li < len(it.lRows) && it.ri < len(it.rRows) {
+		lk := it.key(it.lKeys, it.li)
+		if keyHasNull(lk) {
+			it.li++
+			continue
+		}
+		rk := it.key(it.rKeys, it.ri)
+		if keyHasNull(rk) {
+			it.ri++
+			continue
+		}
+		c := compareKeys(lk, rk)
+		if c < 0 {
+			it.li++
+			continue
+		}
+		if c > 0 {
+			it.ri++
+			continue
+		}
+		it.lEnd = it.li + 1
+		for it.lEnd < len(it.lRows) && compareKeys(it.key(it.lKeys, it.lEnd), lk) == 0 {
+			it.lEnd++
+		}
+		it.rEnd = it.ri + 1
+		for it.rEnd < len(it.rRows) && compareKeys(it.key(it.rKeys, it.rEnd), rk) == 0 {
+			it.rEnd++
+		}
+		it.a, it.b = it.li, it.ri
+		it.inGroup = true
+		return true
+	}
+	return false
+}
+
+func (it *mergeJoinVec) NextBatch() ([]storage.Row, error) {
+	it.w.reset()
+	for {
+		if !it.inGroup && !it.advance() {
+			if len(it.w.rows) > 0 {
+				return it.w.rows, nil
+			}
+			return nil, nil
+		}
+		for it.a < it.lEnd {
+			for it.b < it.rEnd {
+				lr, rr := it.lRows[it.a], it.rRows[it.b]
+				it.b++
+				it.env.left, it.env.right = lr, rr
+				if it.residual != nil {
+					v, err := it.residual(&it.env)
+					if err != nil {
+						return nil, err
+					}
+					if !truthy(v) {
+						continue
+					}
+				}
+				if it.outFilter != nil {
+					v, err := it.outFilter(&it.env)
+					if err != nil {
+						return nil, err
+					}
+					if !truthy(v) {
+						continue
+					}
+				}
+				it.w.appendConcat(lr, rr)
+				if it.w.full() {
+					return it.w.rows, nil // resume mid-group next call
+				}
+			}
+			it.a++
+			it.b = it.ri
+		}
+		it.li, it.ri = it.lEnd, it.rEnd
+		it.inGroup = false
+	}
+}
+
+func (it *mergeJoinVec) Close() error {
+	err := it.left.Close()
+	if err2 := it.right.Close(); err == nil {
+		err = err2
+	}
+	return err
 }

@@ -5,10 +5,11 @@ package engine
 // offset+limit, so OFFSET rows survive truncation) — consuming batches and
 // evaluating sort keys by ordinal when they are bare column references,
 // so the top-K push path does no closure calls and no allocations once
-// the heap is full. The heap's
-// arrival-sequence tiebreak keeps the result identical to the reference
-// executor's stable full sort truncated to K, including when duplicate
-// keys cross the limit boundary.
+// the heap is full. The heap's arrival-sequence tiebreak keeps the result
+// identical to the reference executor's stable full sort truncated to K,
+// including when duplicate keys cross the limit boundary. The key
+// evaluator (sortKeyEval) and the stable index sort (stableKeyOrder) are
+// shared with Unique and with the parallel exchange's sort workers.
 
 import (
 	"sort"
@@ -18,48 +19,40 @@ import (
 	"lantern/internal/storage"
 )
 
-type sortVec struct {
-	child   vecIter
-	keyOrds []int       // ordinal fast path; nil → keys
-	keys    []boundExpr // closure fallback
-	desc    []bool
-	nKeys   int
-	topK    int64 // 0 = full sort
-	est     int   // planner cardinality estimate, for preallocation
-	out     []storage.Row
-	pos     int
+// sortKeyEval evaluates a row's sort keys: by ordinal when every key is a
+// bare column reference, through pre-bound closures otherwise.
+type sortKeyEval struct {
+	ords []int       // ordinal fast path; nil → keys
+	keys []boundExpr // closure fallback
+	desc []bool
 }
 
-func (v *vbuild) newSortVec(n *Node) (*sortVec, error) {
-	it := &sortVec{topK: n.SortLimit, nKeys: len(n.SortKeys), est: estCap(n.EstRows)}
-	var err error
-	if it.child, err = v.build(n.Children[0]); err != nil {
-		return nil, err
-	}
-	exprs := make([]sqlparser.Expr, len(n.SortKeys))
-	it.desc = make([]bool, len(n.SortKeys))
-	for i, k := range n.SortKeys {
+func bindSortKeys(keys []sortKey, schema []colRef, sub subqueryFn) (sortKeyEval, error) {
+	ev := sortKeyEval{desc: make([]bool, len(keys))}
+	exprs := make([]sqlparser.Expr, len(keys))
+	for i, k := range keys {
 		exprs[i] = k.Expr
-		it.desc[i] = k.Desc
+		ev.desc[i] = k.Desc
 	}
-	if it.keyOrds = keyOrdinals(exprs, n.Children[0].Schema); it.keyOrds == nil {
-		if it.keys, err = bindExprs(exprs, n.Children[0].Schema, v.e.subquery); err != nil {
-			return nil, err
+	if ev.ords = keyOrdinals(exprs, schema); ev.ords == nil {
+		var err error
+		if ev.keys, err = bindExprs(exprs, schema, sub); err != nil {
+			return sortKeyEval{}, err
 		}
 	}
-	return it, nil
+	return ev, nil
 }
 
-// evalKeys loads r's sort key datums into dst.
-func (it *sortVec) evalKeys(r storage.Row, dst []datum.D, env *rowEnv) error {
-	if it.keyOrds != nil {
-		for i, ord := range it.keyOrds {
+// eval loads r's key datums into dst.
+func (ev *sortKeyEval) eval(r storage.Row, dst []datum.D, env *rowEnv) error {
+	if ev.ords != nil {
+		for i, ord := range ev.ords {
 			dst[i] = r[ord]
 		}
 		return nil
 	}
 	env.left = r
-	for i, k := range it.keys {
+	for i, k := range ev.keys {
 		v, err := k(env)
 		if err != nil {
 			return err
@@ -69,21 +62,79 @@ func (it *sortVec) evalKeys(r storage.Row, dst []datum.D, env *rowEnv) error {
 	return nil
 }
 
+// compareSortKeys orders two key tuples, each key ascending or (desc)
+// descending.
+func compareSortKeys(a, b []datum.D, desc []bool) int {
+	for j, d := range desc {
+		c := datum.Compare(a[j], b[j])
+		if d {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// stableKeyOrder returns the permutation that stably sorts n rows by their
+// key tuples, held row-major in keys: rows with equal keys keep their
+// input order.
+func stableKeyOrder(keys []datum.D, n int, desc []bool) []int {
+	nKeys := len(desc)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(x, y int) bool {
+		a, b := idx[x]*nKeys, idx[y]*nKeys
+		return compareSortKeys(keys[a:a+nKeys], keys[b:b+nKeys], desc) < 0
+	})
+	return idx
+}
+
+type sortVec struct {
+	child vecIter
+	keys  sortKeyEval
+	topK  int64 // 0 = full sort
+	est   int   // planner cardinality estimate, for preallocation
+	out   rowsOut
+}
+
+func (v *vbuild) newSortVec(n *Node) (*sortVec, error) {
+	it := &sortVec{topK: n.SortLimit, est: estCap(n.EstRows)}
+	var err error
+	if it.child, err = v.build(n.Children[0]); err != nil {
+		return nil, err
+	}
+	if it.keys, err = bindSortKeys(n.SortKeys, n.Children[0].Schema, v.e.subquery); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// Open drains the child into the top-K heap, or into rows plus a flat key
+// arena that a stable index sort then orders. Both buffers preallocate
+// from the planner estimate, so an accurately costed sort materializes
+// with one allocation each.
 func (it *sortVec) Open() error {
 	if err := it.child.Open(); err != nil {
 		return err
 	}
-	it.pos = 0
+	nKeys := len(it.keys.desc)
+	var (
+		heap  *topKHeap
+		rows  []storage.Row
+		arena []datum.D
+	)
 	if it.topK > 0 {
-		return it.openTopK()
+		heap = newTopKHeap(int(it.topK), nKeys, it.keys.desc)
+	} else {
+		rows = make([]storage.Row, 0, it.est)
+		arena = make([]datum.D, 0, it.est*nKeys)
 	}
-	// Full sort: drain batches into rows + a flat key arena, then stable
-	// sort an index permutation. Both buffers preallocate from the planner estimate so an accurately
-	// costed sort materializes with one allocation each.
-	rows := make([]storage.Row, 0, it.est)
-	arena := make([]datum.D, 0, it.est*it.nKeys)
 	var env rowEnv
-	scratch := make([]datum.D, it.nKeys)
+	scratch := make([]datum.D, nKeys)
 	for {
 		b, err := it.child.NextBatch()
 		if err != nil {
@@ -93,73 +144,30 @@ func (it *sortVec) Open() error {
 			break
 		}
 		for _, r := range b {
-			if err := it.evalKeys(r, scratch, &env); err != nil {
+			if err := it.keys.eval(r, scratch, &env); err != nil {
 				return err
+			}
+			if heap != nil {
+				heap.push(r, scratch)
+				continue
 			}
 			arena = append(arena, scratch...)
 			rows = append(rows, r)
 		}
 	}
-	nKeys := it.nKeys
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
+	if heap != nil {
+		it.out.set(heap.finish())
+		return nil
 	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		a, b := idx[x], idx[y]
-		for j := 0; j < nKeys; j++ {
-			c := datum.Compare(arena[a*nKeys+j], arena[b*nKeys+j])
-			if it.desc[j] {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	it.out = make([]storage.Row, len(rows))
-	for i, j := range idx {
-		it.out[i] = rows[j]
+	out := make([]storage.Row, len(rows))
+	for i, j := range stableKeyOrder(arena, len(rows), it.keys.desc) {
+		out[i] = rows[j]
 	}
+	it.out.set(out)
 	return nil
 }
 
-func (it *sortVec) openTopK() error {
-	h := newTopKHeap(int(it.topK), it.nKeys, it.desc)
-	scratch := make([]datum.D, it.nKeys)
-	var env rowEnv
-	for {
-		b, err := it.child.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		for _, r := range b {
-			if err := it.evalKeys(r, scratch, &env); err != nil {
-				return err
-			}
-			h.push(r, scratch)
-		}
-	}
-	it.out = h.finish()
-	return nil
-}
-
-func (it *sortVec) NextBatch() ([]storage.Row, error) {
-	if it.pos >= len(it.out) {
-		return nil, nil
-	}
-	end := it.pos + batchSize
-	if end > len(it.out) {
-		end = len(it.out)
-	}
-	b := it.out[it.pos:end]
-	it.pos = end
-	return b, nil
-}
+func (it *sortVec) NextBatch() ([]storage.Row, error) { return it.out.next(), nil }
 
 func (it *sortVec) Close() error { return it.child.Close() }
 
@@ -199,14 +207,8 @@ func newTopKHeap(k, nKeys int, desc []bool) *topKHeap {
 // before reports whether (keyA, seqA) orders strictly before slot y.
 func (h *topKHeap) before(keyA []datum.D, seqA int64, y int32) bool {
 	off := int(y) * h.nKeys
-	for j := 0; j < h.nKeys; j++ {
-		c := datum.Compare(keyA[j], h.keys[off+j])
-		if h.desc[j] {
-			c = -c
-		}
-		if c != 0 {
-			return c < 0
-		}
+	if c := compareSortKeys(keyA, h.keys[off:off+h.nKeys], h.desc); c != 0 {
+		return c < 0
 	}
 	return seqA < h.seqs[y]
 }
