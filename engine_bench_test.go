@@ -201,11 +201,14 @@ func BenchmarkExecStreamScanReference(b *testing.B) {
 // zone map spans the predicate, and the scan must read every row: the gap
 // between the two is what pruning buys on clustered predicates, and the
 // *NoPrune ablation (same clustered query, DisableZonePruning) isolates
-// the zone-check mechanism from the typed-loop speedup it rides on.
+// the zone-check mechanism from the typed-loop speedup it rides on. The
+// *Between twin writes the clustered bound as BETWEEN.
 
 const (
-	execPrunedScanQuery    = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_orderkey < 500`
-	execSelectiveScanQuery = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_quantity < 4.2`
+	execPrunedScanQuery        = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_orderkey < 500`
+	execPrunedBetweenScanQuery = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_orderkey BETWEEN 1 AND 499`
+	execSelectiveScanQuery     = `SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_quantity < 4.2`
+	execInListScanQuery        = `SELECT COUNT(*) FROM lineitem WHERE l_shipmode IN ('MAIL', 'SHIP')`
 )
 
 func benchNoIndexConfig(c *engine.Config) {
@@ -225,6 +228,19 @@ func BenchmarkExecScanZoneMapPrunedNoPrune(b *testing.B) {
 
 func BenchmarkExecScanSelectiveFilter(b *testing.B) {
 	benchQuery(b, execBenchEngineScale(b, 2, false, benchNoIndexConfig), execSelectiveScanQuery)
+}
+
+// BenchmarkExecScanZoneMapPrunedBetween is the clustered pruned scan
+// written as BETWEEN, which compiles to the same >= AND <= comparisons
+// and so prunes the same segments.
+func BenchmarkExecScanZoneMapPrunedBetween(b *testing.B) {
+	benchQuery(b, execBenchEngineScale(b, 2, false, benchNoIndexConfig), execPrunedBetweenScanQuery)
+}
+
+// BenchmarkExecScanInList filters every lineitem row through a string IN
+// list, the typed loop probing a literal set built at compile time.
+func BenchmarkExecScanInList(b *testing.B) {
+	benchQuery(b, execBenchEngineScale(b, 2, false, benchNoIndexConfig), execInListScanQuery)
 }
 
 // --- Disk-backed scans through the buffer pool -------------------------------

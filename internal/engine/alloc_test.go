@@ -17,6 +17,7 @@ import (
 	"unsafe"
 
 	"lantern/internal/datum"
+	"lantern/internal/sqlparser"
 	"lantern/internal/storage"
 )
 
@@ -549,5 +550,106 @@ func TestVecAggregateBatchAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("aggregating a batch of existing groups allocates %.2f allocs/batch, want 0", avg)
+	}
+}
+
+// TestInListSelectSegAllocs: an IN list's typed segment loop probes the
+// literal set built at compile time, so selecting a batch out of an
+// integer or a string vector allocates nothing.
+func TestInListSelectSegAllocs(t *testing.T) {
+	e := New(DefaultConfig())
+	if _, err := e.Exec("CREATE TABLE il (n INT, s TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.Cat.Table("il")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SetSegmentCapacity(2048); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for base := 0; base < 4096; base += 512 {
+		sb.Reset()
+		sb.WriteString("INSERT INTO il VALUES ")
+		for i := base; i < base+512; i++ {
+			if i > base {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, 'm%d')", i%50, i%7)
+		}
+		if _, err := e.Exec(sb.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sd, err := tbl.Snapshot().Segments()[0].Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sd.Release()
+	schema := scanSchema(tbl, "il")
+	for _, cond := range []string{"n IN (3, 17, 41, 99)", "s IN ('m2', 'm5', 'zz')"} {
+		sel, err := sqlparser.ParseSelect("SELECT n FROM il WHERE " + cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := compileVecPred(sel.Where, schema, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, ok := pred.(*inColLit)
+		if !ok {
+			t.Fatalf("%s compiled to %T, want *inColLit", cond, pred)
+		}
+		out := make([]storage.Row, 0, batchSize)
+		lo := 0
+		avg := testing.AllocsPerRun(100, func() {
+			if out, err = in.selectSeg(out[:0], sd, lo, lo+batchSize); err != nil {
+				t.Fatal(err)
+			}
+			lo = (lo + batchSize) % 2048
+		})
+		if avg > 0 {
+			t.Fatalf("%s: selectSeg allocates %.2f allocs/batch, want 0", cond, avg)
+		}
+		if len(out) == 0 {
+			t.Fatalf("%s selected nothing", cond)
+		}
+	}
+}
+
+// TestConjunctionEstimateAllocs: folding bounds into intervals happens on
+// the estimator's stack, and planning a query without range bounds
+// allocates exactly what it did before intervals existed (the counts
+// were measured on the last commit without them).
+func TestConjunctionEstimateAllocs(t *testing.T) {
+	e := statsEngine(t)
+	var conds []sqlparser.Expr
+	for _, c := range []string{"id >= 100", "grp = 3", "id <= 349", "100 < val", "id BETWEEN 50 AND 300", "val NOT BETWEEN 1 AND 2"} {
+		sel, err := sqlparser.ParseSelect("SELECT * FROM s WHERE " + c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conds = append(conds, sel.Where)
+	}
+	est := &selectivityEstimator{cat: e.Cat, tableOf: map[string]string{"s": "s"}}
+	if avg := testing.AllocsPerRun(100, func() { est.conjunction(conds...) }); avg > 0 {
+		t.Fatalf("conjunction estimate allocates %.2f allocs/call, want 0", avg)
+	}
+	and := sqlparser.JoinConjuncts(conds)
+	if avg := testing.AllocsPerRun(100, func() { est.selectivity(and) }); avg > 0 {
+		t.Fatalf("AND selectivity allocates %.2f allocs/call, want 0", avg)
+	}
+	for q, want := range map[string]float64{
+		"SELECT * FROM s WHERE grp = 3": 35,
+		"SELECT grp, COUNT(*) FROM s WHERE val = 7 AND grp <> 2 GROUP BY grp ORDER BY grp": 82,
+	} {
+		if got := testing.AllocsPerRun(50, func() {
+			if _, err := e.PlanSQL(q); err != nil {
+				t.Fatal(err)
+			}
+		}); got != want {
+			t.Errorf("planning %q allocates %v, want %v", q, got, want)
+		}
 	}
 }

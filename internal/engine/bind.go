@@ -187,14 +187,7 @@ func (b *binder) bind(e sqlparser.Expr) (boundExpr, error) {
 			if err != nil {
 				return datum.Null, err
 			}
-			if v.IsNull() || lv.IsNull() || hv.IsNull() {
-				return datum.Null, nil
-			}
-			res := datum.Compare(v, lv) >= 0 && datum.Compare(v, hv) <= 0
-			if not {
-				res = !res
-			}
-			return datum.NewBool(res), nil
+			return betweenVerdict(v, lv, hv, not), nil
 		}, nil
 	case *sqlparser.InExpr:
 		return b.bindIn(ex)

@@ -29,13 +29,17 @@ type selectivityEstimator struct {
 	tableOf map[string]string
 }
 
+// betweenSel is the estimate of a BETWEEN that folds into no interval:
+// two range predicates at the default selectivity.
+var betweenSel = clampSel(defaultSel * defaultSel * 4)
+
 // selectivity returns the estimated fraction of rows satisfying e.
 func (s *selectivityEstimator) selectivity(e sqlparser.Expr) float64 {
 	switch ex := e.(type) {
 	case *sqlparser.BinaryExpr:
 		switch ex.Op {
-		case sqlparser.OpAnd:
-			return s.selectivity(ex.Left) * s.selectivity(ex.Right)
+		case sqlparser.OpAnd, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
+			return s.conjunction(e)
 		case sqlparser.OpOr:
 			l, r := s.selectivity(ex.Left), s.selectivity(ex.Right)
 			return l + r - l*r
@@ -43,8 +47,6 @@ func (s *selectivityEstimator) selectivity(e sqlparser.Expr) float64 {
 			return s.eqSelectivity(ex)
 		case sqlparser.OpNe:
 			return 1 - s.eqSelectivity(ex)
-		case sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-			return s.rangeSelectivity(ex)
 		}
 		return defaultSel
 	case *sqlparser.UnaryExpr:
@@ -58,8 +60,10 @@ func (s *selectivityEstimator) selectivity(e sqlparser.Expr) float64 {
 		}
 		return likeSel
 	case *sqlparser.BetweenExpr:
-		// Treated as two range predicates.
-		return clampSel(defaultSel * defaultSel * 4)
+		if ex.Not {
+			return betweenSel
+		}
+		return s.conjunction(e)
 	case *sqlparser.InExpr:
 		if col, ok := ex.X.(*sqlparser.ColumnRef); ok && len(ex.List) > 0 {
 			ndv := s.ndv(col)
@@ -86,25 +90,178 @@ func (s *selectivityEstimator) selectivity(e sqlparser.Expr) float64 {
 	return defaultSel
 }
 
+// --- Conjunctions: one interval per bounded column ----------------------------
+
+// interval is the numeric bounds a conjunction places on one column, with
+// the column's statistics: lo and hi start open (±Inf) and every bound
+// narrows them. Its selectivity is its share of the column's [min, max].
+type interval struct {
+	qual, name string  // the resolved column
+	min, max   float64 // column statistics, min < max
+	lo, hi     float64
+	first      float64 // the selectivity of the first bound, as multiplied in
+	narrowed   bool    // a later bound narrowed the first
+}
+
+func (iv *interval) sel() float64 {
+	fracLo, fracHi := 0.0, 1.0
+	if !math.IsInf(iv.lo, -1) {
+		fracLo = math.Max(0, math.Min(1, (iv.lo-iv.min)/(iv.max-iv.min)))
+	}
+	if !math.IsInf(iv.hi, 1) {
+		fracHi = math.Max(0, math.Min(1, (iv.hi-iv.min)/(iv.max-iv.min)))
+	}
+	return clampSel(fracHi - fracLo)
+}
+
+// conjunctionState accumulates one conjunction: the running product of
+// its conjuncts' selectivities and the intervals folded so far. It lives
+// on the caller's stack; a conjunction bounding more columns than it has
+// slots estimates each further bound on its own.
+type conjunctionState struct {
+	sel float64
+	n   int
+	ivs [8]interval
+}
+
+// conjunction estimates the conjunction of conds, splitting AND. The
+// numeric bounds on one column (<, <=, > and >= against a numeric
+// literal on either side, and BETWEEN) fold into one interval whose
+// selectivity is its share of the column's [min, max]; every other
+// conjunct multiplies in. A column's interval enters the product where
+// its first bound stands, so a single bound estimates exactly as it
+// would alone, and a conjunction without two bounds on one column
+// multiplies in the same order as a plain product.
+func (s *selectivityEstimator) conjunction(conds ...sqlparser.Expr) float64 {
+	st := conjunctionState{sel: 1}
+	for _, c := range conds {
+		s.addConjunct(&st, c)
+	}
+	for i := range st.ivs[:st.n] {
+		if iv := &st.ivs[i]; iv.narrowed {
+			st.sel = st.sel / iv.first * iv.sel()
+		}
+	}
+	return st.sel
+}
+
+func (s *selectivityEstimator) addConjunct(st *conjunctionState, e sqlparser.Expr) {
+	if be, ok := e.(*sqlparser.BinaryExpr); ok && be.Op == sqlparser.OpAnd {
+		s.addConjunct(st, be.Left)
+		s.addConjunct(st, be.Right)
+		return
+	}
+	b, ok := s.numericBound(e)
+	if !ok {
+		st.sel *= s.unfoldedSel(e)
+		return
+	}
+	for i := range st.ivs[:st.n] {
+		if iv := &st.ivs[i]; iv.qual == b.qual && iv.name == b.name {
+			iv.lo, iv.hi = math.Max(iv.lo, b.lo), math.Min(iv.hi, b.hi)
+			iv.narrowed = true
+			return
+		}
+	}
+	b.first = b.sel()
+	st.sel *= b.first
+	if st.n < len(st.ivs) {
+		st.ivs[st.n] = b
+		st.n++
+	}
+}
+
+// unfoldedSel is the selectivity of a conjunct that is not a numeric
+// bound. A range comparison or BETWEEN that cannot fold keeps its default
+// here rather than going back through selectivity, which would route it
+// to conjunction again.
+func (s *selectivityEstimator) unfoldedSel(e sqlparser.Expr) float64 {
+	switch ex := e.(type) {
+	case *sqlparser.BetweenExpr:
+		return betweenSel
+	case *sqlparser.BinaryExpr:
+		switch ex.Op {
+		case sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
+			return defaultSel
+		}
+	}
+	return s.selectivity(e)
+}
+
+// numericBound recognizes a conjunct that bounds a column by numeric
+// literals, col <op> lit or lit <op> col for a range operator, or
+// col BETWEEN lit AND lit, on a column whose statistics span a numeric
+// [min, max] with min < max. It returns the conjunct's interval.
+func (s *selectivityEstimator) numericBound(e sqlparser.Expr) (interval, bool) {
+	var col *sqlparser.ColumnRef
+	lo, hi := math.Inf(-1), math.Inf(1)
+	switch ex := e.(type) {
+	case *sqlparser.BinaryExpr:
+		op := ex.Op
+		c, okc := ex.Left.(*sqlparser.ColumnRef)
+		lit, okl := ex.Right.(*sqlparser.Literal)
+		if !okc || !okl {
+			c, okc = ex.Right.(*sqlparser.ColumnRef)
+			lit, okl = ex.Left.(*sqlparser.Literal)
+			op = flipCmp(op)
+		}
+		if !okc || !okl || !lit.Value.IsNumeric() {
+			return interval{}, false
+		}
+		switch op {
+		case sqlparser.OpLt, sqlparser.OpLe:
+			hi = lit.Value.Float()
+		case sqlparser.OpGt, sqlparser.OpGe:
+			lo = lit.Value.Float()
+		default:
+			return interval{}, false
+		}
+		col = c
+	case *sqlparser.BetweenExpr:
+		c, okc := ex.X.(*sqlparser.ColumnRef)
+		l, okl := ex.Lo.(*sqlparser.Literal)
+		h, okh := ex.Hi.(*sqlparser.Literal)
+		if ex.Not || !okc || !okl || !okh || !l.Value.IsNumeric() || !h.Value.IsNumeric() {
+			return interval{}, false
+		}
+		col, lo, hi = c, l.Value.Float(), h.Value.Float()
+	default:
+		return interval{}, false
+	}
+	qual, cs, ok := s.lookup(col)
+	if !ok || !cs.Min.IsNumeric() || !cs.Max.IsNumeric() {
+		return interval{}, false
+	}
+	iv := interval{qual: qual, name: col.Name, min: cs.Min.Float(), max: cs.Max.Float(), lo: lo, hi: hi}
+	return iv, iv.max > iv.min
+}
+
 func (s *selectivityEstimator) colStats(c *sqlparser.ColumnRef) (catalog.ColumnStats, bool) {
+	_, cs, ok := s.lookup(c)
+	return cs, ok
+}
+
+// lookup resolves a column reference to the binding that owns it (the
+// alias, or the table name when unaliased) and that column's statistics.
+func (s *selectivityEstimator) lookup(c *sqlparser.ColumnRef) (string, catalog.ColumnStats, bool) {
 	tbl := c.Table
 	if mapped, ok := s.tableOf[tbl]; ok {
 		tbl = mapped
 	}
 	if tbl == "" {
 		// Unqualified: try every table for a unique owner.
-		for _, base := range s.tableOf {
+		for alias, base := range s.tableOf {
 			if cs, err := s.cat.ColumnStats(base, c.Name); err == nil {
-				return cs, true
+				return alias, cs, true
 			}
 		}
-		return catalog.ColumnStats{}, false
+		return "", catalog.ColumnStats{}, false
 	}
 	cs, err := s.cat.ColumnStats(tbl, c.Name)
 	if err != nil {
-		return catalog.ColumnStats{}, false
+		return "", catalog.ColumnStats{}, false
 	}
-	return cs, true
+	return c.Table, cs, true
 }
 
 // ndv returns the distinct count for a column, or 0 when unknown.
@@ -131,49 +288,6 @@ func (s *selectivityEstimator) eqSelectivity(ex *sqlparser.BinaryExpr) float64 {
 		}
 	}
 	return eqDefaultSel
-}
-
-// rangeSelectivity interpolates a comparison against a literal within the
-// column's [min, max] interval when statistics allow it.
-func (s *selectivityEstimator) rangeSelectivity(ex *sqlparser.BinaryExpr) float64 {
-	col, okc := ex.Left.(*sqlparser.ColumnRef)
-	lit, okl := ex.Right.(*sqlparser.Literal)
-	op := ex.Op
-	if !okc || !okl {
-		// literal <op> column: flip.
-		col, okc = ex.Right.(*sqlparser.ColumnRef)
-		lit, okl = ex.Left.(*sqlparser.Literal)
-		if !okc || !okl {
-			return defaultSel
-		}
-		switch op {
-		case sqlparser.OpLt:
-			op = sqlparser.OpGt
-		case sqlparser.OpLe:
-			op = sqlparser.OpGe
-		case sqlparser.OpGt:
-			op = sqlparser.OpLt
-		case sqlparser.OpGe:
-			op = sqlparser.OpLe
-		}
-	}
-	cs, ok := s.colStats(col)
-	if !ok || cs.Min.IsNull() || cs.Max.IsNull() || !cs.Min.IsNumeric() || !lit.Value.IsNumeric() {
-		return defaultSel
-	}
-	lo, hi, v := cs.Min.Float(), cs.Max.Float(), lit.Value.Float()
-	if hi <= lo {
-		return defaultSel
-	}
-	frac := (v - lo) / (hi - lo)
-	frac = math.Max(0, math.Min(1, frac))
-	switch op {
-	case sqlparser.OpLt, sqlparser.OpLe:
-		return clampSel(frac)
-	case sqlparser.OpGt, sqlparser.OpGe:
-		return clampSel(1 - frac)
-	}
-	return defaultSel
 }
 
 func clampSel(s float64) float64 {

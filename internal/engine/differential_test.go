@@ -113,6 +113,30 @@ var diffCorpus = []string{
 	"SELECT c_name FROM customer WHERE c_name LIKE 'cust1%'",
 	"SELECT c_name FROM customer WHERE c_mktsegment IN ('AUTO', 'MACHINERY')",
 	"SELECT c_name FROM customer WHERE c_acctbal IS NOT NULL AND NOT c_mktsegment = 'AUTO'",
+	// BETWEEN and IN lists compile to typed, zone-pruned predicates when
+	// the operand is a column and every bound or item a literal; the
+	// NOT, subquery and non-literal forms stay on the bound closure.
+	"SELECT c_custkey FROM customer WHERE c_custkey BETWEEN 12 AND 5",
+	"SELECT c_custkey FROM customer WHERE c_custkey BETWEEN NULL AND 12",
+	"SELECT c_custkey FROM customer WHERE c_custkey BETWEEN 4.5 AND 9.5",
+	"SELECT c_custkey FROM customer WHERE c_custkey BETWEEN 16 AND 24",
+	"SELECT c_name FROM customer WHERE c_name BETWEEN 'cust1' AND 'cust3'",
+	"SELECT o_orderkey FROM orders WHERE o_totalprice BETWEEN 100 AND 200.5",
+	"SELECT o_orderkey FROM orders WHERE o_orderkey BETWEEN 8 AND 33 AND o_status IN ('A', 'C')",
+	"SELECT c.c_name, o.o_orderkey FROM customer c, orders o WHERE c.c_custkey = o.o_custkey AND o.o_orderkey BETWEEN 10 AND 20",
+	"SELECT c_name FROM customer WHERE c_mktsegment IN ('AUTO', NULL)",
+	"SELECT c_name FROM customer WHERE c_custkey IN (NULL)",
+	"SELECT c_name FROM customer WHERE c_custkey IN (NULL, NULL)",
+	"SELECT c_name FROM customer WHERE c_custkey IN (100, 200)",
+	"SELECT c_name FROM customer WHERE c_custkey IN (3, 4.0, 5.5)",
+	"SELECT c_name FROM customer WHERE c_acctbal IN (30.5, 40.5, 50)",
+	"SELECT o_orderkey FROM orders WHERE o_custkey IN (1, 9, 17, 40)",
+	"SELECT c_custkey FROM customer WHERE c_custkey NOT BETWEEN 5 AND 12",
+	"SELECT c_custkey FROM customer WHERE c_custkey NOT BETWEEN NULL AND 5",
+	"SELECT c_custkey FROM customer WHERE c_custkey NOT IN (1, 2, 3)",
+	"SELECT c_custkey FROM customer WHERE c_custkey NOT IN (1, NULL)",
+	"SELECT o_orderkey FROM orders WHERE o_orderkey IN (o_custkey, 7)",
+	"SELECT o_orderkey FROM orders WHERE o_orderkey BETWEEN o_custkey AND 30",
 	"SELECT UPPER(c_name), LENGTH(c_mktsegment), ABS(0 - c_custkey) FROM customer",
 	"SELECT SUBSTRING(c_name, 1, 4), REPLACE(c_mktsegment, 'AUTO', 'CAR') FROM customer",
 	"SELECT COALESCE(NULL, c_name), c_name || '!' FROM customer WHERE c_custkey < 5",

@@ -105,6 +105,17 @@
 //     qualifying row indices are late-materialized, as aliases into the
 //     segment's retained row-major form — so downstream operators see
 //     ordinary rows and the mutation/retention rules below are unchanged.
+//   - The predicate shapes with zone checks and typed loops are a column
+//     compared with a literal, IS [NOT] NULL, x BETWEEN lit AND lit,
+//     x IN (lit, ...), and conjunctions of these (a column compared with
+//     another column has a row loop but no zone check). BETWEEN compiles
+//     to the two comparisons it abbreviates, x >= lo AND x <= hi, which
+//     is also its meaning under three-valued logic in every executor. An
+//     IN list drops its NULL items, prunes a segment whose zone map
+//     refutes equality with every literal, and probes a sorted literal
+//     set from integer or string vectors. NOT BETWEEN, NOT IN,
+//     IN (subquery) and bounds or items that are not literals run the
+//     bound closure row by row, which never prunes.
 //   - Pruning is proven conservative: a segment is skipped only when the
 //     zone map refutes the predicate under the same datum.Compare total
 //     order the row-level verdicts use, so a pruned segment can never
@@ -124,10 +135,17 @@
 // The planner consumes zone maps at plan time too: seqScanCost charges
 // only the fraction of rows whose segments the compiled predicate cannot
 // refute (predictedPruneFraction), so a clustered predicate's seq scan
-// is costed — and chosen — accordingly. Config.DisableZonePruning is the
-// ablation knob: it disables segment skipping and the planner's prune
-// costing (results are pinned unchanged), leaving the typed-loop gains
-// in place.
+// is costed — and chosen — accordingly. Its row estimate folds the
+// numeric bounds a conjunction places on one column (<, <=, > and >=
+// against a numeric literal on either side, and BETWEEN) into one
+// interval, estimated as the interval's share of the column's
+// [min, max], so a key window estimates the same whichever way it is
+// written; every other conjunct multiplies in. A single bound estimates
+// as its own interpolation, reversed bounds hit the selectivity floor,
+// and bounds on non-numeric columns (the TPC-H dates are strings) keep
+// their defaults. Config.DisableZonePruning is the ablation knob: it
+// disables segment skipping and the planner's prune costing (results
+// are pinned unchanged), leaving the typed-loop gains in place.
 //
 // Disk-backed tables (a catalog opened over a data directory,
 // internal/catalog + internal/pager) extend the contract without
@@ -140,8 +158,12 @@
 // through Segment.Load, which pins a buffer-pool frame for the duration
 // of that segment's scan; scans release the previous segment's pin
 // before loading the next, so a serial scan holds at most one frame and
-// a parallel scan at most one per worker. Rows handed downstream remain
-// valid after the pin is released and even after eviction (the payload
+// a parallel scan at most one per worker. Index scans fetch their
+// candidate rows through Snapshot.FetchRows, which pins a spilled
+// segment once per run of consecutive row ids inside it rather than once
+// per row, so a pool over budget decodes each segment once per run
+// instead of once per fetched row. Rows handed downstream remain valid
+// after the pin is released and even after eviction (the payload
 // is garbage-collected storage, the pool only bounds what it keeps
 // cached), so the batch row-retention rule below is unaffected. The one
 // visible change is the failure mode: I/O and checksum errors on the
@@ -208,9 +230,10 @@
 //   - All expressions are pre-bound at construction time (bind.go):
 //     column references resolve to ordinals once, so per-row evaluation
 //     performs no schema lookups and no allocation. Vectorized scans go
-//     further and compile conjunctions of comparisons against columns
-//     into typed predicate loops (vexpr.go). Join predicates bind against
-//     a two-part environment (probe/outer row + build/inner row) and are
+//     further and compile conjunctions of comparisons, BETWEEN and IN
+//     lists over columns into typed predicate loops (vexpr.go). Join
+//     predicates bind against a two-part environment (probe/outer row +
+//     build/inner row) and are
 //     checked before the joined row is materialized, so non-matching
 //     candidate pairs cost nothing. Hash joins additionally cache the
 //     evaluated build-side key datums, making the hash-collision recheck

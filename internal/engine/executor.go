@@ -131,13 +131,9 @@ func (e *Engine) execIndexScan(n *Node) ([]storage.Row, error) {
 	} else {
 		ids = ix.Range(lo, hi, incLo, incHi)
 	}
-	rows := make([]storage.Row, 0, len(ids))
-	for _, id := range ids {
-		r, err := snap.FetchRow(id)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
+	rows, err := snap.FetchRows(make([]storage.Row, 0, len(ids)), ids)
+	if err != nil {
+		return nil, err
 	}
 	// Re-check the index condition too (cheap, and keeps multi-conjunct
 	// conditions exact when bounds only captured part of them).

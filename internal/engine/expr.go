@@ -156,14 +156,7 @@ func eval(ctx *evalCtx, e sqlparser.Expr) (datum.D, error) {
 		if err != nil {
 			return datum.Null, err
 		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return datum.Null, nil
-		}
-		res := datum.Compare(v, lo) >= 0 && datum.Compare(v, hi) <= 0
-		if ex.Not {
-			res = !res
-		}
-		return datum.NewBool(res), nil
+		return betweenVerdict(v, lo, hi, ex.Not), nil
 	case *sqlparser.InExpr:
 		return evalIn(ctx, ex)
 	case *sqlparser.IsNullExpr:
@@ -316,6 +309,19 @@ func evalBinary(ctx *evalCtx, ex *sqlparser.BinaryExpr) (datum.D, error) {
 		return datum.NewString(l.Raw() + r.Raw()), nil
 	}
 	return datum.Null, fmt.Errorf("engine: unknown binary operator %d", ex.Op)
+}
+
+// betweenVerdict evaluates v BETWEEN lo AND hi as its expansion
+// v >= lo AND v <= hi under three-valued logic, and NOT BETWEEN as the
+// negation of that. A comparison with a NULL operand is NULL, but a false
+// comparison decides the AND: 5 BETWEEN NULL AND 3 is false, not NULL.
+func betweenVerdict(v, lo, hi datum.D, not bool) datum.D {
+	below := !v.IsNull() && !lo.IsNull() && datum.Compare(v, lo) < 0
+	above := !v.IsNull() && !hi.IsNull() && datum.Compare(v, hi) > 0
+	if !below && !above && (v.IsNull() || lo.IsNull() || hi.IsNull()) {
+		return datum.Null
+	}
+	return datum.NewBool((!below && !above) != not)
 }
 
 func evalIn(ctx *evalCtx, ex *sqlparser.InExpr) (datum.D, error) {

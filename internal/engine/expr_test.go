@@ -218,3 +218,97 @@ func TestDivisionByZeroErrors(t *testing.T) {
 		t.Error("integer division by zero should error")
 	}
 }
+
+// TestBetweenThreeValued pins BETWEEN to its expansion x >= lo AND x <= hi
+// under three-valued logic, with literal expectations rather than a
+// differential comparison: every executor once returned NULL for any NULL
+// operand, and agreeing on that hid it. A false comparison decides the
+// AND, so 5 BETWEEN NULL AND 3 is false and its NOT is true, while
+// 2 BETWEEN NULL AND 3 is NULL either way. The scalar cases run the
+// reference evaluator and the bound closures; the WHERE cases run the
+// batch, instrumented, morsel-parallel and reference executors.
+func TestBetweenThreeValued(t *testing.T) {
+	null, tru, fls := datum.Null, datum.NewBool(true), datum.NewBool(false)
+	five, two := datum.NewInt(5), datum.NewInt(2)
+	cases := []struct {
+		expr string
+		a    datum.D
+		want datum.D
+	}{
+		{"a BETWEEN NULL AND 3", five, fls},
+		{"a NOT BETWEEN NULL AND 3", five, tru},
+		{"a BETWEEN NULL AND 3", two, null},
+		{"a NOT BETWEEN NULL AND 3", two, null},
+		{"a BETWEEN 3 AND NULL", two, fls},
+		{"a BETWEEN 3 AND NULL", five, null},
+		{"a BETWEEN 6 AND 3", five, fls},
+		{"a NOT BETWEEN 6 AND 3", five, tru},
+		{"a BETWEEN 2 AND 5", five, tru},
+		{"a BETWEEN 1 AND 3", null, null},
+	}
+	schema := []colRef{{Qual: "t", Name: "a"}, {Qual: "t", Name: "b"}}
+	for _, c := range cases {
+		sel, err := sqlparser.ParseSelect("SELECT " + c.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := bindExpr(sel.Items[0].Expr, schema, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromBound, err := bound(&rowEnv{left: storage.Row{c.a, null}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, got := range map[string]datum.D{"reference": mustEval(t, c.expr, c.a, null), "bound": fromBound} {
+			if got.String() != c.want.String() {
+				t.Errorf("%s: %s [a=%v] = %v, want %v", label, c.expr, c.a, got, c.want)
+			}
+		}
+	}
+
+	e := testDB(t, DefaultConfig())
+	mustExec(t, e, "CREATE TABLE nb (k INTEGER)")
+	mustExec(t, e, "INSERT INTO nb VALUES (2), (5), (NULL)")
+	where := []struct {
+		cond string
+		want string // sorted k values, comma-separated
+	}{
+		{"k BETWEEN NULL AND 3", ""},
+		{"k NOT BETWEEN NULL AND 3", "5"},
+		{"NOT (k BETWEEN NULL AND 3)", "5"},
+		{"(k BETWEEN NULL AND 3) IS NULL", "2,NULL"},
+		{"(k NOT BETWEEN NULL AND 3) IS NULL", "2,NULL"},
+		{"k NOT BETWEEN 3 AND NULL", "2"},
+		{"5 BETWEEN NULL AND k", ""},
+		{"5 NOT BETWEEN NULL AND k", "2"},
+		{"k NOT BETWEEN 6 AND 3", "2,5"},
+	}
+	par := e.Session()
+	par.Cfg.MaxQueryParallelism = 4
+	par.Cfg.ParallelRowsPerWorker = 1
+	for _, w := range where {
+		q := "SELECT k FROM nb WHERE " + w.cond
+		results := map[string]*Result{}
+		e.Cfg.ReferenceExec = false
+		results["batch"] = mustExec(t, e, q)
+		qr, err := e.QueryInstrumented(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results["instrumented"] = qr.Result
+		res, err := par.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results["parallel"] = res
+		e.Cfg.ReferenceExec = true
+		results["reference"] = mustExec(t, e, q)
+		e.Cfg.ReferenceExec = false
+		for label, r := range results {
+			if got := strings.Join(sortedRowStrings(r.Rows), ","); got != w.want {
+				t.Errorf("%s: WHERE %s returned [%s], want [%s]", label, w.cond, got, w.want)
+			}
+		}
+	}
+}

@@ -282,11 +282,7 @@ func (p *planner) planScan(rel relation) (*Node, error) {
 		if len(idxConds) == 0 {
 			continue
 		}
-		idxSel := 1.0
-		for _, c := range idxConds {
-			idxSel *= p.est.selectivity(c)
-		}
-		matchRows := baseRows * idxSel
+		matchRows := baseRows * p.est.conjunction(idxConds...)
 		if matchRows < 1 {
 			matchRows = 1
 		}
@@ -330,14 +326,12 @@ func (p *planner) tableRows(rel relation) (*storage.Table, float64, error) {
 }
 
 // seqScanNode builds the sequential scan of rel filtered by the given
-// single-table conjuncts. The row estimate multiplies their
-// selectivities; the cost charges only the rows whose segments the
-// filter cannot refute through zone maps.
+// single-table conjuncts. The row estimate is their conjunction's
+// selectivity: the numeric bounds on one column fold into one interval
+// and every other conjunct multiplies in. The cost charges only the rows
+// whose segments the filter cannot refute through zone maps.
 func (p *planner) seqScanNode(rel relation, t *storage.Table, baseRows float64, filters []sqlparser.Expr) *Node {
-	sel := 1.0
-	for _, f := range filters {
-		sel *= p.est.selectivity(f)
-	}
+	sel := p.est.conjunction(filters...)
 	seq := &Node{
 		Op:       OpSeqScan,
 		Relation: rel.table,
@@ -831,10 +825,7 @@ func (p *planner) applyResidual(root *Node, aliases []string) (*Node, error) {
 	if len(rest) == 0 {
 		return root, nil
 	}
-	sel := 1.0
-	for _, f := range rest {
-		sel *= p.est.selectivity(f)
-	}
+	sel := p.est.conjunction(rest...)
 	// Fold into the root node's filter.
 	combined := sqlparser.JoinConjuncts(append(sqlparser.SplitConjuncts(root.Filter), rest...))
 	root.Filter = combined
@@ -957,10 +948,7 @@ func (p *planner) buildInnerJoin(left *Node, table *sqlparser.BaseTable, on sqlp
 	}
 	j := p.buildJoin(left, right, keys)
 	if len(rest) > 0 {
-		sel := 1.0
-		for _, c := range rest {
-			sel *= p.est.selectivity(c)
-		}
+		sel := p.est.conjunction(rest...)
 		j.Filter = sqlparser.JoinConjuncts(rest)
 		j.EstRows = maxf(1, j.EstRows*sel)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -265,5 +266,117 @@ func TestItemNameAndHeadline(t *testing.T) {
 	h := headline(p)
 	if !strings.Contains(h, "on s") {
 		t.Errorf("headline = %q", h)
+	}
+}
+
+// TestSingleBoundEstimatesUnchanged pins single range bounds to the
+// interpolation they had before conjunctions folded bounds into
+// intervals: a bound alone estimates as its share of [min, max], with
+// the literal on either side, and multiplies into a conjunction with
+// other conjuncts exactly as before.
+func TestSingleBoundEstimatesUnchanged(t *testing.T) {
+	e := statsEngine(t)
+	for q, want := range map[string]float64{
+		"SELECT * FROM s WHERE id < 250":             249.24924924924923,
+		"SELECT * FROM s WHERE 250 > id":             249.24924924924923,
+		"SELECT * FROM s WHERE val >= 42.5":          570.7070707070707,
+		"SELECT * FROM s WHERE grp = 3 AND id < 500": 49.94994994994995,
+		"SELECT * FROM s WHERE id > 990":             10.010010010010006,
+		"SELECT * FROM s WHERE id <= 1":              1,
+	} {
+		if got := estRowsOf(t, e, q); got != want {
+			t.Errorf("%s: EstRows = %v, want %v", q, got, want)
+		}
+	}
+}
+
+// TestBoundsFoldIntoOneInterval: the bounds on one column estimate as one
+// interval, whichever way they are written, and a reversed interval
+// estimates at the selectivity floor.
+func TestBoundsFoldIntoOneInterval(t *testing.T) {
+	e := statsEngine(t)
+	between := estRowsOf(t, e, "SELECT * FROM s WHERE id BETWEEN 100 AND 349")
+	for _, q := range []string{
+		"SELECT * FROM s WHERE id >= 100 AND id <= 349",
+		"SELECT * FROM s WHERE 349 >= id AND 100 <= id",
+		"SELECT * FROM s WHERE id > 100 AND id < 349",
+		"SELECT * FROM s WHERE id BETWEEN 0 AND 349 AND id >= 100",
+		"SELECT * FROM s WHERE s.id >= 100 AND id <= 349",
+	} {
+		if got := estRowsOf(t, e, q); got != between {
+			t.Errorf("%s: EstRows = %v, want the BETWEEN's %v", q, got, between)
+		}
+	}
+	if between < 200 || between > 300 {
+		t.Errorf("id BETWEEN 100 AND 349 estimate = %v, want ~250", between)
+	}
+	// Other conjuncts still multiply in: grp = 3 keeps a tenth.
+	if got := estRowsOf(t, e, "SELECT * FROM s WHERE id >= 100 AND grp = 3 AND id <= 349"); math.Abs(got-between/10) > 1e-9 {
+		t.Errorf("interval with grp = 3: EstRows = %v, want %v", got, between/10)
+	}
+	// Reversed bounds: an empty interval hits the selectivity floor, so
+	// the estimate is the one-row minimum.
+	for _, q := range []string{
+		"SELECT * FROM s WHERE id BETWEEN 500 AND 100",
+		"SELECT * FROM s WHERE id > 500 AND id < 100",
+	} {
+		if got := estRowsOf(t, e, q); got != 1 {
+			t.Errorf("%s: EstRows = %v, want 1", q, got)
+		}
+	}
+}
+
+// TestClusteredWindowEstimate: a 2,500-key window over a clustered key
+// estimates within 2x of the rows it returns, written either way. Before
+// bounds folded, BETWEEN estimated a flat 4/9 of the table (3.6x here)
+// and the >= AND <= pair the product of two half-open ranges (2.5x).
+func TestClusteredWindowEstimate(t *testing.T) {
+	e := NewDefault()
+	mustExec(t, e, "CREATE TABLE w (k INTEGER, v INTEGER)")
+	var sb strings.Builder
+	for base := 1; base <= 20000; base += 1000 {
+		sb.Reset()
+		for i := base; i < base+1000; i++ {
+			if i > base {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d)", i, i%7)
+		}
+		mustExec(t, e, "INSERT INTO w VALUES "+sb.String())
+	}
+	for _, cond := range []string{"k BETWEEN 7001 AND 9500", "k >= 7001 AND k <= 9500"} {
+		q := "SELECT * FROM w WHERE " + cond
+		actual := float64(len(mustExec(t, e, q).Rows))
+		if actual != 2500 {
+			t.Fatalf("%s returned %v rows, want 2500", cond, actual)
+		}
+		if est := estRowsOf(t, e, q); est < actual/2 || est > actual*2 {
+			t.Errorf("%s: EstRows = %v for %v actual rows, want within 2x", cond, est, actual)
+		}
+	}
+}
+
+// TestUnfoldableBoundsKeepEstimates: bounds that cannot fold (string
+// columns, NOT BETWEEN, non-literal bounds) keep their default estimates
+// and plan without recursing: an unfoldable BETWEEN must not route back
+// through selectivity into the conjunction estimator.
+func TestUnfoldableBoundsKeepEstimates(t *testing.T) {
+	e := statsEngine(t)
+	mustExec(t, e, "CREATE TABLE str (name TEXT, n INTEGER)")
+	for i := 0; i < 90; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO str VALUES ('n%02d', %d)", i, i))
+	}
+	for q, sel := range map[string]float64{
+		"SELECT * FROM str WHERE name BETWEEN 'n10' AND 'n40'":                     betweenSel,
+		"SELECT * FROM str WHERE name NOT BETWEEN 'n10' AND 'n40'":                 betweenSel,
+		"SELECT * FROM str WHERE n NOT BETWEEN 10 AND 40":                          betweenSel,
+		"SELECT * FROM str WHERE name >= 'n10' AND name <= 'n40'":                  defaultSel * defaultSel,
+		"SELECT * FROM str WHERE n BETWEEN n AND 40":                               betweenSel,
+		"SELECT * FROM str WHERE name NOT BETWEEN 'a' AND 'b' AND name LIKE 'n1%'": betweenSel * likeSel,
+		"SELECT * FROM str WHERE NOT (name BETWEEN 'a' AND 'b') OR n < n":          (1 - betweenSel) + defaultSel - (1-betweenSel)*defaultSel,
+	} {
+		if got, want := estRowsOf(t, e, q), 90*sel; math.Abs(got-want) > 1e-9 {
+			t.Errorf("%s: EstRows = %v, want %v", q, got, want)
+		}
 	}
 }

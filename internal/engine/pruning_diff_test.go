@@ -48,7 +48,9 @@ func pruneDB(t *testing.T, cfg Config) *Engine {
 // segment's zone min/max, literals in the gap between segments, predicates
 // that prune every segment, predicates the all-NULL segment must and must
 // not survive, NULL-literal comparisons (always prune, match nothing), and
-// predicates only the one-row tail satisfies.
+// predicates only the one-row tail satisfies — for comparisons, BETWEEN
+// and IN lists alike, plus the NOT, subquery and non-literal forms that
+// never prune.
 var pruneCorpus = []string{
 	// Equality at and around zone boundaries.
 	"SELECT k FROM seg WHERE k = 10",
@@ -97,6 +99,58 @@ var pruneCorpus = []string{
 	"SELECT COUNT(*) FROM seg WHERE k > 13",
 	"SELECT COUNT(*), SUM(k) FROM seg WHERE k < 21",
 	"SELECT COUNT(*) FROM seg WHERE k IS NULL",
+	// BETWEEN compiles to >= AND <=: bounds at zone edges, inside the
+	// inter-segment gap, past every zone, reversed, NULL, float bounds on
+	// the INTEGER column, int bounds on the FLOAT column, and strings.
+	"SELECT k FROM seg WHERE k BETWEEN 10 AND 13",
+	"SELECT k FROM seg WHERE k BETWEEN 13 AND 13",
+	"SELECT k FROM seg WHERE k BETWEEN 9 AND 10",
+	"SELECT k FROM seg WHERE k BETWEEN 23 AND 30",
+	"SELECT k FROM seg WHERE k BETWEEN 24 AND 29",
+	"SELECT k FROM seg WHERE k BETWEEN 31 AND 99",
+	"SELECT k FROM seg WHERE k BETWEEN 20 AND 10",
+	"SELECT k FROM seg WHERE k BETWEEN NULL AND 13",
+	"SELECT k FROM seg WHERE k BETWEEN 10 AND NULL",
+	"SELECT k FROM seg WHERE k BETWEEN 9.5 AND 13.5",
+	"SELECT k FROM seg WHERE k BETWEEN 12.5 AND 20.0",
+	"SELECT k FROM seg WHERE k BETWEEN 13.1 AND 19.9",
+	"SELECT f FROM seg WHERE f BETWEEN 4.5 AND 20.5",
+	"SELECT f FROM seg WHERE f BETWEEN 2 AND 21",
+	"SELECT s FROM seg WHERE s BETWEEN 'ab' AND 'bb'",
+	"SELECT s FROM seg WHERE s BETWEEN 'ad' AND 'ba'",
+	"SELECT s FROM seg WHERE s BETWEEN 'c' AND 'd'",
+	"SELECT s FROM seg WHERE s BETWEEN 'be' AND 'cy'",
+	"SELECT COUNT(*), SUM(k) FROM seg WHERE k BETWEEN 12 AND 21",
+	"SELECT k FROM seg WHERE k BETWEEN 11 AND 22 AND s < 'bb'",
+	// IN lists: members at zone edges, in the gap and outside every zone,
+	// NULL items, only NULLs, mixed int and float literals, float and
+	// string columns, and literals of another kind.
+	"SELECT k FROM seg WHERE k IN (10, 23, 30)",
+	"SELECT k FROM seg WHERE k IN (13, 20)",
+	"SELECT k FROM seg WHERE k IN (14, 15, 19)",
+	"SELECT k FROM seg WHERE k IN (5, 99)",
+	"SELECT k FROM seg WHERE k IN (NULL, 11)",
+	"SELECT k FROM seg WHERE k IN (NULL)",
+	"SELECT k FROM seg WHERE k IN (NULL, NULL)",
+	"SELECT k FROM seg WHERE k IN (11, 21.0, 22.5)",
+	"SELECT k FROM seg WHERE k IN (13.0, 30)",
+	"SELECT k FROM seg WHERE k IN ('aa', 10)",
+	"SELECT k FROM seg WHERE k IN (0, 10)",
+	"SELECT s FROM seg WHERE s IN ('', 'aa')",
+	"SELECT f FROM seg WHERE f IN (1.5, 21, 30.5)",
+	"SELECT s FROM seg WHERE s IN ('aa', 'bd', 'zz')",
+	"SELECT s FROM seg WHERE s IN ('ab', NULL)",
+	"SELECT s FROM seg WHERE s IN ('c', 'b')",
+	"SELECT COUNT(*) FROM seg WHERE k IN (10, 12, 21, 30)",
+	"SELECT k FROM seg WHERE k IN (10, 21) AND s IN ('aa', 'bb')",
+	// Shapes that stay on the bound closure.
+	"SELECT k FROM seg WHERE k NOT BETWEEN 11 AND 21",
+	"SELECT k FROM seg WHERE k NOT BETWEEN NULL AND 13",
+	"SELECT k FROM seg WHERE k NOT IN (10, 20)",
+	"SELECT k FROM seg WHERE k NOT IN (10, NULL)",
+	"SELECT k FROM seg WHERE k IN (SELECT k FROM seg WHERE k > 20)",
+	"SELECT k FROM seg WHERE k IN (f, 11)",
+	"SELECT k FROM seg WHERE k BETWEEN f AND 21",
 }
 
 func TestDifferentialZonePruning(t *testing.T) {
@@ -120,6 +174,25 @@ func TestDifferentialZonePruningDisabled(t *testing.T) {
 	for _, q := range pruneCorpus {
 		mustExec(t, e, q)
 		assertSameResults(t, e, q)
+	}
+}
+
+// TestDifferentialCorpusSegmented runs the differential corpus over the
+// standard tables sealed into 8-row segments, with zone pruning on and
+// off, so the corpus's BETWEEN and IN shapes meet real zone maps and
+// typed vectors (testDB's tables otherwise fit in the unsealed tail).
+func TestDifferentialCorpusSegmented(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("DisableZonePruning=%v", disable), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.DisableZonePruning = disable
+			e := New(cfg)
+			seedTestDB(t, e, 8)
+			for _, q := range diffCorpus {
+				mustExec(t, e, q)
+				assertSameResults(t, e, q)
+			}
+		})
 	}
 }
 

@@ -455,13 +455,9 @@ func (it *indexScanVec) NextBatch() ([]storage.Row, error) {
 		if need := end - it.pos; cap(it.in) < need {
 			it.in = make([]storage.Row, 0, need)
 		}
-		in := it.in[:0]
-		for _, id := range it.ids[it.pos:end] {
-			r, err := it.snap.FetchRow(id)
-			if err != nil {
-				return nil, err
-			}
-			in = append(in, r)
+		in, err := it.snap.FetchRows(it.in[:0], it.ids[it.pos:end])
+		if err != nil {
+			return nil, err
 		}
 		it.in = in
 		it.pos = end

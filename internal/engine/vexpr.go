@@ -4,12 +4,16 @@ package engine
 // batch executor (vec.go). Where bind.go compiles an expression into a
 // per-row closure, compileVecPred goes one step further for the predicate
 // shapes that dominate scan filters — comparisons of a column against a
-// literal or another column, IS [NOT] NULL, and conjunctions of those —
-// and emits a selector that runs a tight typed loop over a whole batch:
-// one ordinal load and one datum comparison per row, no closure calls, no
-// three-valued-logic boxing. Anything the specializer does not recognize
-// falls back to the pre-bound closure from bind.go evaluated row-by-row,
-// so vectorized filtering is never less general than a bound expression.
+// literal or another column, IS [NOT] NULL, x BETWEEN lit AND lit (the
+// conjunction x >= lit AND x <= lit), x IN (lit, ...), and conjunctions
+// of those — and emits a selector that runs a tight typed loop over a
+// whole batch: one ordinal load and one datum comparison per row, no
+// closure calls, no three-valued-logic boxing. The same selectors refute
+// whole segments from their zone maps. Anything the specializer does not
+// recognize (NOT BETWEEN, NOT IN, IN (subquery), non-literal bounds or
+// items, and every other expression) falls back to the pre-bound closure
+// from bind.go evaluated row-by-row, so vectorized filtering is never
+// less general than a bound expression.
 //
 // SQL semantics are preserved exactly: a comparison with a NULL operand is
 // not true, so the row is dropped — identical to what truthy(bound(env))
@@ -17,6 +21,7 @@ package engine
 // tests.
 
 import (
+	"slices"
 	"strings"
 
 	"lantern/internal/datum"
@@ -83,6 +88,23 @@ func specializePred(e sqlparser.Expr, schema []colRef) vecPred {
 	case *sqlparser.IsNullExpr:
 		if ord, ok := columnOrdinal(ex.X, schema); ok {
 			return &isNullPred{ord: ord, not: ex.Not}
+		}
+	case *sqlparser.BetweenExpr:
+		// x BETWEEN lo AND hi means x >= lo AND x <= hi (betweenVerdict),
+		// so it compiles to those two comparisons and inherits their zone
+		// checks and typed loops.
+		ord, isCol := columnOrdinal(ex.X, schema)
+		lo, loLit := literalValue(ex.Lo)
+		hi, hiLit := literalValue(ex.Hi)
+		if !ex.Not && isCol && loLit && hiLit {
+			return &andPred{preds: []vecPred{
+				&cmpColLit{ord: ord, op: sqlparser.OpGe, lit: lo},
+				&cmpColLit{ord: ord, op: sqlparser.OpLe, lit: hi},
+			}}
+		}
+	case *sqlparser.InExpr:
+		if p := newInColLit(ex, schema); p != nil {
+			return p
 		}
 	}
 	return nil
@@ -212,6 +234,75 @@ func (p *isNullPred) selectInto(out []storage.Row, in []storage.Row) ([]storage.
 	for _, r := range in {
 		if r[p.ord].IsNull() != p.not {
 			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// inColLit is x IN (lit, ...): a row survives when x is non-NULL and
+// compares equal under datum.Compare to one of the literals, which is
+// what bindIn's datum.Equal decides. NULL items are dropped at compile
+// time: they can only turn a false verdict into NULL, and a filter
+// rejects both. The typed segment loops probe a sorted copy of the
+// literals, built here once, when every literal is an integer or every
+// literal is a string.
+type inColLit struct {
+	ord  int
+	lits []datum.D // the non-NULL items
+	ints []int64   // sorted, when every literal is an integer
+	strs []string  // sorted, when every literal is a string
+}
+
+// newInColLit compiles x IN (lit, ...) over a column; nil for NOT IN, a
+// subquery, or any item that is not a literal.
+func newInColLit(ex *sqlparser.InExpr, schema []colRef) *inColLit {
+	if ex.Not || ex.Subquery != nil {
+		return nil
+	}
+	ord, ok := columnOrdinal(ex.X, schema)
+	if !ok {
+		return nil
+	}
+	p := &inColLit{ord: ord}
+	var ints []int64
+	var strs []string
+	for _, item := range ex.List {
+		v, ok := literalValue(item)
+		if !ok {
+			return nil
+		}
+		switch v.Kind() {
+		case datum.KNull:
+			continue
+		case datum.KInt:
+			ints = append(ints, v.Int())
+		case datum.KString:
+			strs = append(strs, v.Str())
+		}
+		p.lits = append(p.lits, v)
+	}
+	if len(ints) == len(p.lits) {
+		p.ints = ints
+		slices.Sort(p.ints)
+	}
+	if len(strs) == len(p.lits) {
+		p.strs = strs
+		slices.Sort(p.strs)
+	}
+	return p
+}
+
+func (p *inColLit) selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error) {
+	for _, r := range in {
+		v := r[p.ord]
+		if v.IsNull() {
+			continue
+		}
+		for _, lit := range p.lits {
+			if datum.Compare(v, lit) == 0 {
+				out = append(out, r)
+				break
+			}
 		}
 	}
 	return out, nil
@@ -472,6 +563,46 @@ func (p *isNullPred) selectSeg(out []storage.Row, sd *storage.SegData, lo, hi in
 		}
 	}
 	return out, nil
+}
+
+// prunesSegment refutes an IN list when the zone map refutes equality
+// with every literal, as cmpColLit does for one.
+func (p *inColLit) prunesSegment(seg *storage.Segment) bool {
+	zm := seg.Zone(p.ord)
+	if zm.Min.IsNull() {
+		return true // only NULLs in the segment
+	}
+	for _, lit := range p.lits {
+		if datum.Compare(lit, zm.Min) >= 0 && datum.Compare(lit, zm.Max) <= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// selectSeg probes the sorted literal set with the typed vector's values
+// for an integer column and integer literals, or a string column and
+// string literals; any other pairing takes the row loop.
+func (p *inColLit) selectSeg(out []storage.Row, sd *storage.SegData, lo, hi int) ([]storage.Row, error) {
+	vec := sd.Col(p.ord)
+	rows := sd.Rows()
+	switch {
+	case vec.Kind == datum.KInt && p.ints != nil:
+		for i := lo; i < hi; i++ {
+			if _, ok := slices.BinarySearch(p.ints, vec.Ints[i]); ok && !vec.Null(i) {
+				out = append(out, rows[i])
+			}
+		}
+		return out, nil
+	case vec.Kind == datum.KString && p.strs != nil:
+		for i := lo; i < hi; i++ {
+			if _, ok := slices.BinarySearch(p.strs, vec.Strs[i]); ok && !vec.Null(i) {
+				out = append(out, rows[i])
+			}
+		}
+		return out, nil
+	}
+	return p.selectInto(out, rows[lo:hi])
 }
 
 // prunesSegment: a conjunction is refuted when any conjunct is.

@@ -312,3 +312,108 @@ func TestConstrainedPoolServesAllData(t *testing.T) {
 		t.Fatalf("pool never evicted under pressure: %+v", st)
 	}
 }
+
+// TestFetchRowsOrderAndTail: FetchRows returns the rows at the given
+// ordinals in ids order — across segment boundaries, back and forth
+// between segments, repeated ids and tail ids — exactly as FetchRow
+// resolves each one, appending after what dst already holds.
+func TestFetchRowsOrderAndTail(t *testing.T) {
+	tbl, _, _ := diskTable(t, 8)
+	fillItems(t, tbl, 28) // 3 sealed segments + 4 tail rows
+	snap := tbl.Snapshot()
+	ids := []int{3, 4, 5, 9, 8, 26, 2, 2, 23, 24, 27, 0, 15, 16}
+	head := Row{datum.NewInt(-1)}
+	got, err := snap.FetchRows([]Row{head}, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ids)+1 || got[0][0].Int() != -1 {
+		t.Fatalf("FetchRows returned %d rows (first %v), want %d after the existing one", len(got), got[0], len(ids))
+	}
+	for i, id := range ids {
+		want, err := snap.FetchRow(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i+1][0].Int() != int64(id) || got[i+1][0].Int() != want[0].Int() {
+			t.Fatalf("row %d: got id %v, want %d", i, got[i+1][0], id)
+		}
+	}
+	if rows, err := snap.FetchRows(nil, nil); err != nil || len(rows) != 0 {
+		t.Fatalf("empty ids: %v, %v", rows, err)
+	}
+}
+
+// TestFetchRowsCorruptSegment: a checksum failure on a segment FetchRows
+// must fault in surfaces as pager.ErrChecksum.
+func TestFetchRowsCorruptSegment(t *testing.T) {
+	tbl, store, _ := diskTable(t, 8)
+	fillItems(t, tbl, 20)
+	file := store.Path(pager.SegmentFileName("items", 1))
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[20] ^= 0xff
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := tbl.Snapshot()
+	if _, err := snap.FetchRows(nil, []int{17, 18}); err != nil {
+		t.Fatalf("tail ids never touch the corrupt segment: %v", err)
+	}
+	if _, err := snap.FetchRows(nil, []int{1, 2, 9}); !errors.Is(err, pager.ErrChecksum) {
+		t.Fatalf("FetchRows over a corrupt segment: %v", err)
+	}
+}
+
+// TestFetchRowsPinsOncePerRun: under a 1-byte buffer pool every unpin
+// evicts, so each pin of a spilled segment is a miss. FetchRows pins a
+// segment once per run of consecutive ids inside it; a FetchRow loop
+// pins once per row.
+func TestFetchRowsPinsOncePerRun(t *testing.T) {
+	dir := t.TempDir()
+	store, err := pager.Open(dir, pager.Config{BufferPoolBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := NewTable("items", []Column{{Name: "id", Type: datum.KInt}})
+	if err := tbl.SetSegmentCapacity(8); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AttachStore(store); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Row, 36) // 4 sealed segments + 4 tail rows
+	for i := range rows {
+		rows[i] = Row{datum.NewInt(int64(i))}
+	}
+	if err := tbl.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	snap := tbl.Snapshot()
+	misses := func(f func()) uint64 {
+		before := store.Pool().Stats().Misses
+		f()
+		return store.Pool().Stats().Misses - before
+	}
+	// Runs: 2..7 in segment 0, 8..15 in segment 1, 16..23 in segment 2,
+	// 33 in the tail, then 1, 0 back in segment 0: four segment runs.
+	ids := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 33, 1, 0}
+	if got := misses(func() {
+		if _, err := snap.FetchRows(nil, ids); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 4 {
+		t.Errorf("FetchRows missed %d times, want 4 (one per segment run)", got)
+	}
+	if got := misses(func() {
+		for _, id := range ids {
+			if _, err := snap.FetchRow(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); got != uint64(len(ids)-1) {
+		t.Errorf("FetchRow loop missed %d times, want %d (one per sealed row)", got, len(ids)-1)
+	}
+}

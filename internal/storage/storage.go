@@ -4,7 +4,9 @@
 // per-column zone maps) followed by a mutable row-major tail that seals
 // into a segment when it reaches the segment capacity. Access paths are
 // real: sequential scans walk segments and can skip whole segments via
-// zone maps, index scans binary-search ordered secondary indexes.
+// zone maps, index scans binary-search ordered secondary indexes and
+// fetch the matching rows through Snapshot.FetchRows, which pins a
+// spilled segment once per run of consecutive row ids inside it.
 //
 // Concurrency contract: readers take a Snapshot and never block or race
 // against writers. Sealed segments are immutable; the tail publishes its
@@ -166,7 +168,8 @@ func (s Snapshot) SealedRows() int { return s.d.sealed }
 
 // Row resolves a global row ordinal (index order: segments then tail),
 // faulting a spilled segment in and panicking on a read error; FetchRow
-// is the error-returning form the engine's scan paths use.
+// is the error-returning form, and FetchRows the batched one the
+// engine's index scans use.
 func (s Snapshot) Row(i int) Row {
 	r, err := s.FetchRow(i)
 	if err != nil {
@@ -194,6 +197,34 @@ func (s Snapshot) FetchRow(i int) (Row, error) {
 		return sd.rows[i%per], nil
 	}
 	return s.d.tail.rows[i-s.d.sealed], nil
+}
+
+// FetchRows appends the rows at the given global ordinals to dst, in ids
+// order, and returns it. A spilled segment is pinned once for each run of
+// consecutive ids that falls inside it, not once per row: an index range
+// over a clustered key touches each segment in one run, so a buffer pool
+// over budget decodes the segment once instead of once per row.
+func (s Snapshot) FetchRows(dst []Row, ids []int) ([]Row, error) {
+	per := segRowsOf(s.d)
+	for i := 0; i < len(ids); {
+		id := ids[i]
+		if id >= s.d.sealed {
+			dst = append(dst, s.d.tail.rows[id-s.d.sealed])
+			i++
+			continue
+		}
+		seg := s.d.segs[id/per]
+		sd, err := seg.Load()
+		if err != nil {
+			return dst, err
+		}
+		base := id - id%per
+		for ; i < len(ids) && ids[i] >= base && ids[i] < base+per; i++ {
+			dst = append(dst, sd.rows[ids[i]-base])
+		}
+		sd.Release()
+	}
+	return dst, nil
 }
 
 // segRowsOf recovers the per-segment capacity of a table version from its
