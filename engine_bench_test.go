@@ -243,6 +243,35 @@ func BenchmarkExecScanInList(b *testing.B) {
 	benchQuery(b, execBenchEngineScale(b, 2, false, benchNoIndexConfig), execInListScanQuery)
 }
 
+// --- Aggregation over filtered scans -----------------------------------------
+//
+// The aggregation benchmarks run the TPC-H Q1 and Q6 shapes serially at
+// scale 2 (lineitem ≈ 75k rows in ~18 sealed segments plus a tail): an
+// aggregate directly over a filtered scan, which narrows each chunk through
+// a selection vector and folds its arguments from the segments' typed
+// column vectors. Grouped is Q1 (two string group keys, sums and averages
+// of FLOAT columns and of arithmetic over them); FilteredSum is Q6 (five
+// conjuncts, the BETWEEN counting as two, and one SUM of a product).
+
+const (
+	execAggGroupedQuery = `SELECT l_returnflag, l_linestatus, SUM(l_quantity), SUM(l_extendedprice),
+		SUM(l_extendedprice * (1 - l_discount)), SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)),
+		AVG(l_quantity), AVG(l_extendedprice), AVG(l_discount), COUNT(*)
+		FROM lineitem WHERE l_shipdate <= '1998-09-02'
+		GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`
+	execAggFilteredSumQuery = `SELECT SUM(l_extendedprice * l_discount) FROM lineitem
+		WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'
+		AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24`
+)
+
+func BenchmarkExecAggregateGrouped(b *testing.B) {
+	benchQuery(b, execBenchEngineScale(b, 2, false, benchSerialConfig), execAggGroupedQuery)
+}
+
+func BenchmarkExecAggregateFilteredSum(b *testing.B) {
+	benchQuery(b, execBenchEngineScale(b, 2, false, benchSerialConfig), execAggFilteredSumQuery)
+}
+
 // --- Disk-backed scans through the buffer pool -------------------------------
 //
 // The disk benchmarks run against one shared TPC-H directory at the

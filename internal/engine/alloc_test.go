@@ -532,7 +532,7 @@ func TestVecAggregateBatchAllocs(t *testing.T) {
 	agg.acc.reset()
 	var seq int64
 	add := func(b []storage.Row) {
-		if err := agg.acc.addBatch(b, seq); err != nil {
+		if err := agg.acc.addBatch(b, seq, segRows{}); err != nil {
 			t.Fatal(err)
 		}
 		seq += int64(len(b))
@@ -553,10 +553,72 @@ func TestVecAggregateBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestInListSelectSegAllocs: an IN list's typed segment loop probes the
-// literal set built at compile time, so selecting a batch out of an
-// integer or a string vector allocates nothing.
-func TestInListSelectSegAllocs(t *testing.T) {
+// TestVecAggregateFilteredScanAllocs: an aggregate directly over a
+// filtered scan narrows each chunk through the selection vector and folds
+// its arguments from the segment's column vectors at the scan's batch
+// origin. Once every group exists, pulling and folding a batch allocates
+// nothing, on segment batches and tail batches alike.
+func TestVecAggregateFilteredScanAllocs(t *testing.T) {
+	e := vecAllocDB(t, DefaultConfig())
+	plan, err := e.PlanSQL("SELECT grp, COUNT(*), SUM(v * 2 + id), AVG(v), MIN(id), MAX(v) FROM t WHERE v > 10 AND id < 19500 GROUP BY grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := e.buildVec(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, ok := it.(*aggVec)
+	if !ok {
+		t.Fatalf("vectorized plan root = %T, want *aggVec", it)
+	}
+	if agg.src == nil {
+		t.Fatalf("aggregate input %T reports no batch origin", agg.child)
+	}
+	defer it.Close()
+	var seq int64
+	segBatches := 0
+	// pull folds the scan's next batch, rewinding the scan at its end.
+	pull := func() bool {
+		b, err := agg.child.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			if err := agg.child.Open(); err != nil {
+				t.Fatal(err)
+			}
+			return false
+		}
+		at := agg.src.origin()
+		if at.sd != nil {
+			segBatches++
+		}
+		if err := agg.acc.addBatch(b, seq, at); err != nil {
+			t.Fatal(err)
+		}
+		seq += int64(len(b))
+		return true
+	}
+	if err := agg.child.Open(); err != nil {
+		t.Fatal(err)
+	}
+	agg.acc.reset()
+	for pull() {
+	}
+	if len(agg.acc.groups) != 200 || segBatches == 0 {
+		t.Fatalf("%d groups from %d segment batches, want 200 groups and segment batches", len(agg.acc.groups), segBatches)
+	}
+	avg := testing.AllocsPerRun(50, func() { pull() })
+	if avg > 0 {
+		t.Fatalf("aggregating a filtered scan batch allocates %.2f allocs/batch, want 0", avg)
+	}
+}
+
+// TestInListNarrowAllocs: an IN list's typed segment loop probes the
+// literal set built at compile time, so narrowing a batch's selection
+// vector over an integer or a string vector allocates nothing.
+func TestInListNarrowAllocs(t *testing.T) {
 	e := New(DefaultConfig())
 	if _, err := e.Exec("CREATE TABLE il (n INT, s TEXT)"); err != nil {
 		t.Fatal(err)
@@ -601,18 +663,22 @@ func TestInListSelectSegAllocs(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s compiled to %T, want *inColLit", cond, pred)
 		}
-		out := make([]storage.Row, 0, batchSize)
+		buf := make([]int32, batchSize)
+		var kept []int32
 		lo := 0
 		avg := testing.AllocsPerRun(100, func() {
-			if out, err = in.selectSeg(out[:0], sd, lo, lo+batchSize); err != nil {
+			for j := range buf {
+				buf[j] = int32(lo + j)
+			}
+			if kept, err = in.narrow(sd, buf); err != nil {
 				t.Fatal(err)
 			}
 			lo = (lo + batchSize) % 2048
 		})
 		if avg > 0 {
-			t.Fatalf("%s: selectSeg allocates %.2f allocs/batch, want 0", cond, avg)
+			t.Fatalf("%s: narrow allocates %.2f allocs/batch, want 0", cond, avg)
 		}
-		if len(out) == 0 {
+		if len(kept) == 0 {
 			t.Fatalf("%s selected nothing", cond)
 		}
 	}

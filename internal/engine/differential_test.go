@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -193,10 +194,72 @@ var diffCorpus = []string{
 	"SELECT c_name FROM customer WHERE c_custkey IN (SELECT o_custkey FROM orders WHERE o_totalprice > 350)",
 	"SELECT c_name FROM customer WHERE EXISTS (SELECT o_orderkey FROM orders WHERE o_totalprice > 400)",
 	"SELECT c_name FROM customer WHERE c_acctbal > (SELECT AVG(c_acctbal) FROM customer)",
+	// A TEXT column against an integer literal: datum.Compare orders every
+	// string after every number, so each non-NULL row passes >, <> and the
+	// flipped <, and none passes =.
+	"SELECT c_custkey FROM customer WHERE c_name > 5",
+	"SELECT c_custkey FROM customer WHERE c_name <> 5",
+	"SELECT c_custkey FROM customer WHERE 5 < c_name",
+	"SELECT c_custkey FROM customer WHERE c_name = 5",
+	// Column pairs of every typed kind pairing, and conjunctions mixing
+	// typed conjuncts with closure ones.
+	"SELECT c_custkey FROM customer WHERE c_name > c_mktsegment AND c_acctbal > c_custkey",
+	"SELECT m_id FROM measures WHERE m_i < m_f OR m_f > m_i",
+	"SELECT m_id FROM measures WHERE m_i > m_f AND m_id <> m_i AND m_mixed > m_f",
+	"SELECT m_id FROM measures WHERE m_i > 0 AND m_grp <> 'b' AND m_f * 2 > m_i AND m_id BETWEEN 2 AND 26 AND m_grp LIKE '%'",
+	// Typed aggregation over INTEGER and FLOAT columns: NULLs, the all-NULL
+	// group 'n', a NULL group key, an int64 sum that wraps (group 'b'),
+	// float sums whose value depends on the order of their additions (also
+	// across segments and the tail), -0.0 (row 3), and m_mixed, a FLOAT
+	// column holding integers, which has no typed vector.
+	"SELECT m_grp, SUM(m_i), AVG(m_i), MIN(m_i), MAX(m_i), COUNT(m_i), COUNT(*) FROM measures GROUP BY m_grp",
+	"SELECT m_grp, SUM(m_f), AVG(m_f), MIN(m_f), MAX(m_f), COUNT(m_f) FROM measures GROUP BY m_grp",
+	"SELECT SUM(m_i), SUM(m_f), AVG(m_f), SUM(m_mixed), AVG(m_mixed), MIN(m_mixed), MAX(m_mixed) FROM measures",
+	"SELECT m_grp, SUM(m_mixed), COUNT(m_mixed) FROM measures GROUP BY m_grp",
+	"SELECT SUM(m_f), AVG(m_f), MIN(m_f), MAX(m_f) FROM measures WHERE m_id = 3",
+	"SELECT m_grp, SUM(1 - m_f), SUM(m_i * m_id), SUM(m_i - 2.5), SUM(m_f * m_f + 3), AVG(m_id * 2 - m_f) FROM measures GROUP BY m_grp",
+	"SELECT SUM(m_grp), COUNT(m_grp), MIN(m_grp), MAX(m_grp) FROM measures",
+	"SELECT m_grp, SUM(DISTINCT m_i), COUNT(DISTINCT m_f), AVG(DISTINCT m_mixed) FROM measures GROUP BY m_grp",
+	"SELECT m_id % 3, SUM(m_f), SUM(m_i), COUNT(*) FROM measures GROUP BY m_id % 3",
+	"SELECT SUM(m_f), SUM(m_i), COUNT(*), MAX(m_i) FROM measures WHERE m_id > 1000",
+	"SELECT m_grp, SUM(m_f + m_i) FROM measures WHERE m_f > -10 AND m_i < 600 GROUP BY m_grp HAVING COUNT(*) > 1",
+	"SELECT o_status, SUM(o_totalprice * 2 - o_custkey), AVG(o_totalprice) FROM orders WHERE o_orderkey > 3 AND o_custkey < 18 GROUP BY o_status",
 	// Constant result.
 	"SELECT 1 + 2, 'x' || 'y'",
 	// Grouped join with ORDER BY over aggregate.
 	"SELECT o_status, COUNT(*) FROM customer c, orders o WHERE c.c_custkey = o.o_custkey GROUP BY o_status ORDER BY COUNT(*) DESC",
+}
+
+// aggErrorCorpus holds aggregates every executor must reject: arithmetic
+// on a string argument, and division by zero.
+var aggErrorCorpus = []string{
+	"SELECT SUM(m_grp + 1) FROM measures",
+	"SELECT m_grp, SUM(m_f / 0) FROM measures GROUP BY m_grp",
+	"SELECT COUNT(*), SUM(m_i * m_grp) FROM measures WHERE m_id > 2",
+	// The string operand fails before the NULL one can make the product NULL.
+	"SELECT SUM((m_grp + 1) * m_i) FROM measures WHERE m_i IS NULL AND m_grp IS NOT NULL",
+}
+
+// TestDifferentialAggregateErrors runs aggErrorCorpus under every planner
+// configuration, on 8-row segments and on disk-backed segments: each
+// query fails in all four executions.
+func TestDifferentialAggregateErrors(t *testing.T) {
+	dbs := make(map[string]*Engine)
+	for name, cfg := range diffConfigs() {
+		dbs[name] = testDB(t, cfg)
+	}
+	seg := New(DefaultConfig())
+	seedTestDB(t, seg, 8)
+	dbs["segmented"] = seg
+	dbs["disk"] = diskDB(t, DefaultConfig(), 1)
+	for name, e := range dbs {
+		for _, q := range aggErrorCorpus {
+			if _, err := e.Exec(q); err == nil {
+				t.Fatalf("%s: query %q succeeded, want an error", name, q)
+			}
+			assertSameResults(t, e, q)
+		}
+	}
 }
 
 func TestDifferentialCorpus(t *testing.T) {
@@ -388,6 +451,52 @@ func TestDistinctAggregateFoldOrder(t *testing.T) {
 		rows := mustExec(t, se, q).Rows
 		if got := rowStrings(rows); len(got) != 1 || got[0] != "1|0.3333333333333333" {
 			t.Fatalf("%s = %v, want [1|0.3333333333333333]", q, got)
+		}
+	}
+}
+
+// TestAggregateLiteralResults pins aggregate values computed here, not by
+// the reference executor, which shares aggState with the batch executor:
+// a lone -0.0 sums to -0, two int64 maxima wrap, a sum of integers stays
+// an integer (so dividing it by 7 truncates) until a float widens it, and
+// a float sum adds its values in row order, the 1e16 among them rounding
+// every later addition. Every execution must return them, on 8-row
+// segments and on the tail.
+func TestAggregateLiteralResults(t *testing.T) {
+	seg := New(DefaultConfig())
+	seedTestDB(t, seg, 8)
+	var fold float64
+	n := 0
+	for _, r := range mustExec(t, seg, "SELECT m_f FROM measures ORDER BY m_id").Rows {
+		if !r[0].IsNull() {
+			if n == 0 {
+				fold = r[0].Float()
+			} else {
+				fold += r[0].Float()
+			}
+			n++
+		}
+	}
+	cases := map[string]string{
+		"SELECT SUM(m_f), COUNT(m_f) FROM measures":                              fmt.Sprintf("%s|%d", strconv.FormatFloat(fold, 'g', -1, 64), n),
+		"SELECT SUM(m_f), MIN(m_f), MAX(m_f) FROM measures WHERE m_id = 3":       "-0|-0|-0",
+		"SELECT SUM(m_i), MAX(m_i) FROM measures WHERE m_grp = 'b'":              "781|9223372036854775807",
+		"SELECT SUM(m_mixed) / 7, SUM(m_mixed * 2) FROM measures WHERE m_id < 6": "2142|30000",
+		"SELECT SUM(m_mixed) / 7 FROM measures WHERE m_id < 8":                   "2144.785714285714",
+		"SELECT SUM(m_grp), COUNT(m_grp) FROM measures":                          "NULL|22",
+	}
+	for name, e := range map[string]*Engine{"tail": testDB(t, DefaultConfig()), "segmented": seg} {
+		for q, want := range cases {
+			for _, cfg := range []Config{DefaultConfig(), parTestConfig()} {
+				for _, ref := range []bool{false, true} {
+					se := e.Session()
+					se.Cfg = cfg
+					se.Cfg.ReferenceExec = ref
+					if got := rowStrings(mustExec(t, se, q).Rows); len(got) != 1 || got[0] != want {
+						t.Errorf("%s, %d workers, reference %v: %s = %v, want [%s]", name, cfg.MaxQueryParallelism, ref, q, got, want)
+					}
+				}
+			}
 		}
 	}
 }

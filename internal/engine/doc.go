@@ -73,6 +73,25 @@
 // parallel workers. The allocation guards in alloc_test.go pin the
 // steady-state batch loops at (near) zero allocations per batch.
 //
+// Aggregate arguments fold through typed kernels (vecagg.go). An argument
+// that is a column, a numeric literal, or +, - and * over those compiles
+// to an evaluator that yields a kind and an int64 or a float64 per row,
+// and each aggregate keeps a typed running sum with datum.Arith's result
+// kinds (an integer sum stays an integer and wraps; a float widens it), so
+// SUM and AVG stay bit-identical to the reference executor. Each scan
+// records its batch origin: the loaded segment payload the batch came from
+// and the index in it of each row (nil for tail rows). An aggregate
+// directly above a scan (serial, or a parallel worker above its morsel
+// scan) reads its column leaves from the segment's INT and FLOAT vectors,
+// and its bare-column group keys from their typed vectors, at that origin;
+// above any other operator, and for tail rows, it reads the row datums. A NULL operand skips the row, and an operand of any
+// other kind sends the row through the argument's bound closure, so errors
+// stay exactly the closure's. Division, unary minus, CASE, functions and
+// DISTINCT arguments always take the closure. Group keys that are all bare
+// columns load by ordinal, and a plain aggregate finds its one group
+// without a key after the first row. Rows fold one at a time in arrival
+// order: no float sum is reassociated.
+//
 // The first batches of a scan are deliberately small: NextBatch starts
 // at initialChunkSize (64) rows and grows the chunk ×4 per call up to
 // batchSize, so a LIMIT-k short circuit touches tens of heap rows, not a
@@ -99,23 +118,28 @@
 //     touched, the compiled predicate (a zonePruner, vexpr.go) is checked
 //     against the segment's per-column zone maps; a refuted segment is
 //     skipped wholesale — zero rows read, zero allocations — and counted
-//     in OpStats.SegsPruned. Surviving segments run the predicate as a
-//     typed loop directly over the column vectors (a segSelector walking
-//     Int64/Float64/String storage with the null bitmap), and only the
-//     qualifying row indices are late-materialized, as aliases into the
-//     segment's retained row-major form — so downstream operators see
-//     ordinary rows and the mutation/retention rules below are unchanged.
+//     in OpStats.SegsPruned. Surviving segments filter each chunk through
+//     a selection vector: the chunk's row indices, which every conjunct
+//     narrows in place with its typed loop over the column vectors
+//     (Int64/Float64/String storage and the null bitmap). Only the final
+//     survivors are late-materialized, as aliases into the segment's
+//     retained row-major form — so downstream operators see ordinary rows
+//     and the mutation/retention rules below are unchanged — and the
+//     scan records the segment and indices as the batch's origin.
 //   - The predicate shapes with zone checks and typed loops are a column
 //     compared with a literal, IS [NOT] NULL, x BETWEEN lit AND lit,
 //     x IN (lit, ...), and conjunctions of these (a column compared with
-//     another column has a row loop but no zone check). BETWEEN compiles
+//     another column has a typed loop but no zone check). BETWEEN compiles
 //     to the two comparisons it abbreviates, x >= lo AND x <= hi, which
 //     is also its meaning under three-valued logic in every executor. An
 //     IN list drops its NULL items, prunes a segment whose zone map
 //     refutes equality with every literal, and probes a sorted literal
 //     set from integer or string vectors. NOT BETWEEN, NOT IN,
 //     IN (subquery) and bounds or items that are not literals run the
-//     bound closure row by row, which never prunes.
+//     bound closure row by row over the selection, which never prunes.
+//     Every typed loop decides a row exactly as datum.Compare orders its
+//     kind pairing, and a pairing without one (a TEXT column against a
+//     number, a column without a typed vector) decides each row datum.
 //   - Pruning is proven conservative: a segment is skipped only when the
 //     zone map refutes the predicate under the same datum.Compare total
 //     order the row-level verdicts use, so a pruned segment can never

@@ -28,6 +28,7 @@ CREATE TABLE inproceedings (proceeding_key INTEGER, author VARCHAR(30));
 CREATE TABLE publication (pub_key INTEGER, title VARCHAR(60));
 CREATE TABLE customer (c_custkey INTEGER, c_name VARCHAR(25), c_mktsegment VARCHAR(10), c_acctbal FLOAT);
 CREATE TABLE orders (o_orderkey INTEGER, o_custkey INTEGER, o_totalprice FLOAT, o_status VARCHAR(1));
+CREATE TABLE measures (m_id INTEGER, m_grp VARCHAR(2), m_i INTEGER, m_f FLOAT, m_mixed FLOAT);
 CREATE INDEX customer_pk ON customer (c_custkey);
 `
 	if _, err := e.ExecScript(script); err != nil {
@@ -62,6 +63,34 @@ CREATE INDEX customer_pk ON customer (c_custkey);
 	for i := 1; i <= 60; i++ {
 		mustExec(t, e, fmt.Sprintf("INSERT INTO orders VALUES (%d, %d, %d.0, '%s')", i, i%20+1, i*7, string(rune('A'+i%3))))
 	}
+	seedMeasures(t, e)
+}
+
+// seedMeasures fills measures, the aggregation table: 27 rows, so 8-row
+// segments leave a 3-row tail. m_grp cycles through 'a', 'b', 'c', NULL
+// and 'n', whose m_i and m_f are all NULL, and every seventh row's are
+// NULL too. Group 'b' holds two int64 maxima, so its integer sum wraps;
+// m_f mixes signs, inexact fractions and one 1e16, so float sums depend
+// on the order of their additions, and row 3's m_f is -0.0. The UPDATE
+// stores integers into rows 1 to 5 of the FLOAT column m_mixed, which
+// leaves it mixed kinds without a typed vector.
+func seedMeasures(t *testing.T, e *Engine) {
+	t.Helper()
+	for i := 1; i <= 27; i++ {
+		grp := []string{"'a'", "'b'", "'c'", "NULL", "'n'"}[i%5]
+		mi, mf := fmt.Sprint(i*i-50), fmt.Sprintf("%d.%d", i-13, i%10)
+		switch {
+		case grp == "'n'" || i%7 == 0:
+			mi, mf = "NULL", "NULL"
+		case i == 6 || i == 11:
+			mi = "9223372036854775807"
+		case i == 20:
+			mf = "10000000000000000.0"
+		}
+		mustExec(t, e, fmt.Sprintf("INSERT INTO measures VALUES (%d, %s, %s, %s, %d.25)", i, grp, mi, mf, i))
+	}
+	mustExec(t, e, "UPDATE measures SET m_f = 0.0 * -1 WHERE m_id = 3")
+	mustExec(t, e, "UPDATE measures SET m_mixed = m_id * 1000 WHERE m_id < 6")
 }
 
 func mustExec(t *testing.T, e *Engine, sql string) *Result {

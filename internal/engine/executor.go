@@ -572,12 +572,16 @@ func sortRows(e *Engine, rows []storage.Row, schema []colRef, keys []sortKey) ([
 // aggState accumulates one aggregate within one group. needs records
 // which folds this aggregate's finalize will read, so the per-row
 // accumulate skips the others — a SUM never pays the min/max compares.
+// The running sum is typed: sumKind is KNull before the first numeric
+// value, then KInt or KFloat with the total in sumInt or sumFloat.
 // distinct, non-nil for a DISTINCT aggregate, holds the values folded so
 // far, keyed by their String form.
 type aggState struct {
 	count    int64
 	needs    uint8
-	sum      datum.D
+	sumKind  datum.Kind
+	sumInt   int64
+	sumFloat float64
 	min, max datum.D
 	distinct map[string]datum.D
 }
@@ -607,7 +611,7 @@ func aggNeeds(call *sqlparser.FuncCall) uint8 {
 
 // newAggState returns the empty accumulator for one aggregate call.
 func newAggState(call *sqlparser.FuncCall) aggState {
-	st := aggState{needs: aggNeeds(call), sum: datum.Null, min: datum.Null, max: datum.Null}
+	st := aggState{needs: aggNeeds(call), min: datum.Null, max: datum.Null}
 	if call.Distinct {
 		st.distinct = make(map[string]datum.D)
 	}
@@ -704,42 +708,84 @@ func accumulate(ctx *evalCtx, st *aggState, call *sqlparser.FuncCall) error {
 	if err != nil {
 		return err
 	}
-	return accumulateDatum(st, v)
+	accumulateDatum(st, v)
+	return nil
 }
 
 // accumulateDatum folds one evaluated argument into an aggregate state;
 // shared by the reference and batch executors. A DISTINCT state folds a
 // value at its first arrival and skips its repeats.
-func accumulateDatum(st *aggState, v datum.D) error {
+func accumulateDatum(st *aggState, v datum.D) {
 	if v.IsNull() {
-		return nil
+		return
 	}
 	if st.distinct != nil {
 		key := v.String()
 		if _, seen := st.distinct[key]; seen {
-			return nil
+			return
 		}
 		st.distinct[key] = v
 	}
 	st.count++
-	if st.needs&aggNeedSum != 0 && v.IsNumeric() {
-		if st.sum.IsNull() {
-			st.sum = v
-		} else {
-			sum, err := datum.Arith('+', st.sum, v)
-			if err != nil {
-				return err
-			}
-			st.sum = sum
+	if st.needs&aggNeedSum != 0 {
+		switch v.Kind() {
+		case datum.KInt:
+			st.addInt(v.Int())
+		case datum.KFloat:
+			st.addFloat(v.Float())
 		}
 	}
+	st.foldMinMax(v)
+}
+
+// addInt adds an integer to the running sum as datum.Arith('+') would:
+// the first value becomes the sum, an integer sum stays an integer (and
+// wraps on overflow), and a float sum widens the integer.
+func (st *aggState) addInt(i int64) {
+	switch st.sumKind {
+	case datum.KNull:
+		st.sumKind, st.sumInt = datum.KInt, i
+	case datum.KInt:
+		st.sumInt += i
+	default:
+		st.sumFloat += float64(i)
+	}
+}
+
+// addFloat adds a float to the running sum as datum.Arith('+') would: the
+// first value becomes the sum (so a lone -0.0 stays -0.0), and an integer
+// sum widens to float.
+func (st *aggState) addFloat(f float64) {
+	switch st.sumKind {
+	case datum.KNull:
+		st.sumKind, st.sumFloat = datum.KFloat, f
+	case datum.KInt:
+		st.sumKind, st.sumFloat = datum.KFloat, float64(st.sumInt)+f
+	default:
+		st.sumFloat += f
+	}
+}
+
+// foldMinMax folds a non-NULL value into MIN and MAX where finalize reads
+// them.
+func (st *aggState) foldMinMax(v datum.D) {
 	if st.needs&aggNeedMin != 0 && (st.min.IsNull() || datum.Compare(v, st.min) < 0) {
 		st.min = v
 	}
 	if st.needs&aggNeedMax != 0 && (st.max.IsNull() || datum.Compare(v, st.max) > 0) {
 		st.max = v
 	}
-	return nil
+}
+
+// sum returns the running sum as a datum, NULL before any numeric value.
+func (st *aggState) sum() datum.D {
+	switch st.sumKind {
+	case datum.KInt:
+		return datum.NewInt(st.sumInt)
+	case datum.KFloat:
+		return datum.NewFloat(st.sumFloat)
+	}
+	return datum.Null
 }
 
 func finalize(st *aggState, call *sqlparser.FuncCall) datum.D {
@@ -747,12 +793,13 @@ func finalize(st *aggState, call *sqlparser.FuncCall) datum.D {
 	case "COUNT":
 		return datum.NewInt(st.count)
 	case "SUM":
-		return st.sum
+		return st.sum()
 	case "AVG":
-		if st.count == 0 || st.sum.IsNull() {
+		sum := st.sum()
+		if st.count == 0 || sum.IsNull() {
 			return datum.Null
 		}
-		return datum.NewFloat(st.sum.Float() / float64(st.count))
+		return datum.NewFloat(sum.Float() / float64(st.count))
 	case "MIN":
 		return st.min
 	case "MAX":

@@ -340,13 +340,12 @@ func (d *morselDispenser) grab() (m int, mo morsel, ok bool) {
 // decision) between morsels, Open is a no-op so per-morsel pipeline
 // restarts do not reset the range.
 type morselScanVec struct {
-	pred  vecPred
+	scanFilter
 	prune bool
 	st    *OpStats // shared across workers; updated atomically
-	out   []storage.Row
 
 	sd       *storage.SegData // pinned payload of the current segment morsel
-	rows     []storage.Row
+	rows     []storage.Row    // the tail, for a tail morsel
 	pos, end int
 	skip     bool
 	err      error // deferred Load failure, surfaced by NextBatch
@@ -378,7 +377,7 @@ func (it *morselScanVec) setMorsel(m morsel) {
 		it.err = err
 		return
 	}
-	it.sd, it.rows = sd, sd.Rows()
+	it.sd = sd
 }
 
 func (it *morselScanVec) releaseSeg() {
@@ -398,33 +397,23 @@ func (it *morselScanVec) NextBatch() ([]storage.Row, error) {
 		return nil, nil
 	}
 	for it.pos < it.end {
-		end := it.pos + batchSize
-		if end > it.end {
-			end = it.end
-		}
+		end := min(it.pos+batchSize, it.end)
 		lo := it.pos
 		it.pos = end
-		if it.pred == nil {
-			return it.rows[lo:end], nil
-		}
-		if cap(it.out) < end-lo {
-			it.out = make([]storage.Row, 0, end-lo)
-		}
 		var (
-			out []storage.Row
+			b   []storage.Row
 			err error
 		)
 		if it.sd != nil {
-			out, err = segSelect(it.pred, it.out[:0], it.sd, lo, end)
+			b, err = it.segment(it.sd, lo, end)
 		} else {
-			out, err = it.pred.selectInto(it.out[:0], it.rows[lo:end])
+			b, err = it.tail(it.rows[lo:end])
 		}
 		if err != nil {
 			return nil, err
 		}
-		it.out = out
-		if len(out) > 0 {
-			return out, nil
+		if len(b) > 0 {
+			return b, nil
 		}
 	}
 	return nil, nil
@@ -468,6 +457,15 @@ func (it *instrVecIter) NextBatch() ([]storage.Row, error) {
 
 func (it *instrVecIter) Close() error { return it.child.Close() }
 
+// origin forwards the wrapped scan's batch origin; the batches of any
+// other operator have none.
+func (it *instrVecIter) origin() segRows {
+	if o, ok := it.child.(batchOrigin); ok {
+		return o.origin()
+	}
+	return segRows{}
+}
+
 func newInstrVecIter(it vecIter, os *OpStats) *instrVecIter {
 	return &instrVecIter{child: it, rows: &os.Rows, nanos: (*int64)(&os.Time)}
 }
@@ -501,6 +499,7 @@ type parWorker struct {
 
 	sortKeys sortKeyEval // sort merge: per-worker key evaluation
 	agg      *aggAcc     // aggregation merge: per-worker accumulator
+	aggScan  bool        // the accumulator's input is the morsel scan itself
 
 	rows  int64 // rows this worker's subtree emitted
 	nanos int64 // busy wall time
@@ -669,6 +668,7 @@ func (x *exchangeVec) bindWorkerMerge(v *vbuild, n *Node, w *parWorker) error {
 		x.sortDesc = w.sortKeys.desc
 	case parAgg:
 		w.agg, err = v.newAggAcc(n)
+		w.aggScan = n.Children[0] == x.sh.driver
 	}
 	return err
 }
@@ -899,7 +899,11 @@ func (x *exchangeVec) runAgg(w *parWorker) {
 		}
 		seq := int64(m) * seqStride
 		err := w.drainMorsel(mo, func(b []storage.Row) error {
-			err := w.agg.addBatch(b, seq)
+			var at segRows
+			if w.aggScan {
+				at = w.scan.origin()
+			}
+			err := w.agg.addBatch(b, seq, at)
 			seq += int64(len(b))
 			return err
 		})
@@ -1025,9 +1029,7 @@ func runBefore(a *workerRun, ai int, b *workerRun, bi int, desc []bool) bool {
 func (x *exchangeVec) mergeAggRuns(runs []*workerRun) ([]storage.Row, error) {
 	x.agg.reset()
 	for _, run := range runs {
-		if err := x.agg.merge(run.groups); err != nil {
-			return nil, err
-		}
+		x.agg.merge(run.groups)
 	}
 	groups := x.agg.groups
 	sort.Slice(groups, func(a, b int) bool { return groups[a].firstSeq < groups[b].firstSeq })

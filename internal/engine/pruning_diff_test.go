@@ -143,6 +143,18 @@ var pruneCorpus = []string{
 	"SELECT s FROM seg WHERE s IN ('c', 'b')",
 	"SELECT COUNT(*) FROM seg WHERE k IN (10, 12, 21, 30)",
 	"SELECT k FROM seg WHERE k IN (10, 21) AND s IN ('aa', 'bb')",
+	// A TEXT column against numeric literals, on segments and the tail:
+	// every string orders after every number.
+	"SELECT s FROM seg WHERE s > 5",
+	"SELECT s FROM seg WHERE s <> 5",
+	"SELECT s FROM seg WHERE 5 < s",
+	"SELECT s FROM seg WHERE s = 5",
+	"SELECT s FROM seg WHERE s <= 5",
+	"SELECT k FROM seg WHERE s >= 2.5 AND k > 11",
+	// Column pairs: int/float, float/int and string/string typed loops.
+	"SELECT k FROM seg WHERE k < f",
+	"SELECT k FROM seg WHERE f >= k AND s > 'a'",
+	"SELECT k FROM seg WHERE s > s",
 	// Shapes that stay on the bound closure.
 	"SELECT k FROM seg WHERE k NOT BETWEEN 11 AND 21",
 	"SELECT k FROM seg WHERE k NOT BETWEEN NULL AND 13",
@@ -162,6 +174,31 @@ func TestDifferentialZonePruning(t *testing.T) {
 				assertSameResults(t, e, q)
 			}
 		})
+	}
+}
+
+// TestStringColumnIntLiteral pins comparisons of a TEXT column with an
+// integer literal to literal row counts: the reference executor keeps the
+// nine non-NULL rows for >, <> and the flipped <, and none for = or <=,
+// and the other three executions must agree with it on segments and on
+// the tail.
+func TestStringColumnIntLiteral(t *testing.T) {
+	e := pruneDB(t, DefaultConfig())
+	for q, want := range map[string]int{
+		"SELECT s FROM seg WHERE s > 5":  9,
+		"SELECT s FROM seg WHERE s <> 5": 9,
+		"SELECT s FROM seg WHERE 5 < s":  9,
+		"SELECT s FROM seg WHERE s = 5":  0,
+		"SELECT s FROM seg WHERE s <= 5": 0,
+	} {
+		assertSameResults(t, e, q)
+		for _, ref := range []bool{false, true} {
+			e.Cfg.ReferenceExec = ref
+			if got := len(mustExec(t, e, q).Rows); got != want {
+				t.Errorf("%q (reference executor: %v) returned %d rows, want %d", q, ref, got, want)
+			}
+		}
+		e.Cfg.ReferenceExec = false
 	}
 }
 

@@ -221,22 +221,110 @@ func (w *batchWriter) full() bool { return len(w.rows) >= batchSize }
 
 // --- Scans ------------------------------------------------------------------
 
+// segRows locates batch rows in a loaded segment payload: row j of the
+// batch is row sel[j] of sd, or row lo+j when sel is nil. A nil sd means
+// tail rows, in no segment.
+type segRows struct {
+	sd  *storage.SegData
+	sel []int32
+	lo  int
+}
+
+// row returns the index in sd of batch row j.
+func (at segRows) row(j int) int32 {
+	if at.sel != nil {
+		return at.sel[j]
+	}
+	return int32(at.lo + j)
+}
+
+// batchOrigin is implemented by the scans, and forwarded by instrVecIter:
+// origin reports where the batch last returned lives, so an aggregate
+// directly above a scan can read its arguments from the segment's typed
+// column vectors. Like the batch, it is valid until the next NextBatch.
+type batchOrigin interface {
+	origin() segRows
+}
+
+// scanFilter is the filtering both scans share: the selection vector the
+// predicate narrows over a segment chunk, the row headers gathered from
+// the survivors, and the origin of the batch last returned.
+type scanFilter struct {
+	pred vecPred // nil when unfiltered
+	sel  []int32
+	out  []storage.Row
+	at   segRows
+}
+
+// segment returns the rows of sd in [lo, hi) that satisfy the predicate.
+// It fills the selection vector with the chunk, narrows it through the
+// predicate and gathers the survivors' row headers once; an unfiltered
+// chunk is a direct subslice of the payload.
+func (f *scanFilter) segment(sd *storage.SegData, lo, hi int) ([]storage.Row, error) {
+	rows := sd.Rows()
+	if f.pred == nil {
+		f.at = segRows{sd: sd, lo: lo}
+		return rows[lo:hi], nil
+	}
+	// Buffers are sized to the chunk, not the full batch width: scanning a
+	// 25-row segment should not zero a 1024-entry buffer.
+	if cap(f.sel) < hi-lo {
+		f.sel = make([]int32, hi-lo)
+	}
+	sel := f.sel[:hi-lo]
+	for j := range sel {
+		sel[j] = int32(lo + j)
+	}
+	sel, err := f.pred.narrow(sd, sel)
+	if err != nil {
+		return nil, err
+	}
+	f.at = segRows{sd: sd, sel: sel}
+	if cap(f.out) < len(sel) {
+		f.out = make([]storage.Row, hi-lo)
+	}
+	out := f.out[:len(sel)]
+	for j, i := range sel {
+		out[j] = rows[i]
+	}
+	return out, nil
+}
+
+// tail returns the rows of a tail chunk that satisfy the predicate.
+func (f *scanFilter) tail(rows []storage.Row) ([]storage.Row, error) {
+	f.at = segRows{}
+	if f.pred == nil {
+		return rows, nil
+	}
+	if cap(f.out) < len(rows) {
+		f.out = make([]storage.Row, 0, len(rows))
+	}
+	out, err := f.pred.selectInto(f.out[:0], rows)
+	if err != nil {
+		return nil, err
+	}
+	f.out = out
+	return out, nil
+}
+
+func (f *scanFilter) origin() segRows { return f.at }
+
 // seqScanVec scans the table's sealed segments and then its tail, in
 // chunks. Filtered scans consult each segment's zone maps first and skip
 // refuted segments without touching a row; surviving segments filter
-// through the typed column-vector loops (vexpr.go), late-materializing
-// only surviving row headers. Unfiltered chunks are returned as direct
-// segment/tail subslices (zero copies, zero allocations). Chunks grow
-// adaptively from initialChunkSize to batchSize (×4 per chunk): a
-// `LIMIT 10` consumer stops after one small chunk instead of paying for a
-// full 1024-row batch, while a full scan reaches max-size chunks after two
-// steps and keeps the batch loop's throughput.
+// through a selection vector that every conjunct narrows with its typed
+// column-vector loop (vexpr.go), late-materializing only surviving row
+// headers. Unfiltered chunks are returned as direct segment/tail
+// subslices (zero copies, zero allocations). Chunks grow adaptively from
+// initialChunkSize to batchSize (×4 per chunk): a `LIMIT 10` consumer
+// stops after one small chunk instead of paying for a full 1024-row batch,
+// while a full scan reaches max-size chunks after two steps and keeps the
+// batch loop's throughput.
 type seqScanVec struct {
+	scanFilter
 	snap  storage.Snapshot
-	pred  vecPred // nil when unfiltered
-	prune bool    // consult zone maps (off under Config.DisableZonePruning)
+	prune bool // consult zone maps (off under Config.DisableZonePruning)
 	st    *OpStats
-	out   []storage.Row
 
 	curSD    *storage.SegData // loaded payload cur aliases; nil for the tail
 	cur      []storage.Row    // current run of rows
@@ -352,29 +440,20 @@ func (it *seqScanVec) NextBatch() ([]storage.Row, error) {
 		}
 		lo := it.pos
 		it.pos = end
-		if it.pred == nil {
-			return it.cur[lo:end], nil
-		}
-		// Survivor buffer sized to this chunk, not the full batch width:
-		// scanning a 25-row table should not zero a 1024-header buffer.
-		if cap(it.out) < end-lo {
-			it.out = make([]storage.Row, 0, end-lo)
-		}
 		var (
-			out []storage.Row
+			b   []storage.Row
 			err error
 		)
 		if it.curSD != nil {
-			out, err = segSelect(it.pred, it.out[:0], it.curSD, lo, end)
+			b, err = it.segment(it.curSD, lo, end)
 		} else {
-			out, err = it.pred.selectInto(it.out[:0], it.cur[lo:end])
+			b, err = it.tail(it.cur[lo:end])
 		}
 		if err != nil {
 			return nil, err
 		}
-		it.out = out
-		if len(out) > 0 {
-			return out, nil
+		if len(b) > 0 {
+			return b, nil
 		}
 		// Everything in this chunk was filtered out; pull the next one
 		// rather than return an empty batch.

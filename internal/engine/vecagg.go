@@ -4,12 +4,31 @@ package engine
 // serves the serial Aggregate, HashAggregate and GroupAggregate operators
 // and every worker of a parallel aggregation (parallel.go), and one finish
 // step turns its groups into output rows for both. The accumulator keeps
-// pre-bound group keys and aggregate arguments, a group map keyed by the
+// its group keys (ordinals when every key is a bare column, bound closures
+// otherwise), its aggregate arguments, a group map keyed by the
 // allocation-free AppendKey encoding, and its groups in first-arrival
 // order, each tagged with the sequence of its first input row. A row of an
-// existing group therefore allocates nothing. The parallel exchange merges
-// the workers' groups into one more accumulator and orders them by that
-// sequence, which is the serial first-arrival order.
+// existing group therefore allocates nothing, and a plain aggregate skips
+// the key and the map lookup after its first row. The parallel exchange
+// merges the workers' groups into one more accumulator and orders them by
+// that sequence, which is the serial first-arrival order.
+//
+// Arguments fold through typed kernels. An argument that is a column, a
+// numeric literal, or +, - and * over those compiles to a numExpr, which
+// evaluates a row to a kind and an int64 or a float64 with no closure call
+// and no datum arithmetic, and every aggregate keeps a typed running sum
+// (aggState.addInt, addFloat) with datum.Arith's result kinds, so SUM and
+// AVG stay bit-identical to the reference executor. When the input is a
+// scan, a column leaf reads the segment's INT or FLOAT vector at the
+// batch origin the scan reports (vec.go), and a bare-column key reads the
+// column's typed vector, so neither touches the row datums; otherwise, and
+// for tail rows or columns without such a vector, they read the row datum.
+// A NULL operand skips the row. An operand of any other kind sends the row
+// through the argument's bound closure, so errors and the counting of
+// non-numeric values are exactly the closure's. Division, unary minus,
+// CASE, functions and DISTINCT arguments always run the bound closure.
+// Rows fold one at a time in arrival order, so each group adds its floats
+// in the reference executor's order.
 //
 // A DISTINCT aggregate folds each value at its first arrival, as the
 // reference executor does, so serial results are bit-identical to it.
@@ -18,6 +37,7 @@ import (
 	"slices"
 
 	"lantern/internal/datum"
+	"lantern/internal/sqlparser"
 	"lantern/internal/storage"
 )
 
@@ -31,10 +51,14 @@ type aggGroup struct {
 
 type aggAcc struct {
 	aggs      []aggSpec
-	groupKeys []boundExpr
-	args      []boundExpr // nil entry for COUNT(*)
-	having    boundExpr   // bound against the aggregate's output schema
-	plain     bool        // no GROUP BY: empty input still yields one row
+	keyOrds   []int             // group key ordinals, when every key is a bare column
+	groupKeys []boundExpr       // bound group keys otherwise
+	keyVecs   []*storage.ColVec // per keyOrds entry: the batch's typed vector, or nil for row datums
+	args      []boundExpr       // nil entry for COUNT(*)
+	nums      []*numExpr        // typed evaluator per argument; nil where only the closure applies
+	leaves    []*numExpr        // the column leaves of nums
+	having    boundExpr         // bound against the aggregate's output schema
+	plain     bool              // no GROUP BY: empty input still yields one row
 
 	idx        map[string]int32 // group key encoding → index into groups
 	groups     []aggGroup
@@ -49,18 +73,29 @@ func (v *vbuild) newAggAcc(n *Node) (*aggAcc, error) {
 		aggs:       n.Aggs,
 		plain:      len(n.GroupKeys) == 0,
 		args:       make([]boundExpr, len(n.Aggs)),
+		nums:       make([]*numExpr, len(n.Aggs)),
 		keyScratch: make([]datum.D, len(n.GroupKeys)),
 	}
 	var err error
-	if a.groupKeys, err = bindExprs(n.GroupKeys, childSchema, v.e.subquery); err != nil {
+	if a.keyOrds = keyOrdinals(n.GroupKeys, childSchema); a.keyOrds != nil {
+		a.keyVecs = make([]*storage.ColVec, len(a.keyOrds))
+	} else if a.groupKeys, err = bindExprs(n.GroupKeys, childSchema, v.e.subquery); err != nil {
 		return nil, err
 	}
 	for i, ag := range n.Aggs {
 		if ag.Call.Star {
 			continue
 		}
-		if a.args[i], err = bindExpr(ag.Call.Args[0], childSchema, v.e.subquery); err != nil {
+		arg := ag.Call.Args[0]
+		if a.args[i], err = bindExpr(arg, childSchema, v.e.subquery); err != nil {
 			return nil, err
+		}
+		if ag.Call.Distinct {
+			continue // a DISTINCT argument folds through its value set
+		}
+		if x := compileNum(arg, childSchema); x != nil {
+			a.nums[i] = x
+			a.leaves = x.appendLeaves(a.leaves)
 		}
 	}
 	if n.HavingFilter != nil {
@@ -69,6 +104,164 @@ func (v *vbuild) newAggAcc(n *Node) (*aggAcc, error) {
 		}
 	}
 	return a, nil
+}
+
+// numVal is a typed argument value: KInt or KFloat with its payload in i
+// or f, KNull, or any other kind, whose row the bound closure evaluates.
+type numVal struct {
+	kind datum.Kind
+	i    int64
+	f    float64
+}
+
+func numOf(v datum.D) numVal {
+	switch v.Kind() {
+	case datum.KInt:
+		return numVal{kind: datum.KInt, i: v.Int()}
+	case datum.KFloat:
+		return numVal{kind: datum.KFloat, f: v.Float()}
+	}
+	return numVal{kind: v.Kind()}
+}
+
+// other reports a kind the typed kernels do not evaluate.
+func (v numVal) other() bool {
+	return v.kind != datum.KNull && v.kind != datum.KInt && v.kind != datum.KFloat
+}
+
+func (v numVal) float() float64 {
+	if v.kind == datum.KInt {
+		return float64(v.i)
+	}
+	return v.f
+}
+
+// numExpr is an aggregate argument compiled to a typed evaluator: a column
+// leaf, a numeric literal leaf, or a +, - or * node over two operands.
+type numExpr struct {
+	op   sqlparser.BinOp // a node's operator
+	l, r *numExpr        // a node's operands; nil for a leaf
+	ord  int             // a column leaf's ordinal; -1 for a literal leaf
+	lit  numVal          // a literal leaf's value
+	// vec is a column leaf's INT or FLOAT vector in the segment the current
+	// batch comes from, or nil to read the row datum.
+	vec *storage.ColVec
+}
+
+// compileNum compiles e over schema into a typed evaluator, or returns nil
+// when e is not a column, a numeric literal, or +, - or * over those. It
+// resolves each subexpression as bind does: a literal is its value, and
+// any other expression the schema carries as a column, computed ones
+// included, reads that column.
+func compileNum(e sqlparser.Expr, schema []colRef) *numExpr {
+	if lit, ok := e.(*sqlparser.Literal); ok {
+		if !lit.Value.IsNumeric() {
+			return nil
+		}
+		return &numExpr{ord: -1, lit: numOf(lit.Value)}
+	}
+	if ord, ok := columnOrdinal(e, schema); ok {
+		return &numExpr{ord: ord}
+	}
+	b, ok := e.(*sqlparser.BinaryExpr)
+	if !ok || (b.Op != sqlparser.OpAdd && b.Op != sqlparser.OpSub && b.Op != sqlparser.OpMul) {
+		return nil
+	}
+	l, r := compileNum(b.Left, schema), compileNum(b.Right, schema)
+	if l == nil || r == nil {
+		return nil
+	}
+	return &numExpr{op: b.Op, l: l, r: r}
+}
+
+// appendLeaves appends the column leaves of x to out.
+func (x *numExpr) appendLeaves(out []*numExpr) []*numExpr {
+	switch {
+	case x.l != nil:
+		return x.r.appendLeaves(x.l.appendLeaves(out))
+	case x.ord >= 0:
+		return append(out, x)
+	}
+	return out
+}
+
+// eval evaluates x over batch row r, which is row i of the origin segment
+// when the leaves hold typed vectors. The kinds follow datum.Arith: a
+// non-numeric operand makes the result that kind (the caller runs the
+// bound closure, which reports the error Arith gives), then a NULL operand
+// makes it NULL, two integers stay an integer (wrapping on overflow), and
+// anything else widens to float.
+func (x *numExpr) eval(r storage.Row, i int32) numVal {
+	if x.l == nil {
+		switch {
+		case x.vec != nil:
+			if x.vec.Null(int(i)) {
+				return numVal{}
+			}
+			if x.vec.Kind == datum.KInt {
+				return numVal{kind: datum.KInt, i: x.vec.Ints[i]}
+			}
+			return numVal{kind: datum.KFloat, f: x.vec.Floats[i]}
+		case x.ord < 0:
+			return x.lit
+		}
+		return numOf(r[x.ord])
+	}
+	a, b := x.l.eval(r, i), x.r.eval(r, i)
+	switch {
+	case a.other():
+		return a
+	case b.other():
+		return b
+	case a.kind == datum.KNull:
+		return a
+	case b.kind == datum.KNull:
+		return b
+	case a.kind == datum.KInt && b.kind == datum.KInt:
+		switch x.op {
+		case sqlparser.OpAdd:
+			return numVal{kind: datum.KInt, i: a.i + b.i}
+		case sqlparser.OpSub:
+			return numVal{kind: datum.KInt, i: a.i - b.i}
+		}
+		return numVal{kind: datum.KInt, i: a.i * b.i}
+	}
+	af, bf := a.float(), b.float()
+	switch x.op {
+	case sqlparser.OpAdd:
+		return numVal{kind: datum.KFloat, f: af + bf}
+	case sqlparser.OpSub:
+		return numVal{kind: datum.KFloat, f: af - bf}
+	}
+	return numVal{kind: datum.KFloat, f: af * bf}
+}
+
+// foldNum folds a typed argument value into st as accumulateDatum folds
+// the same datum, and reports whether it could: a value of a kind the
+// kernels do not evaluate must go through the bound closure instead.
+func (st *aggState) foldNum(v numVal) bool {
+	switch v.kind {
+	case datum.KNull:
+	case datum.KInt:
+		st.count++
+		if st.needs&aggNeedSum != 0 {
+			st.addInt(v.i)
+		}
+		if st.needs&(aggNeedMin|aggNeedMax) != 0 {
+			st.foldMinMax(datum.NewInt(v.i))
+		}
+	case datum.KFloat:
+		st.count++
+		if st.needs&aggNeedSum != 0 {
+			st.addFloat(v.f)
+		}
+		if st.needs&(aggNeedMin|aggNeedMax) != 0 {
+			st.foldMinMax(datum.NewFloat(v.f))
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // appendGroupKey appends the AppendKey encoding of vals, each terminated by
@@ -95,8 +288,8 @@ func (a *aggAcc) reset() {
 	a.groups = nil
 }
 
-// find encodes keyVals into keyBuf and looks their group up. The lookup
-// does not copy keyBuf; only insert's does.
+// find encodes keyVals into keyBuf and looks their group up, for merges.
+// The lookup does not copy keyBuf; only insert's does.
 func (a *aggAcc) find(keyVals []datum.D) (int32, bool) {
 	a.keyBuf = appendGroupKey(a.keyBuf[:0], keyVals)
 	gi, ok := a.idx[string(a.keyBuf)]
@@ -112,47 +305,120 @@ func (a *aggAcc) insert(g aggGroup) int32 {
 }
 
 // addBatch folds a batch of input rows into their groups; seq is the
-// sequence of the batch's first row, and each later row's is one more.
-func (a *aggAcc) addBatch(b []storage.Row, seq int64) error {
-	for i, r := range b {
+// sequence of the batch's first row, and each later row's is one more. at
+// locates the batch in a loaded segment when the input is a scan, and is
+// zero otherwise.
+func (a *aggAcc) addBatch(b []storage.Row, seq int64, at segRows) error {
+	a.bindVectors(at.sd)
+	for j, r := range b {
 		a.env.left = r
-		for k, key := range a.groupKeys {
-			v, err := key(&a.env)
-			if err != nil {
-				return err
-			}
-			a.keyScratch[k] = v
+		var i int32
+		if at.sd != nil {
+			i = at.row(j)
 		}
-		gi, ok := a.find(a.keyScratch)
-		if !ok {
-			gi = a.insert(aggGroup{
-				keyVals:  slices.Clone(a.keyScratch),
-				states:   newAggStates(a.aggs),
-				firstSeq: seq + int64(i),
-			})
+		states, err := a.groupStates(r, i, seq+int64(j))
+		if err != nil {
+			return err
 		}
-		states := a.groups[gi].states
-		for j, ag := range a.aggs {
-			if ag.Call.Star {
-				states[j].count++
+		for k, arg := range a.args {
+			st := &states[k]
+			if arg == nil {
+				st.count++
 				continue
 			}
-			v, err := a.args[j](&a.env)
+			if x := a.nums[k]; x != nil && st.foldNum(x.eval(r, i)) {
+				continue
+			}
+			v, err := arg(&a.env)
 			if err != nil {
 				return err
 			}
-			if err := accumulateDatum(&states[j], v); err != nil {
-				return err
-			}
+			accumulateDatum(st, v)
 		}
 	}
 	return nil
 }
 
+// bindVectors points the column leaves and bare-column keys at the typed
+// vectors of sd, the segment the next batch comes from: INT and FLOAT
+// vectors for the leaves, any typed vector for the keys. A nil sd, or a
+// column without such a vector, leaves them reading row datums.
+func (a *aggAcc) bindVectors(sd *storage.SegData) {
+	for _, x := range a.leaves {
+		x.vec = nil
+		if sd != nil {
+			if vec := sd.Col(x.ord); vec.Kind == datum.KInt || vec.Kind == datum.KFloat {
+				x.vec = vec
+			}
+		}
+	}
+	for k, ord := range a.keyOrds {
+		a.keyVecs[k] = nil
+		if sd != nil && sd.Col(ord).Kind != datum.KNull {
+			a.keyVecs[k] = sd.Col(ord)
+		}
+	}
+}
+
+// groupStates returns the aggregate states of the group of batch row r,
+// which is row i of the origin segment when the keys hold typed vectors,
+// adding the group, first seen at sequence seq, when it is new.
+func (a *aggAcc) groupStates(r storage.Row, i int32, seq int64) ([]aggState, error) {
+	if a.plain && len(a.groups) > 0 {
+		return a.groups[0].states, nil
+	}
+	if a.keyOrds != nil {
+		// Encode as appendGroupKey does, without copying the values out.
+		a.keyBuf = a.keyBuf[:0]
+		for k := range a.keyOrds {
+			a.keyBuf = append(a.keyAt(k, r, i).AppendKey(a.keyBuf), 0)
+		}
+	} else {
+		for k, key := range a.groupKeys {
+			v, err := key(&a.env)
+			if err != nil {
+				return nil, err
+			}
+			a.keyScratch[k] = v
+		}
+		a.keyBuf = appendGroupKey(a.keyBuf[:0], a.keyScratch)
+	}
+	gi, ok := a.idx[string(a.keyBuf)]
+	if !ok {
+		for k := range a.keyOrds {
+			a.keyScratch[k] = a.keyAt(k, r, i)
+		}
+		gi = a.insert(aggGroup{
+			keyVals:  slices.Clone(a.keyScratch),
+			states:   newAggStates(a.aggs),
+			firstSeq: seq,
+		})
+	}
+	return a.groups[gi].states, nil
+}
+
+// keyAt returns bare-column key k of batch row r, which is row i of the
+// origin segment: from the key's typed vector when it has one, else the
+// row datum. Both hold the same value.
+func (a *aggAcc) keyAt(k int, r storage.Row, i int32) datum.D {
+	vec := a.keyVecs[k]
+	switch {
+	case vec == nil:
+		return r[a.keyOrds[k]]
+	case vec.Null(int(i)):
+		return datum.Null
+	case vec.Kind == datum.KInt:
+		return datum.NewInt(vec.Ints[i])
+	case vec.Kind == datum.KFloat:
+		return datum.NewFloat(vec.Floats[i])
+	}
+	return datum.NewString(vec.Strs[i])
+}
+
 // merge folds groups another accumulator of the same aggregate built into
 // this one. A group new here is adopted whole; an existing one merges its
 // states and keeps the earlier first sequence.
-func (a *aggAcc) merge(groups []aggGroup) error {
+func (a *aggAcc) merge(groups []aggGroup) {
 	for i := range groups {
 		g := &groups[i]
 		gi, ok := a.find(g.keyVals)
@@ -163,12 +429,9 @@ func (a *aggAcc) merge(groups []aggGroup) error {
 		dst := &a.groups[gi]
 		dst.firstSeq = min(dst.firstSeq, g.firstSeq)
 		for j := range dst.states {
-			if err := dst.states[j].merge(&g.states[j]); err != nil {
-				return err
-			}
+			dst.states[j].merge(&g.states[j])
 		}
 	}
-	return nil
 }
 
 // take hands the groups over and drops the accumulator's references to
@@ -214,26 +477,19 @@ func (a *aggAcc) finish() ([]storage.Row, error) {
 // DISTINCT state folds in the other side's values it has not seen, in map
 // order, which is safe only because aggsMergeable admits order-insensitive
 // aggregates alone.
-func (st *aggState) merge(o *aggState) error {
+func (st *aggState) merge(o *aggState) {
 	if st.distinct != nil {
 		for _, v := range o.distinct {
-			if err := accumulateDatum(st, v); err != nil {
-				return err
-			}
+			accumulateDatum(st, v)
 		}
-		return nil
+		return
 	}
 	st.count += o.count
-	if !o.sum.IsNull() {
-		if st.sum.IsNull() {
-			st.sum = o.sum
-		} else {
-			sum, err := datum.Arith('+', st.sum, o.sum)
-			if err != nil {
-				return err
-			}
-			st.sum = sum
-		}
+	switch o.sumKind {
+	case datum.KInt:
+		st.addInt(o.sumInt)
+	case datum.KFloat:
+		st.addFloat(o.sumFloat)
 	}
 	if !o.min.IsNull() && (st.min.IsNull() || datum.Compare(o.min, st.min) < 0) {
 		st.min = o.min
@@ -241,13 +497,13 @@ func (st *aggState) merge(o *aggState) error {
 	if !o.max.IsNull() && (st.max.IsNull() || datum.Compare(o.max, st.max) > 0) {
 		st.max = o.max
 	}
-	return nil
 }
 
 // aggVec is the blocking aggregate: Open folds every input batch into the
 // accumulator and finishes it, and NextBatch hands out the rows.
 type aggVec struct {
 	child vecIter
+	src   batchOrigin // the child, when it reports batch origins
 	acc   *aggAcc
 	out   rowsOut
 }
@@ -261,7 +517,8 @@ func (v *vbuild) newAggVec(n *Node) (*aggVec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &aggVec{child: child, acc: acc}, nil
+	src, _ := child.(batchOrigin)
+	return &aggVec{child: child, src: src, acc: acc}, nil
 }
 
 func (it *aggVec) Open() error {
@@ -278,7 +535,11 @@ func (it *aggVec) Open() error {
 		if b == nil {
 			break
 		}
-		if err := it.acc.addBatch(b, seq); err != nil {
+		var at segRows
+		if it.src != nil {
+			at = it.src.origin()
+		}
+		if err := it.acc.addBatch(b, seq, at); err != nil {
 			return err
 		}
 		seq += int64(len(b))

@@ -6,36 +6,47 @@ package engine
 // shapes that dominate scan filters — comparisons of a column against a
 // literal or another column, IS [NOT] NULL, x BETWEEN lit AND lit (the
 // conjunction x >= lit AND x <= lit), x IN (lit, ...), and conjunctions
-// of those — and emits a selector that runs a tight typed loop over a
-// whole batch: one ordinal load and one datum comparison per row, no
-// closure calls, no three-valued-logic boxing. The same selectors refute
-// whole segments from their zone maps. Anything the specializer does not
-// recognize (NOT BETWEEN, NOT IN, IN (subquery), non-literal bounds or
-// items, and every other expression) falls back to the pre-bound closure
-// from bind.go evaluated row-by-row, so vectorized filtering is never
-// less general than a bound expression.
+// of those — and emits a selector that runs a tight typed loop: one
+// ordinal load and one comparison per row, no closure calls, no
+// three-valued-logic boxing. The same selectors refute whole segments from
+// their zone maps. Anything the specializer does not recognize (NOT
+// BETWEEN, NOT IN, IN (subquery), non-literal bounds or items, and every
+// other expression) falls back to the pre-bound closure from bind.go
+// evaluated row-by-row, so vectorized filtering is never less general than
+// a bound expression.
+//
+// A selector filters two forms of input. Over a loaded segment it narrows
+// a selection vector, the indices of the rows still in play: each conjunct
+// compacts it in place with its typed loop over the segment's column
+// vectors, so the second and later conjuncts of a conjunction run typed
+// loops too, and the scan gathers row headers once, for the final
+// survivors (narrow). Over row headers (the unsealed tail, index-scan
+// candidates) it appends the survivors to a new slice (selectInto).
 //
 // SQL semantics are preserved exactly: a comparison with a NULL operand is
 // not true, so the row is dropped — identical to what truthy(bound(env))
-// yields, and pinned against the reference executor by the differential
-// tests.
+// yields — and every typed loop decides a row as datum.Compare orders its
+// kind pairing. The differential tests pin both forms against the
+// reference executor.
 
 import (
 	"slices"
-	"strings"
 
 	"lantern/internal/datum"
 	"lantern/internal/sqlparser"
 	"lantern/internal/storage"
 )
 
-// vecPred filters a batch: rows that satisfy the predicate are appended to
-// out (which is returned). in rows must not be mutated; out must not alias
-// in (callers pass a distinct buffer or use filterInPlace-style
-// compaction via out = in[:0], which is safe because selection only drops
-// rows, never reorders ones already written).
+// vecPred filters a batch. selectInto appends the rows of in that satisfy
+// the predicate to out and returns it; in rows must not be mutated, and out
+// must not alias in except as in[:0] (selection only drops rows, never
+// reorders ones already written). narrow keeps the entries of sel, row
+// indices into the loaded segment payload sd, whose rows satisfy the
+// predicate: it compacts sel in place, preserving order, and returns the
+// shortened slice.
 type vecPred interface {
 	selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error)
+	narrow(sd *storage.SegData, sel []int32) ([]int32, error)
 }
 
 // compileVecPred compiles e into a vectorized selector over schema.
@@ -161,44 +172,34 @@ type cmpColLit struct {
 	lit datum.D
 }
 
+// holds is the row verdict every loop of cmpColLit reproduces.
+func (p *cmpColLit) holds(v datum.D) bool {
+	return !v.IsNull() && cmpHolds(p.op, datum.Compare(v, p.lit))
+}
+
 func (p *cmpColLit) selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error) {
 	if p.lit.IsNull() {
 		return out, nil
 	}
 	// Fast integer path: the common TPC-H filter compares an int column to
-	// an int literal; skip datum.Compare's kind dispatch entirely.
+	// an int literal; skip datum.Compare's kind dispatch for int values.
 	if p.lit.Kind() == datum.KInt {
 		lv := p.lit.Int()
 		for _, r := range in {
-			v := r[p.ord]
-			if v.Kind() != datum.KInt {
-				if v.IsNull() {
-					continue
-				}
-				if v.IsNumeric() && cmpHolds(p.op, datum.Compare(v, p.lit)) {
-					out = append(out, r)
-				}
-				continue
+			var ok bool
+			if v := r[p.ord]; v.Kind() == datum.KInt {
+				ok = holds(p.op, v.Int(), lv)
+			} else {
+				ok = p.holds(v)
 			}
-			c := 0
-			switch iv := v.Int(); {
-			case iv < lv:
-				c = -1
-			case iv > lv:
-				c = 1
-			}
-			if cmpHolds(p.op, c) {
+			if ok {
 				out = append(out, r)
 			}
 		}
 		return out, nil
 	}
 	for _, r := range in {
-		v := r[p.ord]
-		if v.IsNull() {
-			continue
-		}
-		if cmpHolds(p.op, datum.Compare(v, p.lit)) {
+		if p.holds(r[p.ord]) {
 			out = append(out, r)
 		}
 	}
@@ -211,13 +212,14 @@ type cmpColCol struct {
 	op   sqlparser.BinOp
 }
 
+func (p *cmpColCol) holds(r storage.Row) bool {
+	av, bv := r[p.a], r[p.b]
+	return !av.IsNull() && !bv.IsNull() && cmpHolds(p.op, datum.Compare(av, bv))
+}
+
 func (p *cmpColCol) selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error) {
 	for _, r := range in {
-		av, bv := r[p.a], r[p.b]
-		if av.IsNull() || bv.IsNull() {
-			continue
-		}
-		if cmpHolds(p.op, datum.Compare(av, bv)) {
+		if p.holds(r) {
 			out = append(out, r)
 		}
 	}
@@ -292,25 +294,31 @@ func newInColLit(ex *sqlparser.InExpr, schema []colRef) *inColLit {
 	return p
 }
 
+func (p *inColLit) holds(v datum.D) bool {
+	if v.IsNull() {
+		return false
+	}
+	for _, lit := range p.lits {
+		if datum.Compare(v, lit) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func (p *inColLit) selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error) {
 	for _, r := range in {
-		v := r[p.ord]
-		if v.IsNull() {
-			continue
-		}
-		for _, lit := range p.lits {
-			if datum.Compare(v, lit) == 0 {
-				out = append(out, r)
-				break
-			}
+		if p.holds(r[p.ord]) {
+			out = append(out, r)
 		}
 	}
 	return out, nil
 }
 
 // andPred chains conjuncts: each filters the survivors of the previous.
-// The scratch buffer holds intermediate survivor sets; the final conjunct
-// writes directly into out.
+// selectInto holds intermediate survivor sets in the scratch buffers, and
+// the final conjunct writes directly into out; narrow needs none, since
+// every conjunct compacts the one selection vector in place.
 type andPred struct {
 	preds   []vecPred
 	scratch [2][]storage.Row
@@ -359,16 +367,17 @@ func (p *exprPred) selectInto(out []storage.Row, in []storage.Row) ([]storage.Ro
 	return out, nil
 }
 
-// --- Zone-map pruning and segment-typed selection ----------------------------
+// --- Zone-map pruning and segment selection ----------------------------------
 //
-// The specialized predicates double as segment refuters and typed-vector
-// selectors. Scan schemas list table columns in declared order, so a
-// predicate ordinal indexes the segment's zone maps and column vectors
-// directly. Both facilities are conservative: a predicate shape without
-// pruning support never prunes, and a column without a typed vector (or a
-// kind pairing outside the fast paths) falls back to the row-major loop —
-// so they are strictly an optimization over selectInto, never a semantic
-// change. The differential corpus pins that.
+// Scan schemas list table columns in declared order, so a predicate ordinal
+// indexes a segment's zone maps and column vectors directly. Pruning reads
+// the zone maps, which stay resident; narrow reads the payload a scan
+// faulted in (and pinned) through the buffer pool, never the Segment
+// itself, so the two stay on opposite sides of the I/O boundary. Both are
+// conservative: a predicate shape without pruning support never prunes,
+// and a column without a typed vector (or a kind pairing outside the typed
+// loops) decides each row datum as selectInto does, so neither changes a
+// result. The differential corpus pins that.
 
 // zonePruner is implemented by predicates that can refute a whole sealed
 // segment from its per-column zone maps: true means no row of the segment
@@ -381,27 +390,6 @@ type zonePruner interface {
 func segPruned(p vecPred, seg *storage.Segment) bool {
 	zp, ok := p.(zonePruner)
 	return ok && zp.prunesSegment(seg)
-}
-
-// segSelector is implemented by predicates with a typed-vector loop: rows
-// [lo, hi) of the loaded segment payload are filtered by scanning the flat
-// column vector and late-materializing only the surviving row headers.
-// Selection operates on a *storage.SegData — the payload a scan faulted in
-// (and pinned) through the buffer pool — never on the Segment itself, so
-// pruning (zones, always resident) and selection (payload, possibly
-// on disk) stay on opposite sides of the I/O boundary.
-type segSelector interface {
-	selectSeg(out []storage.Row, sd *storage.SegData, lo, hi int) ([]storage.Row, error)
-}
-
-// segSelect filters rows [lo, hi) of a loaded segment payload through p:
-// the typed-vector loop when the predicate has one, the row-major loop
-// otherwise.
-func segSelect(p vecPred, out []storage.Row, sd *storage.SegData, lo, hi int) ([]storage.Row, error) {
-	if sp, ok := p.(segSelector); ok {
-		return sp.selectSeg(out, sd, lo, hi)
-	}
-	return p.selectInto(out, sd.Rows()[lo:hi])
 }
 
 // prunesSegment refutes a comparison from the column's zone map. Bounds
@@ -437,104 +425,130 @@ func (p *cmpColLit) prunesSegment(seg *storage.Segment) bool {
 	return false
 }
 
-// selectSeg runs the comparison over the typed column vector. Each fast
-// path replicates exactly what selectInto's datum path computes for that
-// kind pairing (ints compare as ints, mixed numerics widen to float,
-// strings compare lexically); any other pairing — or a column without a
-// typed vector — falls back to the row loop.
-func (p *cmpColLit) selectSeg(out []storage.Row, sd *storage.SegData, lo, hi int) ([]storage.Row, error) {
+// narrow runs the comparison over the typed column vector where the kind
+// pairing has a typed loop: int with int, string with string, and any
+// other numeric pairing widened to float, as datum.Compare widens it. Any
+// other pairing, or a column without a typed vector, decides each row
+// datum.
+func (p *cmpColLit) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
 	if p.lit.IsNull() {
-		return out, nil
+		return sel[:0], nil
 	}
 	vec := sd.Col(p.ord)
-	rows := sd.Rows()
-	switch {
-	case vec.Kind == datum.KInt && p.lit.Kind() == datum.KInt:
-		lv := p.lit.Int()
-		if !vec.HasNulls() {
-			for i := lo; i < hi; i++ {
-				if intCmpHolds(p.op, vec.Ints[i], lv) {
-					out = append(out, rows[i])
-				}
-			}
-			return out, nil
-		}
-		for i := lo; i < hi; i++ {
-			if !vec.Null(i) && intCmpHolds(p.op, vec.Ints[i], lv) {
-				out = append(out, rows[i])
-			}
-		}
-		return out, nil
-	case vec.Kind == datum.KInt && p.lit.Kind() == datum.KFloat:
-		lf := p.lit.Float()
-		for i := lo; i < hi; i++ {
-			if !vec.Null(i) && floatCmpHolds(p.op, float64(vec.Ints[i]), lf) {
-				out = append(out, rows[i])
-			}
-		}
-		return out, nil
+	switch lk := p.lit.Kind(); {
+	case vec.Kind == datum.KInt && lk == datum.KInt:
+		return narrowLit(sel, vec, vec.Ints, p.op, p.lit.Int()), nil
 	case vec.Kind == datum.KFloat && p.lit.IsNumeric():
-		lf := p.lit.Float()
-		if !vec.HasNulls() {
-			for i := lo; i < hi; i++ {
-				if floatCmpHolds(p.op, vec.Floats[i], lf) {
-					out = append(out, rows[i])
-				}
-			}
-			return out, nil
-		}
-		for i := lo; i < hi; i++ {
-			if !vec.Null(i) && floatCmpHolds(p.op, vec.Floats[i], lf) {
-				out = append(out, rows[i])
+		return narrowLit(sel, vec, vec.Floats, p.op, p.lit.Float()), nil
+	case vec.Kind == datum.KString && lk == datum.KString:
+		return narrowLit(sel, vec, vec.Strs, p.op, p.lit.Str()), nil
+	case vec.Kind == datum.KInt && lk == datum.KFloat:
+		lf, n := p.lit.Float(), 0
+		for _, i := range sel {
+			if !vec.Null(int(i)) && holds(p.op, float64(vec.Ints[i]), lf) {
+				sel[n] = i
+				n++
 			}
 		}
-		return out, nil
-	case vec.Kind == datum.KString && p.lit.Kind() == datum.KString:
-		ls := p.lit.Str()
-		for i := lo; i < hi; i++ {
-			if !vec.Null(i) && cmpHolds(p.op, strings.Compare(vec.Strs[i], ls)) {
-				out = append(out, rows[i])
-			}
-		}
-		return out, nil
+		return sel[:n], nil
 	}
-	return p.selectInto(out, rows[lo:hi])
+	rows, n := sd.Rows(), 0
+	for _, i := range sel {
+		if p.holds(rows[i][p.ord]) {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n], nil
 }
 
-func intCmpHolds(op sqlparser.BinOp, a, b int64) bool {
+// narrow compares the two typed vectors row by row: same-kind pairs
+// directly, an INT against a FLOAT column widened to float as
+// datum.Compare widens. Other pairings decide each row's datums.
+func (p *cmpColCol) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
+	a, b := sd.Col(p.a), sd.Col(p.b)
+	switch {
+	case a.Kind == datum.KInt && b.Kind == datum.KInt:
+		return narrowCols(sel, a, b, a.Ints, b.Ints, p.op), nil
+	case a.Kind == datum.KFloat && b.Kind == datum.KFloat:
+		return narrowCols(sel, a, b, a.Floats, b.Floats, p.op), nil
+	case a.Kind == datum.KString && b.Kind == datum.KString:
+		return narrowCols(sel, a, b, a.Strs, b.Strs, p.op), nil
+	case a.Kind == datum.KInt && b.Kind == datum.KFloat:
+		return narrowIntFloat(sel, a, b, p.op), nil
+	case a.Kind == datum.KFloat && b.Kind == datum.KInt:
+		return narrowIntFloat(sel, b, a, flipCmp(p.op)), nil
+	}
+	rows, n := sd.Rows(), 0
+	for _, i := range sel {
+		if p.holds(rows[i]) {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n], nil
+}
+
+// holds reports whether a op b holds for two values of one kind, as
+// cmpHolds decides it from datum.Compare. Every case is written with < so
+// that a float NaN, which Compare finds equal to everything, passes =, <=
+// and >= and fails <, > and <>, and so that a string case costs one
+// comparison where it can.
+func holds[T int64 | float64 | string](op sqlparser.BinOp, a, b T) bool {
 	switch op {
-	case sqlparser.OpEq:
-		return a == b
-	case sqlparser.OpNe:
-		return a != b
 	case sqlparser.OpLt:
 		return a < b
 	case sqlparser.OpLe:
-		return a <= b
+		return !(b < a)
 	case sqlparser.OpGt:
-		return a > b
+		return b < a
 	case sqlparser.OpGe:
-		return a >= b
+		return !(a < b)
+	case sqlparser.OpEq:
+		return !(a < b) && !(b < a)
+	case sqlparser.OpNe:
+		return a < b || b < a
 	}
 	return false
 }
 
-func floatCmpHolds(op sqlparser.BinOp, a, b float64) bool {
-	switch op {
-	case sqlparser.OpEq:
-		return a == b
-	case sqlparser.OpNe:
-		return a != b
-	case sqlparser.OpLt:
-		return a < b
-	case sqlparser.OpLe:
-		return a <= b
-	case sqlparser.OpGt:
-		return a > b
-	case sqlparser.OpGe:
-		return a >= b
+// narrowLit keeps the entries of sel whose non-NULL value in vals, the
+// payload of vec, compares with lit as op requires.
+func narrowLit[T int64 | float64 | string](sel []int32, vec *storage.ColVec, vals []T, op sqlparser.BinOp, lit T) []int32 {
+	n := 0
+	for _, i := range sel {
+		if !vec.Null(int(i)) && holds(op, vals[i], lit) {
+			sel[n] = i
+			n++
+		}
 	}
-	return false
+	return sel[:n]
+}
+
+// narrowCols keeps the entries of sel where both columns are non-NULL and
+// compare as op requires.
+func narrowCols[T int64 | float64 | string](sel []int32, va, vb *storage.ColVec, a, b []T, op sqlparser.BinOp) []int32 {
+	n := 0
+	for _, i := range sel {
+		if !va.Null(int(i)) && !vb.Null(int(i)) && holds(op, a[i], b[i]) {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n]
+}
+
+// narrowIntFloat is narrowCols for an INT column compared with a FLOAT
+// one, the integer widened to float.
+func narrowIntFloat(sel []int32, ints, floats *storage.ColVec, op sqlparser.BinOp) []int32 {
+	n := 0
+	for _, i := range sel {
+		if !ints.Null(int(i)) && !floats.Null(int(i)) && holds(op, float64(ints.Ints[i]), floats.Floats[i]) {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n]
 }
 
 // prunesSegment refutes IS [NOT] NULL from the zone map's null count.
@@ -546,23 +560,18 @@ func (p *isNullPred) prunesSegment(seg *storage.Segment) bool {
 	return zm.NullCount == 0
 }
 
-// selectSeg answers IS [NOT] NULL from the null bitmap alone — the bitmap
-// is built for every column, typed vector or not.
-func (p *isNullPred) selectSeg(out []storage.Row, sd *storage.SegData, lo, hi int) ([]storage.Row, error) {
+// narrow answers IS [NOT] NULL from the null bitmap alone — the bitmap is
+// built for every column, typed vector or not.
+func (p *isNullPred) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
 	vec := sd.Col(p.ord)
-	rows := sd.Rows()
-	if !vec.HasNulls() {
-		if p.not {
-			return append(out, rows[lo:hi]...), nil
-		}
-		return out, nil
-	}
-	for i := lo; i < hi; i++ {
-		if vec.Null(i) != p.not {
-			out = append(out, rows[i])
+	n := 0
+	for _, i := range sel {
+		if vec.Null(int(i)) != p.not {
+			sel[n] = i
+			n++
 		}
 	}
-	return out, nil
+	return sel[:n], nil
 }
 
 // prunesSegment refutes an IN list when the zone map refutes equality
@@ -580,29 +589,41 @@ func (p *inColLit) prunesSegment(seg *storage.Segment) bool {
 	return true
 }
 
-// selectSeg probes the sorted literal set with the typed vector's values
-// for an integer column and integer literals, or a string column and
-// string literals; any other pairing takes the row loop.
-func (p *inColLit) selectSeg(out []storage.Row, sd *storage.SegData, lo, hi int) ([]storage.Row, error) {
+// narrow probes the sorted literal set with the typed vector's values for
+// an integer column and integer literals, or a string column and string
+// literals; any other pairing decides each row datum.
+func (p *inColLit) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
 	vec := sd.Col(p.ord)
-	rows := sd.Rows()
 	switch {
 	case vec.Kind == datum.KInt && p.ints != nil:
-		for i := lo; i < hi; i++ {
-			if _, ok := slices.BinarySearch(p.ints, vec.Ints[i]); ok && !vec.Null(i) {
-				out = append(out, rows[i])
-			}
-		}
-		return out, nil
+		return narrowIn(sel, vec, vec.Ints, p.ints), nil
 	case vec.Kind == datum.KString && p.strs != nil:
-		for i := lo; i < hi; i++ {
-			if _, ok := slices.BinarySearch(p.strs, vec.Strs[i]); ok && !vec.Null(i) {
-				out = append(out, rows[i])
-			}
-		}
-		return out, nil
+		return narrowIn(sel, vec, vec.Strs, p.strs), nil
 	}
-	return p.selectInto(out, rows[lo:hi])
+	rows, n := sd.Rows(), 0
+	for _, i := range sel {
+		if p.holds(rows[i][p.ord]) {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n], nil
+}
+
+// narrowIn keeps the entries of sel whose non-NULL value in vals is in the
+// sorted set.
+func narrowIn[T int64 | string](sel []int32, vec *storage.ColVec, vals, set []T) []int32 {
+	n := 0
+	for _, i := range sel {
+		if vec.Null(int(i)) {
+			continue
+		}
+		if _, ok := slices.BinarySearch(set, vals[i]); ok {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n]
 }
 
 // prunesSegment: a conjunction is refuted when any conjunct is.
@@ -615,42 +636,36 @@ func (p *andPred) prunesSegment(seg *storage.Segment) bool {
 	return false
 }
 
-// selectSeg runs the first conjunct through its typed loop (the survivors
-// late-materialize there), then chains the rest over the survivor rows.
-func (p *andPred) selectSeg(out []storage.Row, sd *storage.SegData, lo, hi int) ([]storage.Row, error) {
-	var cur []storage.Row
+// narrow narrows the selection through each conjunct in order, each over
+// the survivors of the previous one.
+func (p *andPred) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
 	var err error
-	for i, pred := range p.preds {
-		last := i == len(p.preds)-1
-		if i == 0 {
-			if last {
-				return segSelect(pred, out, sd, lo, hi)
-			}
-			buf := p.scratch[0][:0]
-			if buf == nil {
-				buf = make([]storage.Row, 0, batchSize)
-			}
-			if buf, err = segSelect(pred, buf, sd, lo, hi); err != nil {
-				return out, err
-			}
-			p.scratch[0] = buf
-			cur = buf
-			continue
+	for _, pred := range p.preds {
+		if len(sel) == 0 {
+			break
 		}
-		if last {
-			return pred.selectInto(out, cur)
+		if sel, err = pred.narrow(sd, sel); err != nil {
+			return sel, err
 		}
-		buf := p.scratch[i%2][:0]
-		if buf == nil {
-			buf = make([]storage.Row, 0, batchSize)
-		}
-		if buf, err = pred.selectInto(buf, cur); err != nil {
-			return out, err
-		}
-		p.scratch[i%2] = buf
-		cur = buf
 	}
-	return append(out, cur...), nil // unreachable for len(preds) >= 1
+	return sel, nil
+}
+
+// narrow evaluates the bound closure on each selected row.
+func (p *exprPred) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
+	rows, n := sd.Rows(), 0
+	for _, i := range sel {
+		p.env.left = rows[i]
+		v, err := p.bound(&p.env)
+		if err != nil {
+			return sel[:n], err
+		}
+		if truthy(v) {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n], nil
 }
 
 // keyOrdinals resolves join/sort key expressions to schema ordinals when
