@@ -128,9 +128,11 @@ func BenchmarkExecLimitFullMaterialize(b *testing.B) {
 
 // --- Morsel-driven parallelism -----------------------------------------------
 //
-// The parallel benchmarks run at a larger TPC-H scale (0.5, lineitem ≈ 30k
-// rows) so each morsel carries real work, and use aggregation-shaped
-// queries so the timing measures the scan/join, not result materialization.
+// The parallel benchmarks run at a larger TPC-H scale (0.5: lineitem 18,700
+// rows, orders 7,500) so each morsel carries real work, and use
+// aggregation-shaped queries so the timing measures the scan/join, not
+// result materialization. ExecParallelJoinHash drives the orders scan and
+// builds on the 750-row customer.
 // The *Serial twins run the identical query on the identical data with
 // parallelism disabled — the pairwise ratio is the speedup. Run with
 // `-cpu 1,4` to see both the serial-parity and the scaled numbers; on a

@@ -92,11 +92,11 @@
 // without a key after the first row. Rows fold one at a time in arrival
 // order: no float sum is reassociated.
 //
-// The first batches of a scan are deliberately small: NextBatch starts
-// at initialChunkSize (64) rows and grows the chunk ×4 per call up to
-// batchSize, so a LIMIT-k short circuit touches tens of heap rows, not a
-// full batch, while long scans reach full batch width within three
-// calls.
+// The first batches of a serial scan are deliberately small: NextBatch
+// starts at initialChunkSize (64) rows and grows the chunk ×4 per call up
+// to batchSize, so a LIMIT-k short circuit touches tens of heap rows, not
+// a full batch, while long scans reach full batch width within three
+// calls. A parallel worker's scan reads its morsel in full-width chunks.
 //
 // The engine thus has one production executor, this one, beside the
 // reference executor (the differential oracle); the morsel-parallel
@@ -202,7 +202,8 @@
 // the storage segments (at most morselSize rows each, lowered to
 // Config.ParallelRowsPerWorker when that is configured smaller; the tail
 // chunks the same way) handed out by an atomic dispenser, and each
-// worker runs the ordinary vectorized pipeline over its morsels — a
+// worker runs the serial batch operators over its morsels, its driver
+// scan being the serial seqScanVec positioned on one morsel at a time — a
 // worker handed a zone-pruned segment's morsel skips it without reading
 // a row, so pruning composes with parallelism — operators
 // above the scan are unchanged; parallelism is purely a property of the
@@ -217,9 +218,11 @@
 //     step.
 //   - Sort / top-K merge per-worker runs by (sort key, sequence), so
 //     ties break by arrival order exactly as the serial stable sort.
-//   - Hash-join build sides above the parallelism threshold are built
-//     once into a shared table by the worker pool (merged in morsel
-//     order) and adopted read-only by every probe pipeline.
+//   - Each hash join on the driver spine builds once per run, before the
+//     workers start: a serial pipeline over the build subtree drains
+//     through the serial join's build loop into one table, which every
+//     worker's probe clone reads. Duplicate matches therefore come out in
+//     the serial build's bucket order.
 //
 // The planner decides the degree of parallelism from cardinality
 // estimates: dop = ceil(estimated rows / Config.ParallelRowsPerWorker),

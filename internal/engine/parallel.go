@@ -26,12 +26,14 @@ package engine
 //     those plans fall back to a serial aggregate over an ordered gather
 //     of the input.
 //
-// Hash-join build sides on the driver spine are built once, before the
-// workers start, and shared read-only by every worker's probe clone. When
-// the build side is itself a plain scan it is built in parallel: morsel
-// partitions are hashed by separate goroutines and merged in morsel order,
-// so bucket insertion order — and therefore duplicate-match emission
-// order — is identical to the serial build.
+// Workers run the serial operators. A worker's driver scan is the serial
+// seqScanVec, positioned on one morsel at a time. Each hash join on the
+// driver spine has one build side, filled once per run before the workers
+// start: the exchange drains a serial pipeline over the build subtree
+// through the build loop a serial join uses (hashTable.fill), and every
+// worker's clone of the join probes that table read-only. Bucket
+// insertion order, and with it the order of duplicate matches, is
+// therefore the serial join's.
 //
 // Because every merge reproduces the serial operator's exact output order,
 // a parallel run is row-for-row equal to the serial vectorized run; the
@@ -333,97 +335,6 @@ func (d *morselDispenser) grab() (m int, mo morsel, ok bool) {
 	return i, d.morsels[i], true
 }
 
-// --- Worker-side scan -------------------------------------------------------
-
-// morselScanVec is seqScanVec restricted to the one morsel the worker was
-// granted; setMorsel repositions it (and makes the zone-map pruning
-// decision) between morsels, Open is a no-op so per-morsel pipeline
-// restarts do not reset the range.
-type morselScanVec struct {
-	scanFilter
-	prune bool
-	st    *OpStats // shared across workers; updated atomically
-
-	sd       *storage.SegData // pinned payload of the current segment morsel
-	rows     []storage.Row    // the tail, for a tail morsel
-	pos, end int
-	skip     bool
-	err      error // deferred Load failure, surfaced by NextBatch
-}
-
-// setMorsel points the scan at one morsel and consults the zone maps: a
-// refuted segment produces no batches at all — and is never faulted in,
-// so pruning a spilled segment costs zero I/O. A surviving segment morsel
-// faults its payload here and stays pinned until the next setMorsel (or
-// Close). Segment accounting is attributed to the lo == 0 morsel so split
-// segments count once.
-func (it *morselScanVec) setMorsel(m morsel) {
-	it.releaseSeg()
-	it.err = nil
-	it.rows, it.pos, it.end = m.rows, m.lo, m.hi
-	it.skip = m.seg != nil && it.prune && it.pred != nil && segPruned(it.pred, m.seg)
-	if it.st != nil && m.seg != nil && m.lo == 0 {
-		if it.skip {
-			atomic.AddInt64(&it.st.SegsPruned, 1)
-		} else {
-			atomic.AddInt64(&it.st.SegsScanned, 1)
-		}
-	}
-	if m.seg == nil || it.skip {
-		return
-	}
-	sd, err := m.seg.Load()
-	if err != nil {
-		it.err = err
-		return
-	}
-	it.sd = sd
-}
-
-func (it *morselScanVec) releaseSeg() {
-	if it.sd != nil {
-		it.sd.Release()
-		it.sd = nil
-	}
-}
-
-func (it *morselScanVec) Open() error { return nil }
-
-func (it *morselScanVec) NextBatch() ([]storage.Row, error) {
-	if it.err != nil {
-		return nil, it.err
-	}
-	if it.skip {
-		return nil, nil
-	}
-	for it.pos < it.end {
-		end := min(it.pos+batchSize, it.end)
-		lo := it.pos
-		it.pos = end
-		var (
-			b   []storage.Row
-			err error
-		)
-		if it.sd != nil {
-			b, err = it.segment(it.sd, lo, end)
-		} else {
-			b, err = it.tail(it.rows[lo:end])
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(b) > 0 {
-			return b, nil
-		}
-	}
-	return nil, nil
-}
-
-func (it *morselScanVec) Close() error {
-	it.releaseSeg()
-	return nil
-}
-
 // --- Vectorized instrumentation wrapper -------------------------------------
 
 // instrVecIter counts rows and inclusive wall time through one vectorized
@@ -479,13 +390,15 @@ func (v *vbuild) instr(n *Node, it vecIter) vecIter {
 
 // --- Exchange ---------------------------------------------------------------
 
-// hashShared is one prebuilt hash-join build side, shared read-only by
-// every worker's probe clone.
-type hashShared struct {
-	node     *Node // the OpHashJoin node this build belongs to
-	entries  []storage.Row
-	keyArena []datum.D
-	table    map[uint64][]int32
+// sharedBuild is the build side of one hash join on the driver spine. The
+// exchange fills its table once per Open, before the workers start, by
+// draining a serial pipeline over the build subtree; every worker's clone
+// of the join then probes it read-only.
+type sharedBuild struct {
+	node *Node   // the OpHashJoin node this build belongs to
+	src  vecIter // serial pipeline over node.Children[1]
+	ords []int   // build-key ordinals in src's rows
+	ht   hashTable
 }
 
 // parWorker is one worker's private pipeline clone plus its per-run
@@ -495,11 +408,11 @@ type hashShared struct {
 // either atomic or read-only while workers run.
 type parWorker struct {
 	root vecIter
-	scan *morselScanVec
+	scan *seqScanVec // the driver scan, positioned per morsel
 
 	sortKeys sortKeyEval // sort merge: per-worker key evaluation
 	agg      *aggAcc     // aggregation merge: per-worker accumulator
-	aggScan  bool        // the accumulator's input is the morsel scan itself
+	aggScan  bool        // the accumulator's input is the driver scan itself
 
 	rows  int64 // rows this worker's subtree emitted
 	nanos int64 // busy wall time
@@ -538,8 +451,7 @@ type exchangeVec struct {
 
 	dop     int
 	workers []*parWorker
-	shared  []*hashShared // driver-spine hash builds, filled at Open
-	shells  []*hashJoinVec
+	builds  []*sharedBuild // driver-spine hash builds, filled at Open
 
 	sortDesc []bool
 	topK     int64
@@ -599,25 +511,19 @@ func workerRootNode(sh *parShape, n *Node) *Node {
 }
 
 // buildWorkerTree clones the driver-spine pipeline for one worker: a
-// range-settable morsel scan at the driver, probe shells over shared
-// builds at hash joins. Expressions re-bind per worker so closure-internal
-// state (cached subquery results, scratch buffers) is never shared.
+// worker's seqScanVec at the driver, probe shells over shared builds at
+// hash joins. Expressions re-bind per worker so closure-internal state
+// (cached subquery results, scratch buffers) is never shared.
 func (x *exchangeVec) buildWorkerTree(v *vbuild, n *Node, w *parWorker) (vecIter, error) {
 	var it vecIter
 	switch {
 	case n == x.sh.driver:
-		ms := &morselScanVec{prune: !v.e.Cfg.DisableZonePruning}
-		if n.Filter != nil {
-			var err error
-			if ms.pred, err = compileVecPred(n.Filter, n.Schema, v.e.subquery); err != nil {
-				return nil, err
-			}
+		scan, err := v.newSeqScanVec(n, true)
+		if err != nil {
+			return nil, err
 		}
-		if v.stats != nil {
-			ms.st = v.stats(n)
-		}
-		w.scan = ms
-		it = ms
+		w.scan = scan
+		it = scan
 	case n.Op == OpHash || n.Op == OpMaterialize:
 		return x.buildWorkerTree(v, n.Children[0], w)
 	case n.Op == OpHashJoin:
@@ -630,8 +536,9 @@ func (x *exchangeVec) buildWorkerTree(v *vbuild, n *Node, w *parWorker) (vecIter
 			return nil, err
 		}
 		shell.probe = probe
-		shell.shared = x.sharedFor(n)
-		x.shells = append(x.shells, shell)
+		if shell.ht, err = x.sharedTable(v, n, shell.buildKeyOrds); err != nil {
+			return nil, err
+		}
 		it = shell
 	default:
 		return nil, fmt.Errorf("engine: operator %s on parallel driver spine", n.Op.Name())
@@ -645,17 +552,21 @@ func (x *exchangeVec) buildWorkerTree(v *vbuild, n *Node, w *parWorker) (vecIter
 	return it, nil
 }
 
-// sharedFor returns (allocating on first use) the shared build slot for a
-// spine join node. Slots are filled at Open, before workers start.
-func (x *exchangeVec) sharedFor(n *Node) *hashShared {
-	for _, s := range x.shared {
-		if s.node == n {
-			return s
+// sharedTable returns the shared build table of a driver-spine join,
+// building on first use the serial pipeline that fills it at Open.
+func (x *exchangeVec) sharedTable(v *vbuild, n *Node, ords []int) (*hashTable, error) {
+	for _, b := range x.builds {
+		if b.node == n {
+			return &b.ht, nil
 		}
 	}
-	s := &hashShared{node: n}
-	x.shared = append(x.shared, s)
-	return s
+	src, err := v.build(n.Children[1])
+	if err != nil {
+		return nil, err
+	}
+	b := &sharedBuild{node: n, src: src, ords: ords}
+	x.builds = append(x.builds, b)
+	return &b.ht, nil
 }
 
 // bindWorkerMerge prepares the per-worker state the merge kind needs: a
@@ -685,8 +596,10 @@ func (x *exchangeVec) Open() error {
 	for _, w := range x.workers {
 		w.rows, w.nanos = 0, 0
 	}
-	if err := x.prepareSharedBuilds(); err != nil {
-		return err
+	for _, b := range x.builds {
+		if err := b.ht.fill(b.src, b.ords); err != nil {
+			return err
+		}
 	}
 	x.disp = newMorselDispenser(buildMorsels(snap, x.e.Cfg.morselRows()))
 	x.cancel = make(chan struct{})
@@ -748,6 +661,11 @@ func (x *exchangeVec) Close() error {
 			err = cerr
 		}
 	}
+	for _, b := range x.builds {
+		if cerr := b.src.Close(); err == nil {
+			err = cerr
+		}
+	}
 	return err
 }
 
@@ -790,7 +708,9 @@ func (x *exchangeVec) runWorker(w *parWorker) {
 // pipeline, invoking emit per output batch. Batches are transient; emit
 // must copy the headers it keeps.
 func (w *parWorker) drainMorsel(mo morsel, emit func([]storage.Row) error) error {
-	w.scan.setMorsel(mo)
+	if err := w.scan.setMorsel(mo); err != nil {
+		return err
+	}
 	if err := w.root.Open(); err != nil {
 		return err
 	}
@@ -1034,240 +954,4 @@ func (x *exchangeVec) mergeAggRuns(runs []*workerRun) ([]storage.Row, error) {
 	groups := x.agg.groups
 	sort.Slice(groups, func(a, b int) bool { return groups[a].firstSeq < groups[b].firstSeq })
 	return x.agg.finish()
-}
-
-// --- Shared hash builds -----------------------------------------------------
-
-// prepareSharedBuilds (re)builds every driver-spine hash-join build side
-// once per Open, before workers start. A build side that is itself a plain
-// filtered scan is built in parallel: goroutines hash morsel partitions
-// independently and the partitions merge in morsel order, reproducing the
-// serial build's bucket insertion order exactly. Anything else drains a
-// serial vectorized pipeline, as hashJoinVec.Open would.
-func (x *exchangeVec) prepareSharedBuilds() error {
-	for _, s := range x.shared {
-		if err := x.buildShared(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (x *exchangeVec) buildShared(s *hashShared) error {
-	n := s.node
-	shell, err := x.v.hashJoinShell(n)
-	if err != nil {
-		return err
-	}
-	s.entries = s.entries[:0]
-	s.keyArena = s.keyArena[:0]
-	s.table = make(map[uint64][]int32)
-
-	if scanNode := plainBuildScan(n.Children[1]); scanNode != nil {
-		t, err := x.e.Cat.Table(scanNode.Relation)
-		if err != nil {
-			return err
-		}
-		if t.RowCount() >= x.e.Cfg.morselRows() {
-			return x.buildSharedParallel(s, shell, n, scanNode, t.Snapshot())
-		}
-	}
-	return x.buildSharedSerial(s, shell, n)
-}
-
-// plainBuildScan returns the SeqScan when the build subtree is just
-// Hash → (Materialize →)? SeqScan, the shape eligible for parallel build.
-func plainBuildScan(n *Node) *Node {
-	for {
-		switch n.Op {
-		case OpHash, OpMaterialize:
-			n = n.Children[0]
-		case OpSeqScan:
-			return n
-		default:
-			return nil
-		}
-	}
-}
-
-func (x *exchangeVec) buildSharedSerial(s *hashShared, shell *hashJoinVec, n *Node) error {
-	// Build through a serial vbuild so nested operators (and, under
-	// instrumentation, their stats) behave exactly like a serial join open.
-	nv := &vbuild{e: x.e, stats: x.v.stats}
-	src, err := nv.build(n.Children[1])
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	if err := src.Open(); err != nil {
-		return err
-	}
-	var env rowEnv
-	keyBuf := make([]datum.D, shell.nKeys)
-	for {
-		b, err := src.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		for _, r := range b {
-			h, null, err := hashRowKeys(r, shell.buildKeyOrds, shell.buildKeys, keyBuf, &env)
-			if err != nil {
-				return err
-			}
-			if null {
-				continue
-			}
-			s.keyArena = append(s.keyArena, keyBuf[:shell.nKeys]...)
-			s.table[h] = append(s.table[h], int32(len(s.entries)))
-			s.entries = append(s.entries, r)
-		}
-	}
-}
-
-// buildPart is one goroutine's hashed morsel partition.
-type buildPart struct {
-	m       int
-	rows    []storage.Row
-	keys    []datum.D
-	hashes  []uint64
-	scanned int64
-	err     error
-}
-
-func (x *exchangeVec) buildSharedParallel(s *hashShared, shell *hashJoinVec, n, scanNode *Node, snap storage.Snapshot) error {
-	disp := newMorselDispenser(buildMorsels(snap, x.e.Cfg.morselRows()))
-	parts := make(chan *buildPart, x.dop)
-	// The scan's stats slot is resolved before the goroutines start: the
-	// stats map is not safe for concurrent insertion, and two goroutines
-	// each creating the slot would lose one's counts.
-	var scanStats *OpStats
-	if x.v.stats != nil {
-		scanStats = x.v.stats(scanNode)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < x.dop; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-goroutine pipeline state: compiled predicate, key binds,
-			// scratch buffers. The hash-side schema is the scan's own.
-			ms := &morselScanVec{prune: !x.e.Cfg.DisableZonePruning, st: scanStats}
-			if scanNode.Filter != nil {
-				pred, err := compileVecPred(scanNode.Filter, scanNode.Schema, x.e.subquery)
-				if err != nil {
-					parts <- &buildPart{m: -1, err: err}
-					return
-				}
-				ms.pred = pred
-			}
-			var scan vecIter = ms
-			if scanStats != nil {
-				scan = newInstrVecIter(ms, scanStats)
-			}
-			defer scan.Close() // unpin the last-held segment payload
-			var env rowEnv
-			keyBuf := make([]datum.D, shell.nKeys)
-			var keys []boundExpr
-			if shell.buildKeyOrds == nil {
-				var err error
-				if keys, err = x.rebindBuildKeys(n); err != nil {
-					parts <- &buildPart{m: -1, err: err}
-					return
-				}
-			}
-			for {
-				m, mo, ok := disp.grab()
-				if !ok {
-					return
-				}
-				p := &buildPart{m: m}
-				ms.setMorsel(mo)
-				if err := scan.Open(); err != nil {
-					parts <- &buildPart{m: -1, err: err}
-					return
-				}
-				for {
-					b, err := scan.NextBatch()
-					if err != nil {
-						parts <- &buildPart{m: -1, err: err}
-						return
-					}
-					if b == nil {
-						break
-					}
-					p.scanned += int64(len(b))
-					for _, r := range b {
-						h, null, err := hashRowKeys(r, shell.buildKeyOrds, keys, keyBuf, &env)
-						if err != nil {
-							parts <- &buildPart{m: -1, err: err}
-							return
-						}
-						if null {
-							continue
-						}
-						p.rows = append(p.rows, r)
-						p.keys = append(p.keys, keyBuf[:shell.nKeys]...)
-						p.hashes = append(p.hashes, h)
-					}
-				}
-				parts <- p
-			}
-		}()
-	}
-	go func() { wg.Wait(); close(parts) }()
-
-	// Merge partitions in morsel order: bucket lists get the same insertion
-	// order as a serial scan, so duplicate-match emission order matches.
-	pending := make(map[int]*buildPart)
-	var firstErr error
-	scanned := int64(0)
-	next, total := 0, disp.count()
-	for p := range parts {
-		if p.err != nil {
-			if firstErr == nil {
-				firstErr = p.err
-			}
-			continue
-		}
-		pending[p.m] = p
-		for {
-			q, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			scanned += q.scanned
-			for i, r := range q.rows {
-				s.keyArena = append(s.keyArena, q.keys[i*shell.nKeys:(i+1)*shell.nKeys]...)
-				s.table[q.hashes[i]] = append(s.table[q.hashes[i]], int32(len(s.entries)))
-				s.entries = append(s.entries, r)
-			}
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if next != total {
-		return fmt.Errorf("engine: parallel hash build lost %d morsels", total-next)
-	}
-	if x.v.stats != nil {
-		// Credit the pass-through Hash/Materialize spine with the rows that
-		// flowed through it, as the serial wrappers would.
-		for c := n.Children[1]; c != nil && (c.Op == OpHash || c.Op == OpMaterialize); c = c.Children[0] {
-			x.v.stats(c).Rows += scanned
-		}
-	}
-	return nil
-}
-
-// rebindBuildKeys produces fresh build-key closures for one build
-// goroutine (closure state must not be shared).
-func (x *exchangeVec) rebindBuildKeys(n *Node) ([]boundExpr, error) {
-	probeNode, hashNode := n.Children[0], n.Children[1]
-	_, buildKeyExprs, _ := joinKeyPairs(n.JoinCond, probeNode.Schema, hashNode.Schema)
-	return bindExprs(buildKeyExprs, hashNode.Schema, x.e.subquery)
 }

@@ -124,6 +124,9 @@ func TestParallelGatherOrderMatchesSerial(t *testing.T) {
 		"SELECT id, val FROM big WHERE val < 500",
 		"SELECT id FROM big LIMIT 100 OFFSET 2000",
 		"SELECT b.id, c.c_name FROM big b, customer c WHERE b.grp = c.c_custkey",
+		// orders repeats o_custkey, so duplicate matches come out in the
+		// shared build's bucket-insertion order.
+		"SELECT b.id, o.o_orderkey FROM big b, orders o WHERE b.grp = o.o_custkey",
 		"SELECT DISTINCT grp FROM big",
 		"SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val) FROM big GROUP BY grp",
 		"SELECT id FROM big ORDER BY val, id LIMIT 50",

@@ -144,22 +144,32 @@ func (p *planner) bindFrom() (bool, error) {
 	// Collect predicates: WHERE conjuncts + inner join ON conjuncts (outer
 	// join ONs stay attached to their join in syntactic planning).
 	if !hasOuter {
-		var gather func(ref sqlparser.TableRef)
-		gather = func(ref sqlparser.TableRef) {
-			if j, ok := ref.(*sqlparser.JoinRef); ok {
-				for _, c := range sqlparser.SplitConjuncts(j.On) {
-					p.addPredicate(c)
-				}
-				gather(j.Left)
-				gather(j.Right)
+		var gather func(ref sqlparser.TableRef) error
+		gather = func(ref sqlparser.TableRef) error {
+			j, ok := ref.(*sqlparser.JoinRef)
+			if !ok {
+				return nil
 			}
+			for _, c := range sqlparser.SplitConjuncts(j.On) {
+				if err := p.addPredicate(c); err != nil {
+					return err
+				}
+			}
+			if err := gather(j.Left); err != nil {
+				return err
+			}
+			return gather(j.Right)
 		}
 		for _, ref := range p.sel.From {
-			gather(ref)
+			if err := gather(ref); err != nil {
+				return false, err
+			}
 		}
 	}
 	for _, c := range sqlparser.SplitConjuncts(p.sel.Where) {
-		p.addPredicate(c)
+		if err := p.addPredicate(c); err != nil {
+			return false, err
+		}
 	}
 	return hasOuter, nil
 }
@@ -172,8 +182,12 @@ func baseRelation(r *sqlparser.BaseTable) relation {
 	return relation{table: r.Name, alias: r.Alias}
 }
 
-func (p *planner) addPredicate(e sqlparser.Expr) {
-	pr := predicate{expr: e, tables: p.tablesOf(e)}
+func (p *planner) addPredicate(e sqlparser.Expr) error {
+	tables, err := p.tablesOf(e)
+	if err != nil {
+		return err
+	}
+	pr := predicate{expr: e, tables: tables}
 	if lc, rc, ok := columnEquality(e); ok {
 		lt, rt := p.ownerOf(lc), p.ownerOf(rc)
 		if lt != "" && rt != "" && lt != rt {
@@ -181,6 +195,7 @@ func (p *planner) addPredicate(e sqlparser.Expr) {
 		}
 	}
 	p.preds = append(p.preds, pr)
+	return nil
 }
 
 // columnEquality matches a `column = column` conjunct.
@@ -207,18 +222,28 @@ func (p *planner) ownerOf(c *sqlparser.ColumnRef) string {
 	return p.colOwner[c.Name]
 }
 
-// tablesOf returns the set of relation aliases an expression references.
-// Subqueries contribute no outer tables (only uncorrelated are supported).
-func (p *planner) tablesOf(e sqlparser.Expr) map[string]bool {
+// tablesOf returns the set of relation aliases a WHERE or ON conjunct
+// references. Subqueries contribute no outer tables (only uncorrelated are
+// supported). An unqualified column whose name two FROM tables share is an
+// error: no executor could tell which table it means.
+func (p *planner) tablesOf(e sqlparser.Expr) (map[string]bool, error) {
 	out := make(map[string]bool)
+	var ambiguous *sqlparser.ColumnRef
 	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
-		if c, ok := x.(*sqlparser.ColumnRef); ok {
-			if owner := p.ownerOf(c); owner != "" {
-				out[owner] = true
-			}
+		c, ok := x.(*sqlparser.ColumnRef)
+		if !ok {
+			return
+		}
+		if owner := p.ownerOf(c); owner != "" {
+			out[owner] = true
+		} else if _, shared := p.colOwner[c.Name]; shared && c.Table == "" {
+			ambiguous = c
 		}
 	})
-	return out
+	if ambiguous != nil {
+		return nil, fmt.Errorf("engine: column reference %q is ambiguous", ambiguous.Name)
+	}
+	return out, nil
 }
 
 // rewriteAliases replaces select-item aliases used in GROUP BY, HAVING and
@@ -940,6 +965,9 @@ func (p *planner) buildInnerJoin(left *Node, table *sqlparser.BaseTable, on sqlp
 	alias := baseRelation(table).alias
 	var keys, rest []sqlparser.Expr
 	for _, c := range sqlparser.SplitConjuncts(on) {
+		if _, err := p.tablesOf(c); err != nil {
+			return nil, err
+		}
 		if p.isCrossKey(c, left, alias) {
 			keys = append(keys, c)
 		} else {
@@ -969,7 +997,11 @@ func (p *planner) buildLeftJoin(left *Node, table *sqlparser.BaseTable, on sqlpa
 	var cond, pushed []sqlparser.Expr
 	hasKey := false
 	for _, c := range sqlparser.SplitConjuncts(on) {
-		switch tables := p.tablesOf(c); {
+		tables, err := p.tablesOf(c)
+		if err != nil {
+			return nil, err
+		}
+		switch {
 		case p.isCrossKey(c, left, alias):
 			hasKey = true
 			cond = append(cond, c)

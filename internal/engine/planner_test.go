@@ -380,3 +380,37 @@ func TestUnfoldableBoundsKeepEstimates(t *testing.T) {
 		}
 	}
 }
+
+// TestAmbiguousColumnInPredicate: an unqualified column in WHERE or an ON
+// clause whose name two FROM tables share is an error in every executor,
+// as it is in the select list, instead of binding to one of the tables
+// (or failing as a column that does not exist).
+func TestAmbiguousColumnInPredicate(t *testing.T) {
+	queries := []string{
+		"SELECT a.id, b.id FROM a JOIN b ON id = w",
+		"SELECT a.id, b.id FROM a, b WHERE a.id = b.id AND id < v",
+		"SELECT a.id, b.id FROM a, b, c WHERE a.id = b.id AND id = c.aid",
+		"SELECT a.id, b.id FROM a JOIN b ON a.id = b.id LEFT JOIN c ON id = aid",
+		"SELECT a.id, b.id FROM c JOIN a ON aid = id LEFT JOIN b ON a.id = b.id",
+	}
+	for name, cfg := range diffConfigs() {
+		for _, ref := range []bool{false, true} {
+			cfg.ReferenceExec = ref
+			e := New(cfg)
+			if _, err := e.ExecScript(`CREATE TABLE a (id INTEGER, v INTEGER);
+				CREATE TABLE b (id INTEGER, w INTEGER);
+				CREATE TABLE c (aid INTEGER);
+				INSERT INTO a VALUES (1, 2), (2, 1);
+				INSERT INTO b VALUES (1, 2), (2, 1);
+				INSERT INTO c VALUES (1), (2);`); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				_, err := e.Exec(q)
+				if err == nil || !strings.Contains(err.Error(), `column reference "id" is ambiguous`) {
+					t.Errorf("%s (reference %v): %q: err = %v, want ambiguous column reference", name, ref, q, err)
+				}
+			}
+		}
+	}
+}

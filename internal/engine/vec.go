@@ -95,7 +95,7 @@ func (v *vbuild) build(n *Node) (vecIter, error) {
 func (v *vbuild) build0(n *Node) (vecIter, error) {
 	switch n.Op {
 	case OpSeqScan:
-		return v.newSeqScanVec(n)
+		return v.newSeqScanVec(n, false)
 	case OpIndexScan:
 		return v.newIndexScanVec(n)
 	case OpHash, OpMaterialize:
@@ -320,34 +320,47 @@ func (f *scanFilter) origin() segRows { return f.at }
 // stops after one small chunk instead of paying for a full 1024-row batch,
 // while a full scan reaches max-size chunks after two steps and keeps the
 // batch loop's throughput.
+//
+// The same scan reads a parallel worker's morsels (parallel.go). A
+// worker's scan has no table and takes no snapshot: setMorsel positions
+// it on one morsel, which it reads in full-width chunks, and it ends
+// where the morsel does.
 type seqScanVec struct {
 	scanFilter
-	snap  storage.Snapshot
-	prune bool // consult zone maps (off under Config.DisableZonePruning)
+	t     *storage.Table // nil for a worker's scan
+	prune bool           // consult zone maps (off under Config.DisableZonePruning)
 	st    *OpStats
 
+	snap     storage.Snapshot
 	curSD    *storage.SegData // loaded payload cur aliases; nil for the tail
 	cur      []storage.Row    // current run of rows
+	pos, end int              // next and end position within cur
 	seg      int              // next sealed segment ordinal
-	pos      int              // position within cur
 	tailDone bool
 	done     bool
 	chunk    int
 }
 
-// initialChunkSize is the first chunk a seqScanVec produces after Open.
+// initialChunkSize is the first chunk a serial seqScanVec produces after
+// Open.
 const initialChunkSize = 64
 
-func (v *vbuild) newSeqScanVec(n *Node) (*seqScanVec, error) {
-	t, err := v.e.Cat.Table(n.Relation)
-	if err != nil {
-		return nil, err
+// newSeqScanVec builds the scan of n: a serial scan of its table, or, for
+// a parallel worker, a scan that reads only the morsels it is handed.
+func (v *vbuild) newSeqScanVec(n *Node, worker bool) (*seqScanVec, error) {
+	it := &seqScanVec{prune: !v.e.Cfg.DisableZonePruning, chunk: batchSize}
+	if !worker {
+		t, err := v.e.Cat.Table(n.Relation)
+		if err != nil {
+			return nil, err
+		}
+		it.t = t
 	}
-	it := &seqScanVec{snap: t.Snapshot(), prune: !v.e.Cfg.DisableZonePruning}
 	if v.stats != nil {
 		it.st = v.stats(n)
 	}
 	if n.Filter != nil {
+		var err error
 		if it.pred, err = compileVecPred(n.Filter, n.Schema, v.e.subquery); err != nil {
 			return nil, err
 		}
@@ -355,13 +368,33 @@ func (v *vbuild) newSeqScanVec(n *Node) (*seqScanVec, error) {
 	return it, nil
 }
 
+// Open takes a fresh snapshot and rewinds a serial scan. A worker's scan
+// keeps the morsel setMorsel positioned it on.
 func (it *seqScanVec) Open() error {
-	it.releaseSeg()
-	it.cur = nil
-	it.seg, it.pos = 0, 0
-	it.tailDone, it.done = false, false
+	if it.t == nil {
+		return nil
+	}
+	it.snap = it.t.Snapshot()
+	it.cur, it.pos, it.end = nil, 0, 0
+	it.seg, it.tailDone, it.done = 0, false, false
 	it.chunk = initialChunkSize
 	return it.advance()
+}
+
+// setMorsel positions a worker's scan on one morsel. A segment morsel
+// whose zone maps refute the predicate yields no rows and is never faulted
+// in; a surviving one stays pinned until the next setMorsel or Close.
+// Only the lo == 0 morsel of a segment counts it, so a segment split into
+// several morsels counts once.
+func (it *seqScanVec) setMorsel(m morsel) error {
+	it.releaseSeg()
+	it.done = false
+	if m.seg == nil {
+		it.cur, it.pos, it.end = m.rows, m.lo, m.hi
+		return nil
+	}
+	it.cur, it.pos, it.end = nil, 0, 0
+	return it.enterSeg(m.seg, m.lo, m.hi, m.lo == 0)
 }
 
 // releaseSeg unpins the current segment's buffer pool frame, if any. Rows
@@ -375,79 +408,80 @@ func (it *seqScanVec) releaseSeg() {
 	}
 }
 
-// advance positions the scan at its next run of rows: the next sealed
-// segment surviving zone-map pruning, then the tail, then end-of-stream.
-// Pruning consults only the segment's resident zone maps; a surviving
-// segment is then faulted in (and pinned) through the buffer pool, so a
-// pruned segment costs zero I/O. Segment-level accounting (scanned vs
-// pruned) happens here; the counters are atomic because build-side scans
-// can run cloned across goroutines against one shared OpStats.
+// enterSeg consults s's zone maps and, unless they refute the predicate,
+// faults the payload in (pinned) and positions the scan on rows [lo, hi)
+// of it, so a pruned segment costs zero I/O. count records the segment as
+// scanned or pruned; the counters are atomic because a parallel scan's
+// workers share one OpStats.
+func (it *seqScanVec) enterSeg(s *storage.Segment, lo, hi int, count bool) error {
+	pruned := it.prune && it.pred != nil && segPruned(it.pred, s)
+	if count && it.st != nil {
+		if pruned {
+			atomic.AddInt64(&it.st.SegsPruned, 1)
+		} else {
+			atomic.AddInt64(&it.st.SegsScanned, 1)
+		}
+	}
+	if pruned {
+		return nil
+	}
+	sd, err := s.Load()
+	if err != nil {
+		it.done = true
+		return err
+	}
+	it.curSD, it.cur, it.pos, it.end = sd, sd.Rows(), lo, hi
+	return nil
+}
+
+// advance positions a serial scan at its next run of rows: the next
+// sealed segment surviving zone-map pruning, then the tail, then
+// end-of-stream. A worker's scan ends with its morsel.
 func (it *seqScanVec) advance() error {
 	it.releaseSeg()
+	if it.t == nil {
+		it.done = true
+		return nil
+	}
 	segs := it.snap.Segments()
 	for it.seg < len(segs) {
 		s := segs[it.seg]
 		it.seg++
-		if it.prune && it.pred != nil && segPruned(it.pred, s) {
-			it.noteSeg(true)
-			continue
-		}
-		it.noteSeg(false)
-		sd, err := s.Load()
-		if err != nil {
-			it.done = true
+		if err := it.enterSeg(s, 0, s.NumRows(), true); err != nil || it.curSD != nil {
 			return err
 		}
-		it.curSD, it.cur, it.pos = sd, sd.Rows(), 0
-		return nil
 	}
 	if !it.tailDone {
 		it.tailDone = true
-		it.cur, it.pos = it.snap.Tail(), 0
+		it.cur = it.snap.Tail()
+		it.pos, it.end = 0, len(it.cur)
 		return nil
 	}
 	it.done = true
 	return nil
 }
 
-func (it *seqScanVec) noteSeg(pruned bool) {
-	if it.st == nil {
-		return
-	}
-	if pruned {
-		atomic.AddInt64(&it.st.SegsPruned, 1)
-	} else {
-		atomic.AddInt64(&it.st.SegsScanned, 1)
-	}
-}
-
 func (it *seqScanVec) NextBatch() ([]storage.Row, error) {
 	for !it.done {
-		if it.pos >= len(it.cur) {
+		if it.pos >= it.end {
 			if err := it.advance(); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		end := it.pos + it.chunk
-		if it.chunk < batchSize {
-			if it.chunk *= 4; it.chunk > batchSize {
-				it.chunk = batchSize
-			}
-		}
-		if end > len(it.cur) {
-			end = len(it.cur)
-		}
 		lo := it.pos
-		it.pos = end
+		it.pos = min(lo+it.chunk, it.end)
+		if it.chunk < batchSize {
+			it.chunk = min(it.chunk*4, batchSize)
+		}
 		var (
 			b   []storage.Row
 			err error
 		)
 		if it.curSD != nil {
-			b, err = it.segment(it.curSD, lo, end)
+			b, err = it.segment(it.curSD, lo, it.pos)
 		} else {
-			b, err = it.tail(it.cur[lo:end])
+			b, err = it.tail(it.cur[lo:it.pos])
 		}
 		if err != nil {
 			return nil, err

@@ -1,14 +1,15 @@
 package engine
 
 // vecjoin.go holds the batch joins. The hash join's build phase drains the
-// build side batch-at-a-time into a flat keyArena (the evaluated key
+// build side batch-at-a-time into a hashTable: a flat keyArena (the key
 // datums of every build row, so the hash-collision recheck is a pure
-// datum comparison) and a bucket table; NULL keys are skipped on insert,
-// since they can never match. The probe phase walks each probe batch in a
-// tight loop, loading key datums by ordinal when the join keys are bare
-// column references, and packs surviving joined rows into batchWriter
-// arena chunks — typically one or two allocations per output batch
-// instead of one concatRows allocation per output row. NULL semantics are
+// datum comparison) and bucket lists; NULL keys are skipped on insert,
+// since they can never match. Join keys are always columns of their input
+// (joinKeyPairs admits only cross-input column equalities), so both sides
+// load key datums by ordinal. The probe phase walks each probe batch in a
+// tight loop and packs surviving joined rows into batchWriter arena
+// chunks — typically one or two allocations per output batch instead of
+// one concatRows allocation per output row. NULL semantics are
 // identical on both sides: a probe row with any NULL key component gets an
 // empty bucket (and, for LEFT JOIN, flows to the null-extension path), and
 // `matched` is decided by the ON condition (keys + residual) alone — the
@@ -23,7 +24,7 @@ package engine
 // nested-loop algorithm's.
 //
 // The merge join drains both (sorted) inputs at Open with their key datums
-// evaluated once into flat arenas, so the merge itself is pure datum
+// loaded once into flat arenas, so the merge itself is pure datum
 // comparison, and emits equal-key groups pairwise through a batchWriter,
 // resuming mid-group when a batch fills.
 
@@ -36,16 +37,13 @@ import (
 )
 
 type hashJoinVec struct {
-	probe, build vecIter
+	probe vecIter
+	build vecIter // nil in a parallel worker's clone, which probes a shared ht
 
-	// Key evaluation: ordinal fast path when every key is a bare column
-	// reference, pre-bound closures otherwise. Exactly one of
-	// {probeKeyOrds, probeKeys} is non-nil, same for the build side,
-	// except in a nested loop, which has no keys.
+	// Key ordinals in the probe and build rows; nil in a nested loop,
+	// which has no keys.
 	probeKeyOrds []int
-	probeKeys    []boundExpr
 	buildKeyOrds []int
-	buildKeys    []boundExpr
 	nKeys        int
 
 	residual   boundExpr // pair-bound residual join condition
@@ -53,14 +51,7 @@ type hashJoinVec struct {
 	leftOuter  bool
 	nullsRight storage.Row
 
-	entries  []storage.Row
-	keyArena []datum.D // len(entries)*nKeys, parallel to entries
-	table    map[uint64][]int32
-
-	// shared, when non-nil, is a prebuilt build side owned by the parallel
-	// exchange (parallel.go): Open adopts it read-only instead of draining
-	// the build child, so every worker's probe clone shares one table.
-	shared *hashShared
+	ht *hashTable
 
 	w      batchWriter
 	est    int // planner's output estimate, clamped; seeds w.left at Open
@@ -78,11 +69,52 @@ type hashJoinVec struct {
 	probing  bool
 }
 
+// hashTable is a hash join's build side: the build rows without a NULL
+// key, their key datums in one flat arena parallel to them, and the
+// bucket lists of their indices by key hash.
+type hashTable struct {
+	entries  []storage.Row
+	keyArena []datum.D // len(entries)*len(ords), parallel to entries
+	buckets  map[uint64][]int32
+}
+
+// fill opens src and drains it into t, keyed by the columns at ords. It is
+// the one build loop: a serial hash join fills its own table at Open, and
+// the parallel exchange fills each driver-spine join's shared table.
+func (t *hashTable) fill(src vecIter, ords []int) error {
+	if err := src.Open(); err != nil {
+		return err
+	}
+	t.entries = t.entries[:0]
+	t.keyArena = t.keyArena[:0]
+	t.buckets = make(map[uint64][]int32)
+	keyBuf := make([]datum.D, len(ords))
+	for {
+		b, err := src.NextBatch()
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			return nil
+		}
+		for _, r := range b {
+			h, null := hashRowKeys(r, ords, keyBuf)
+			if null {
+				continue // NULL keys never match
+			}
+			t.keyArena = append(t.keyArena, keyBuf...)
+			t.buckets[h] = append(t.buckets[h], int32(len(t.entries)))
+			t.entries = append(t.entries, r)
+		}
+	}
+}
+
 func (v *vbuild) newHashJoinVec(n *Node) (*hashJoinVec, error) {
 	it, err := v.hashJoinShell(n)
 	if err != nil {
 		return nil, err
 	}
+	it.ht = new(hashTable)
 	if it.probe, err = v.build(n.Children[0]); err != nil {
 		return nil, err
 	}
@@ -92,11 +124,11 @@ func (v *vbuild) newHashJoinVec(n *Node) (*hashJoinVec, error) {
 	return it, nil
 }
 
-// hashJoinShell builds everything of a hashJoinVec except its child
-// iterators: key evaluation for both sides, residual and post-join filter
+// hashJoinShell builds everything of a hashJoinVec except its inputs and
+// table: key ordinals for both sides, residual and post-join filter
 // binds, and the output writer. The serial constructor attaches probe and
-// build children; the parallel exchange attaches a per-worker probe clone
-// and a shared prebuilt table instead.
+// build children and a table of its own; the parallel exchange attaches a
+// per-worker probe clone and a shared table instead.
 //
 // A Nested Loop (OpNestedLoop) gets no keys and its whole JoinCond as the
 // residual.
@@ -111,15 +143,11 @@ func (v *vbuild) hashJoinShell(n *Node) (*hashJoinVec, error) {
 			return nil, fmt.Errorf("engine: hash join without equi-condition")
 		}
 		it.nKeys = len(probeKeyExprs)
-		if it.probeKeyOrds = keyOrdinals(probeKeyExprs, probeNode.Schema); it.probeKeyOrds == nil {
-			if it.probeKeys, err = bindExprs(probeKeyExprs, probeNode.Schema, v.e.subquery); err != nil {
-				return nil, err
-			}
+		if it.probeKeyOrds, err = joinKeyOrdinals(probeKeyExprs, probeNode.Schema); err != nil {
+			return nil, err
 		}
-		if it.buildKeyOrds = keyOrdinals(buildKeyExprs, hashNode.Schema); it.buildKeyOrds == nil {
-			if it.buildKeys, err = bindExprs(buildKeyExprs, hashNode.Schema, v.e.subquery); err != nil {
-				return nil, err
-			}
+		if it.buildKeyOrds, err = joinKeyOrdinals(buildKeyExprs, hashNode.Schema); err != nil {
+			return nil, err
 		}
 		cond = sqlparser.JoinConjuncts(residual)
 	}
@@ -143,77 +171,47 @@ func (v *vbuild) hashJoinShell(n *Node) (*hashJoinVec, error) {
 	return it, nil
 }
 
-// hashRowKeys evaluates r's key datums into dst (which must hold nKeys),
-// returning the FNV hash and whether any component was NULL (in which case
-// dst is partial and the row can never match). With no keys every row
-// hashes alike, into the one bucket of a nested loop.
-func hashRowKeys(r storage.Row, ords []int, keys []boundExpr, dst []datum.D, env *rowEnv) (uint64, bool, error) {
-	h := uint64(1469598103934665603)
-	if ords != nil {
-		for i, ord := range ords {
-			v := r[ord]
-			if v.IsNull() {
-				return 0, true, nil
-			}
-			dst[i] = v
-			h = h*1099511628211 ^ v.Hash()
-		}
-		return h, false, nil
-	}
-	env.left = r
+// joinKeyOrdinals resolves join keys to ordinals of schema. joinKeyPairs
+// admits only columns found in the input, so a key fails to resolve only
+// when its name is ambiguous there, with resolve's error.
+func joinKeyOrdinals(keys []sqlparser.Expr, schema []colRef) ([]int, error) {
+	ords := make([]int, len(keys))
 	for i, k := range keys {
-		v, err := k(env)
+		ord, err := resolve(schema, k.(*sqlparser.ColumnRef))
 		if err != nil {
-			return 0, false, err
+			return nil, err
 		}
+		ords[i] = ord
+	}
+	return ords, nil
+}
+
+// hashRowKeys loads r's key datums at ords into dst (which must hold
+// len(ords)), returning the FNV hash and whether any component was NULL
+// (in which case dst is partial and the row can never match). With no
+// keys every row hashes alike, into the one bucket of a nested loop.
+func hashRowKeys(r storage.Row, ords []int, dst []datum.D) (uint64, bool) {
+	h := uint64(1469598103934665603)
+	for i, ord := range ords {
+		v := r[ord]
 		if v.IsNull() {
-			return 0, true, nil
+			return 0, true
 		}
 		dst[i] = v
 		h = h*1099511628211 ^ v.Hash()
 	}
-	return h, false, nil
+	return h, false
 }
 
+// Open fills the join's own table from the build side, unless it probes
+// a table the parallel exchange shares, and opens the probe side.
 func (it *hashJoinVec) Open() error {
-	it.w.left = it.est
-	if it.shared != nil {
-		// Prebuilt by the exchange before workers started; adopt read-only.
-		it.entries, it.keyArena, it.table = it.shared.entries, it.shared.keyArena, it.shared.table
-		it.curBatch, it.pi = nil, 0
-		it.probeRow, it.bucket, it.bi = nil, nil, 0
-		it.probing = false
-		return it.probe.Open()
-	}
-	if err := it.build.Open(); err != nil {
-		return err
-	}
-	it.entries = it.entries[:0]
-	it.keyArena = it.keyArena[:0]
-	it.table = make(map[uint64][]int32)
-	var env rowEnv
-	keyBuf := make([]datum.D, it.nKeys)
-	for {
-		b, err := it.build.NextBatch()
-		if err != nil {
+	if it.build != nil {
+		if err := it.ht.fill(it.build, it.buildKeyOrds); err != nil {
 			return err
 		}
-		if b == nil {
-			break
-		}
-		for _, r := range b {
-			h, null, err := hashRowKeys(r, it.buildKeyOrds, it.buildKeys, keyBuf, &env)
-			if err != nil {
-				return err
-			}
-			if null {
-				continue // NULL keys never match
-			}
-			it.keyArena = append(it.keyArena, keyBuf[:it.nKeys]...)
-			it.table[h] = append(it.table[h], int32(len(it.entries)))
-			it.entries = append(it.entries, r)
-		}
 	}
+	it.w.left = it.est
 	it.curBatch, it.pi = nil, 0
 	it.probeRow, it.bucket, it.bi = nil, nil, 0
 	it.probing = false
@@ -249,12 +247,8 @@ func (it *hashJoinVec) NextBatch() ([]storage.Row, error) {
 			it.probeRow = r
 			it.matched = false
 			it.bucket, it.bi = nil, 0
-			h, null, err := hashRowKeys(r, it.probeKeyOrds, it.probeKeys, it.keyBuf, &it.env)
-			if err != nil {
-				return nil, err
-			}
-			if !null {
-				it.bucket = it.table[h]
+			if h, null := hashRowKeys(r, it.probeKeyOrds, it.keyBuf); !null {
+				it.bucket = it.ht.buckets[h]
 			}
 			it.probing = true
 		}
@@ -263,10 +257,10 @@ func (it *hashJoinVec) NextBatch() ([]storage.Row, error) {
 			idx := it.bucket[it.bi]
 			it.bi++
 			off := int(idx) * it.nKeys
-			if !datumsEqual(it.keyBuf, it.keyArena[off:off+it.nKeys]) {
+			if !datumsEqual(it.keyBuf, it.ht.keyArena[off:off+it.nKeys]) {
 				continue // hash collision
 			}
-			br := it.entries[idx]
+			br := it.ht.entries[idx]
 			it.env.right = br
 			if it.residual != nil {
 				v, err := it.residual(&it.env)
@@ -335,13 +329,13 @@ func datumsEqual(a, b []datum.D) bool {
 // --- Merge join -------------------------------------------------------------
 
 type mergeJoinVec struct {
-	left, right          vecIter
-	lKeyExprs, rKeyExprs []boundExpr
-	nKeys                int
-	residual             boundExpr // pair-bound
-	outFilter            boundExpr // pair-bound
-	lEst, rEst           int       // planner cardinality estimates, for preallocation
-	est                  int       // planner's output estimate, clamped; seeds w.left at Open
+	left, right        vecIter
+	lKeyOrds, rKeyOrds []int
+	nKeys              int
+	residual           boundExpr // pair-bound
+	outFilter          boundExpr // pair-bound
+	lEst, rEst         int       // planner cardinality estimates, for preallocation
+	est                int       // planner's output estimate, clamped; seeds w.left at Open
 
 	lRows, rRows []storage.Row
 	lKeys, rKeys []datum.D
@@ -373,10 +367,10 @@ func (v *vbuild) newMergeJoinVec(n *Node) (*mergeJoinVec, error) {
 	if it.right, err = v.build(rightNode); err != nil {
 		return nil, err
 	}
-	if it.lKeyExprs, err = bindExprs(lKeyExprs, leftNode.Schema, v.e.subquery); err != nil {
+	if it.lKeyOrds, err = joinKeyOrdinals(lKeyExprs, leftNode.Schema); err != nil {
 		return nil, err
 	}
-	if it.rKeyExprs, err = bindExprs(rKeyExprs, rightNode.Schema, v.e.subquery); err != nil {
+	if it.rKeyOrds, err = joinKeyOrdinals(rKeyExprs, rightNode.Schema); err != nil {
 		return nil, err
 	}
 	if cond := sqlparser.JoinConjuncts(residual); cond != nil {
@@ -392,14 +386,14 @@ func (v *vbuild) newMergeJoinVec(n *Node) (*mergeJoinVec, error) {
 	return it, nil
 }
 
-// drainKeyed opens child and materializes its rows and their key datums.
-func drainKeyed(child vecIter, keys []boundExpr, est int) ([]storage.Row, []datum.D, error) {
+// drainKeyed opens child and materializes its rows and their key datums,
+// loaded from the columns at ords.
+func drainKeyed(child vecIter, ords []int, est int) ([]storage.Row, []datum.D, error) {
 	if err := child.Open(); err != nil {
 		return nil, nil, err
 	}
 	rows := make([]storage.Row, 0, est)
-	arena := make([]datum.D, 0, est*len(keys))
-	var env rowEnv
+	arena := make([]datum.D, 0, est*len(ords))
 	for {
 		b, err := child.NextBatch()
 		if err != nil {
@@ -409,13 +403,8 @@ func drainKeyed(child vecIter, keys []boundExpr, est int) ([]storage.Row, []datu
 			return rows, arena, nil
 		}
 		for _, r := range b {
-			env.left = r
-			for _, k := range keys {
-				v, err := k(&env)
-				if err != nil {
-					return nil, nil, err
-				}
-				arena = append(arena, v)
+			for _, o := range ords {
+				arena = append(arena, r[o])
 			}
 		}
 		rows = append(rows, b...)
@@ -424,10 +413,10 @@ func drainKeyed(child vecIter, keys []boundExpr, est int) ([]storage.Row, []datu
 
 func (it *mergeJoinVec) Open() error {
 	var err error
-	if it.lRows, it.lKeys, err = drainKeyed(it.left, it.lKeyExprs, it.lEst); err != nil {
+	if it.lRows, it.lKeys, err = drainKeyed(it.left, it.lKeyOrds, it.lEst); err != nil {
 		return err
 	}
-	if it.rRows, it.rKeys, err = drainKeyed(it.right, it.rKeyExprs, it.rEst); err != nil {
+	if it.rRows, it.rKeys, err = drainKeyed(it.right, it.rKeyOrds, it.rEst); err != nil {
 		return err
 	}
 	it.li, it.ri, it.inGroup = 0, 0, false

@@ -668,9 +668,9 @@ func (p *exprPred) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
 	return sel[:n], nil
 }
 
-// keyOrdinals resolves join/sort key expressions to schema ordinals when
-// every key is a bare column reference — the dominant case — so batch key
-// evaluation is a direct index load per key instead of a closure call.
+// keyOrdinals resolves sort and group key expressions to schema ordinals
+// when every key is a bare column reference — the dominant case — so batch
+// key evaluation is a direct index load per key instead of a closure call.
 // Returns nil when any key needs general evaluation.
 func keyOrdinals(exprs []sqlparser.Expr, schema []colRef) []int {
 	ords := make([]int, len(exprs))

@@ -56,9 +56,8 @@ func (v *ColVec) HasNulls() bool { return v.nulls != nil }
 // A segment is either resident (rows/cols populated) or spilled (payload
 // in a segment file, src set; see spill.go). Zone maps, distinct
 // sketches and the row count are always resident — pruning and ANALYZE
-// never fault a spilled payload in. Payload access on a spilled segment
-// goes through Load; the legacy Rows/Col accessors fault transparently
-// and panic on I/O or checksum errors.
+// never fault a spilled payload in. Payload access goes through Load,
+// which faults a spilled payload in and returns I/O and checksum errors.
 type Segment struct {
 	nrows  int
 	rows   []Row
@@ -71,29 +70,6 @@ type Segment struct {
 
 // NumRows returns the number of rows in the segment.
 func (s *Segment) NumRows() int { return s.nrows }
-
-// Rows returns the segment's row-major view, faulting a spilled payload
-// in (and panicking on a read error — use Load to handle errors). The
-// returned rows are immutable; callers may retain them indefinitely.
-func (s *Segment) Rows() []Row {
-	if s.src == nil {
-		return s.rows
-	}
-	d := s.mustLoad()
-	defer d.Release()
-	return d.rows
-}
-
-// Col returns the typed vector of column i, faulting a spilled payload
-// in (and panicking on a read error — use Load to handle errors).
-func (s *Segment) Col(i int) *ColVec {
-	if s.src == nil {
-		return &s.cols[i]
-	}
-	d := s.mustLoad()
-	defer d.Release()
-	return &d.cols[i]
-}
 
 // Zone returns the zone map of column i.
 func (s *Segment) Zone(i int) ZoneMap { return s.zones[i] }

@@ -186,7 +186,11 @@ func (g *Generator) samplePredicate(tables []string, alias map[string]string) st
 		return ""
 	}
 	col := t.Columns[g.rng.Intn(len(t.Columns))]
-	v := snap.Row(g.rng.Intn(snap.NumRows()))[t.ColumnIndex(col.Name)]
+	row, err := snap.FetchRow(g.rng.Intn(snap.NumRows()))
+	if err != nil {
+		return ""
+	}
+	v := row[t.ColumnIndex(col.Name)]
 	if v.IsNull() {
 		return fmt.Sprintf("%s.%s IS NULL", alias[table], col.Name)
 	}
@@ -201,7 +205,11 @@ func (g *Generator) samplePredicate(tables []string, alias map[string]string) st
 		case 2:
 			return fmt.Sprintf("%s > %s", ref, v)
 		default:
-			hi := snap.Row(g.rng.Intn(snap.NumRows()))[t.ColumnIndex(col.Name)]
+			row, err := snap.FetchRow(g.rng.Intn(snap.NumRows()))
+			if err != nil {
+				return ""
+			}
+			hi := row[t.ColumnIndex(col.Name)]
 			if hi.IsNull() || datum.Compare(hi, v) < 0 {
 				return fmt.Sprintf("%s >= %s", ref, v)
 			}
