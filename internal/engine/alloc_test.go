@@ -24,11 +24,12 @@ import (
 // --- Batch-pipeline guards ---------------------------------------------------
 //
 // The vectorized executor's promise is per-BATCH costs, not per-row ones:
-// a filtered scan reuses its survivor buffer (zero allocations per batch),
-// the hash-join probe pays exactly one output-arena allocation per batch,
-// and a top-K query allocates a fixed setup regardless of input size. The
-// guards below pin those, so a regression back to per-row allocation shows
-// up as a thousandfold violation, not a few percent.
+// a filtered scan reuses its selection vector and survivor buffer (zero
+// allocations per batch), the hash-join probe pays exactly one
+// output-arena allocation per batch, and a top-K query allocates a fixed
+// setup regardless of input size. The guards below pin those, so a
+// regression back to per-row allocation shows up as a thousandfold
+// violation, not a few percent.
 
 const vecAllocRows = 20_000
 
@@ -68,8 +69,10 @@ func vecAllocDB(t *testing.T, cfg Config) *Engine {
 }
 
 // TestVecScanFilterBatchAllocs: a filtered batch scan allocates nothing per
-// batch once its survivor buffer exists — the compiled predicate selects
-// into a reused slice and unfiltered chunks alias the heap.
+// batch once its buffers exist — the compiled predicate narrows a reused
+// selection vector, survivors gather into a reused slice, and unfiltered
+// chunks alias the heap. The table's 3,616-row tail is filtered the same
+// way as its sealed segments.
 func TestVecScanFilterBatchAllocs(t *testing.T) {
 	e := vecAllocDB(t, DefaultConfig())
 	plan, err := e.PlanSQL("SELECT id, v FROM t WHERE v > 10")
@@ -100,6 +103,47 @@ func TestVecScanFilterBatchAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("filtered batch scan allocates %.2f allocs/batch, want 0", avg)
+	}
+}
+
+// TestVecIndexScanFilterBatchAllocs: an index range scan with a residual
+// filter allocates nothing per batch once its fetch buffer and selection
+// vector exist. v spreads over every segment, so zone maps cannot prune a
+// seq scan and the planner takes the index for v < 250 (5,000 candidates,
+// five batches). The scan is rewound by resetting its position, since
+// Open's fresh index lookup allocates once per query, not per batch.
+func TestVecIndexScanFilterBatchAllocs(t *testing.T) {
+	e := vecAllocDB(t, DefaultConfig())
+	if _, err := e.Exec("CREATE INDEX t_v ON t (v)"); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := e.PlanSQL("SELECT id, v FROM t WHERE v < 250 AND grp > 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := e.buildVec(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, ok := it.(*indexScanVec)
+	if !ok {
+		t.Fatalf("vectorized plan root = %T, want *indexScanVec", it)
+	}
+	defer it.Close()
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		b, err := scan.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			scan.pos = 0
+		}
+	})
+	if avg > 0 {
+		t.Fatalf("filtered index scan allocates %.2f allocs/batch, want 0", avg)
 	}
 }
 
@@ -670,7 +714,7 @@ func TestInListNarrowAllocs(t *testing.T) {
 			for j := range buf {
 				buf[j] = int32(lo + j)
 			}
-			if kept, err = in.narrow(sd, buf); err != nil {
+			if kept, err = in.narrow(sd.Rows(), sd, buf); err != nil {
 				t.Fatal(err)
 			}
 			lo = (lo + batchSize) % 2048

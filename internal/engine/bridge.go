@@ -58,9 +58,6 @@ type OpStats struct {
 	// Rows is the total number of rows the operator produced across all
 	// loops (summed across workers in a parallel region).
 	Rows int64
-	// Loops is how many times the operator ran; the batch pipeline never
-	// re-opens an operator, so it is always 1 (see the header).
-	Loops int64
 	// Time is the inclusive wall time spent in the operator's Open and
 	// NextBatch calls, children included. In a parallel region it sums
 	// the workers' busy time, like CPU time.
@@ -117,18 +114,12 @@ func (st ExecStats) get(n *Node) *OpStats {
 	return os
 }
 
-// annotateWorkerStats normalizes run statistics after execution:
-// batch-instrumented operators never count loops, so any touched stats
-// entry without one gets Loops = 1; and when the plan was considered for
-// parallelism (driver DOP >= 1), the driver's actual row count is fed back
-// through the DOP policy to expose what a correct estimate would have
-// chosen (narrated via AttrWorkersWanted when larger).
+// annotateWorkerStats completes run statistics after execution: when the
+// plan was considered for parallelism (driver DOP >= 1), the driver's
+// actual row count is fed back through the DOP policy to expose what a
+// correct estimate would have chosen (narrated via AttrWorkersWanted when
+// larger).
 func (e *Engine) annotateWorkerStats(n *Node, st ExecStats) {
-	for _, os := range st {
-		if os.Loops == 0 {
-			os.Loops = 1
-		}
-	}
 	var driver *Node
 	n.Walk(func(x *Node) {
 		if driver == nil && x.DOP >= 1 {
@@ -240,7 +231,7 @@ func ToPlanNodeStats(n *Node, st ExecStats) *plan.Node {
 	}
 	if os := st[n]; os != nil {
 		p.SetAttr(plan.AttrActualRows, strconv.FormatInt(os.Rows, 10))
-		p.SetAttr(plan.AttrLoops, strconv.FormatInt(os.Loops, 10))
+		p.SetAttr(plan.AttrLoops, "1")
 		p.SetAttr(plan.AttrTimeMs, strconv.FormatFloat(float64(os.Time)/float64(time.Millisecond), 'f', 3, 64))
 		// Worker attributes only appear when they say something: a serial
 		// run (Workers <= 1) with no missed parallelism stays byte-identical

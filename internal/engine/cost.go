@@ -350,23 +350,6 @@ func groupAggCost(rows float64) float64 {
 	return rows * cpuTupleCost * 2
 }
 
-// joinCardinality estimates |L ⋈ R| for an equality join using the classic
-// containment assumption card(L)*card(R)/max(ndv_l, ndv_r).
-func joinCardinality(lRows, rRows float64, lNDV, rNDV int) float64 {
-	maxNDV := lNDV
-	if rNDV > maxNDV {
-		maxNDV = rNDV
-	}
-	if maxNDV <= 0 {
-		maxNDV = 10
-	}
-	card := lRows * rRows / float64(maxNDV)
-	if card < 1 {
-		card = 1
-	}
-	return card
-}
-
 // estimateGroups bounds the number of groups by the product of per-key
 // distinct counts, capped at the input cardinality.
 func estimateGroups(s *selectivityEstimator, keys []sqlparser.Expr, inputRows float64) float64 {

@@ -422,9 +422,88 @@ func TestDifferentialBatchBoundary(t *testing.T) {
 	for name, cfg := range diffConfigs() {
 		t.Run(name, func(t *testing.T) {
 			e := testDB(t, cfg)
-			bigTable(t, e)
+			bigTable(t, e, 0)
 			for _, q := range queries {
 				mustExec(t, e, q)
+				assertSameResults(t, e, q)
+			}
+		})
+	}
+}
+
+// TestDifferentialIndexScanResidual runs an index scan's residual filter
+// over every predicate shape. Index-scan candidates are rows in no
+// segment, so each shape decides them in its row loop, while the no-index
+// configuration runs the same filters as typed loops over segments and the
+// tail. ix has 2,000 rows in 256-row segments (a 208-row tail); NULLs sit
+// in n on every third row and in f on every eleventh, and every query
+// plans an Index Scan on k wherever index scans are enabled.
+func TestDifferentialIndexScanResidual(t *testing.T) {
+	queries := []string{
+		"SELECT k, i FROM ix WHERE k BETWEEN 100 AND 300 AND i > 40",
+		"SELECT k, f FROM ix WHERE k BETWEEN 100 AND 300 AND f <= 20.5",
+		"SELECT k, i FROM ix WHERE k BETWEEN 100 AND 300 AND i > 20.5",
+		"SELECT k, s FROM ix WHERE k BETWEEN 100 AND 300 AND s >= 's3'",
+		"SELECT k, i, f FROM ix WHERE k BETWEEN 100 AND 300 AND i < f",
+		"SELECT k, i, n FROM ix WHERE k BETWEEN 100 AND 300 AND i <> n",
+		"SELECT k FROM ix WHERE k BETWEEN 100 AND 300 AND n IS NULL",
+		"SELECT k, n FROM ix WHERE k BETWEEN 100 AND 300 AND n IS NOT NULL",
+		"SELECT k, i FROM ix WHERE k BETWEEN 100 AND 300 AND i BETWEEN 10 AND 50",
+		"SELECT k, i FROM ix WHERE k BETWEEN 100 AND 300 AND i IN (3, NULL, 17, 41)",
+		"SELECT k, s FROM ix WHERE k BETWEEN 100 AND 300 AND s IN ('s1', NULL, 's5')",
+		"SELECT k, i FROM ix WHERE k BETWEEN 100 AND 300 AND i NOT IN (3, 17, 41)",
+		"SELECT k, f FROM ix WHERE k BETWEEN 1000 AND 1200 AND f NOT BETWEEN 0 AND 20",
+		"SELECT k, i FROM ix WHERE k BETWEEN 500 AND 650 AND i >= 30 AND s <> 's2' AND n IS NOT NULL",
+		"SELECT k, s FROM ix WHERE k = 150 AND s = 's3'",
+		"SELECT k, s FROM ix WHERE k = 1950 AND s = 's4'", // a tail row
+	}
+	for name, cfg := range diffConfigs() {
+		t.Run(name, func(t *testing.T) {
+			e := New(cfg)
+			mustExec(t, e, "CREATE TABLE ix (k INTEGER, i INTEGER, f FLOAT, s VARCHAR(4), n INTEGER)")
+			mustExec(t, e, "CREATE INDEX ix_k ON ix (k)")
+			tbl, err := e.Cat.Table("ix")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.SetSegmentCapacity(256); err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			for k := 0; k < 2000; k++ {
+				if sb.Len() == 0 {
+					sb.WriteString("INSERT INTO ix VALUES ")
+				} else {
+					sb.WriteString(", ")
+				}
+				f, n := fmt.Sprintf("%d.5", k%50-10), fmt.Sprint(k%90)
+				if k%11 == 0 {
+					f = "NULL"
+				}
+				if k%3 == 0 {
+					n = "NULL"
+				}
+				fmt.Fprintf(&sb, "(%d, %d, %s, 's%d', %s)", k, (k*37)%100, f, k%7, n)
+				if (k+1)%250 == 0 {
+					mustExec(t, e, sb.String())
+					sb.Reset()
+				}
+			}
+			for _, q := range queries {
+				if cfg.EnableIndexScan {
+					pl, err := e.PlanSQL(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					indexed := false
+					pl.Walk(func(n *Node) { indexed = indexed || n.Op == OpIndexScan })
+					if !indexed {
+						t.Errorf("%q plans no Index Scan:\n%s", q, ExplainText(pl))
+					}
+				}
+				if len(mustExec(t, e, q).Rows) == 0 {
+					t.Errorf("%q selects no row", q)
+				}
 				assertSameResults(t, e, q)
 			}
 		})

@@ -147,8 +147,10 @@
 //     (pruning_diff_test.go) pins every execution identical across
 //     segment-boundary literals, all-NULL segments, NULL-literal
 //     comparisons, and prune-everything predicates.
-//   - The unsealed tail has no zone maps and is scanned row-at-a-time via
-//     the ordinary selectInto path; tables smaller than one segment
+//   - The unsealed tail has no zone maps and no typed vectors. Its chunks
+//     go through the same selection vector and the same narrow loop of
+//     each predicate shape, which decides each tail row's datums, and so
+//     do an index scan's candidate rows; tables smaller than one segment
 //     therefore behave exactly as the previous row-major heap did, and
 //     their plans carry no segment attributes at all.
 //
@@ -211,7 +213,13 @@
 //
 //   - Gather emits each morsel's output in morsel order, which IS the
 //     serial row order — parallel execution is order-indistinguishable
-//     from serial even without ORDER BY, pinned by test.
+//     from serial even without ORDER BY, pinned by test. A LIMIT that
+//     would pull a gather through streaming operators only (Unique, or
+//     none) keeps the plan serial: the workers would go on draining
+//     morsels after the LIMIT had its rows, so the work done and the
+//     scan's actuals would differ from run to run. A Sort, aggregate or
+//     GroupAggregate between the LIMIT and the exchange drains its input
+//     either way, so those plans stay parallel.
 //   - Aggregations pre-aggregate per worker in the serial aggregate's
 //     accumulator and merge the workers' groups, ordering them by first
 //     appearance (minimum first-row sequence) before the shared finish

@@ -77,8 +77,8 @@ func explainTextNode(sb *strings.Builder, n *Node, st ExecStats, depth int, arro
 	sb.WriteString(headline(n))
 	fmt.Fprintf(sb, "  (cost=%.2f rows=%.0f)", n.EstCost, n.EstRows)
 	if os := st[n]; os != nil {
-		fmt.Fprintf(sb, " (actual time=%.3f rows=%d loops=%d)",
-			float64(os.Time)/1e6, os.Rows, os.Loops)
+		fmt.Fprintf(sb, " (actual time=%.3f rows=%d loops=1)",
+			float64(os.Time)/1e6, os.Rows)
 	}
 	sb.WriteString("\n")
 	detail := func(label, text string) {
@@ -230,15 +230,12 @@ func toJSONPlan(n *Node, st ExecStats) *jsonPlan {
 	}
 	if os := st[n]; os != nil {
 		// PostgreSQL's JSON reports Actual Rows / Actual Total Time as
-		// per-loop averages; emit the same semantics so the pg frontend
-		// (which scales them back up by the loop count) reads either a
+		// per-loop averages; every operator here runs one loop, so the
+		// totals are those averages and the pg frontend reads either a
 		// real PostgreSQL document or ours identically.
-		loops := float64(os.Loops)
-		if loops <= 0 {
-			loops = 1
-		}
-		rows := float64(os.Rows) / loops
-		timeMs := float64(os.Time) / 1e6 / loops
+		loops := 1.0
+		rows := float64(os.Rows)
+		timeMs := float64(os.Time) / 1e6
 		jp.ActualRows, jp.ActualLoops, jp.ActualTime = &rows, &loops, &timeMs
 	}
 	for _, c := range n.Children {

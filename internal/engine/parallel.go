@@ -11,8 +11,10 @@ package engine
 //   - gather: worker output is emitted in morsel order, which reproduces
 //     the serial pipeline's output sequence exactly (each worker pipeline
 //     is order-preserving within a morsel and morsels partition the heap
-//     sequentially), so LIMIT/OFFSET/Unique above the exchange behave
-//     identically to serial execution.
+//     sequentially), so Unique above the exchange behaves identically to
+//     serial execution. A LIMIT that would pull a gather through
+//     streaming operators keeps the plan serial instead (see
+//     findParallelShape).
 //   - sort merge: each worker sorts (or top-K's) its share tagged with the
 //     serial arrival sequence; the exchange merges the runs by (keys, seq),
 //     which is precisely the stable full sort of the serial pipeline.
@@ -148,19 +150,31 @@ type parShape struct {
 // findParallelShape derives the (deterministic) parallel shape of a plan,
 // or nil when the plan has no morsel-drivable scan. It descends from the
 // root through operators that must stay serial above the exchange — Limit
-// keeps its short-circuit by pulling the exchange lazily, Unique and
-// GroupAggregate consume the exchange's serial-order output — and places
-// the exchange at the first operator with a native merge strategy.
+// stops pulling once it has its rows, Unique and GroupAggregate consume
+// the exchange's serial-order output — and places the exchange at the
+// first operator with a native merge strategy.
+//
+// A gather that a Limit pulls through streaming operators only keeps the
+// plan serial: its workers would go on draining morsels after the Limit
+// has its rows, until Close stops them, so the work done and the scan's
+// actuals would vary from run to run. A Sort or aggregate under the Limit
+// drains its whole input either way, so those merges stay parallel, and
+// so does a gather under a GroupAggregate or a serial aggregate.
 func (e *Engine) findParallelShape(root *Node) *parShape {
 	n := root
+	limited := false // a Limit above n stops pulling early
 descend:
 	for {
 		switch n.Op {
-		case OpLimit, OpUnique, OpGroupAggregate:
-			n = n.Children[0]
+		case OpLimit:
+			limited = true
+		case OpUnique: // streams: a Limit above it still stops early
+		case OpGroupAggregate: // drains its input
+			limited = false
 		default:
 			break descend
 		}
+		n = n.Children[0]
 	}
 	sh := &parShape{exchange: n, kind: parGather}
 	switch n.Op {
@@ -173,6 +187,10 @@ descend:
 			// Merging partial states would reassociate float addition; keep
 			// the aggregate serial over an ordered gather of its input.
 			sh.exchange = n.Children[0]
+		}
+	default:
+		if limited {
+			return nil
 		}
 	}
 	sub := sh.exchange
@@ -340,9 +358,9 @@ func (d *morselDispenser) grab() (m int, mo morsel, ok bool) {
 // instrVecIter counts rows and inclusive wall time through one vectorized
 // operator. The counters are atomic because in a parallel region one
 // OpStats instance is shared by every worker's clone of the operator, so
-// totals sum across workers. Loops are deliberately not counted here —
-// per-morsel re-Opens are a scheduling detail, not EXPLAIN loops; the
-// instrumented runner sets Loops to 1 afterwards.
+// totals sum across workers. Loops are not counted: per-morsel re-Opens
+// are a scheduling detail, not EXPLAIN loops, and every operator reports
+// one loop (bridge.go).
 type instrVecIter struct {
 	child vecIter
 	rows  *int64

@@ -23,10 +23,20 @@ func parTestConfig() Config {
 	return cfg
 }
 
-// bigTable creates a 3000-row table straddling many morsels and batches.
-func bigTable(t *testing.T, e *Engine) {
+// bigTable creates a 3000-row table straddling many morsels and batches,
+// in segments of segCap rows (0 keeps the default capacity).
+func bigTable(t *testing.T, e *Engine, segCap int) {
 	t.Helper()
 	mustExec(t, e, "CREATE TABLE big (id INTEGER, grp INTEGER, val INTEGER)")
+	if segCap > 0 {
+		tbl, err := e.Cat.Table("big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.SetSegmentCapacity(segCap); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var sb strings.Builder
 	const n = 3000
 	for i := 0; i < n; i++ {
@@ -116,7 +126,7 @@ func TestParallelPlanAnnotation(t *testing.T) {
 // WITHOUT an ORDER BY.
 func TestParallelGatherOrderMatchesSerial(t *testing.T) {
 	par := testDB(t, parTestConfig())
-	bigTable(t, par)
+	bigTable(t, par, 0)
 	ser := par.Session()
 	ser.Cfg.MaxQueryParallelism = -1
 	queries := []string{
@@ -147,6 +157,57 @@ func TestParallelGatherOrderMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelLimitOverGatherStaysSerial pins the LIMIT rule of
+// findParallelShape. A Limit that pulls a gather through streaming
+// operators stops once it has its rows, while the workers would go on
+// draining morsels until Close, so the scan's actuals would change from
+// run to run: such a plan stays serial, and repeated instrumented runs
+// give byte-identical canonical plans. A Sort or an aggregate under the
+// Limit drains its input either way and keeps its parallel merge.
+func TestParallelLimitOverGatherStaysSerial(t *testing.T) {
+	e := testDB(t, parTestConfig())
+	bigTable(t, e, 256)
+	e.Cfg.ParallelRowsPerWorker = 100 // 3000 rows -> 30 morsels, DOP 4
+	maxDOP := func(q string) int {
+		t.Helper()
+		pl, err := e.PlanSQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dop := 0
+		pl.Walk(func(n *Node) { dop = max(dop, n.DOP) })
+		return dop
+	}
+	const limitQ = "SELECT id FROM big LIMIT 100 OFFSET 2000"
+	for _, q := range []string{limitQ, "SELECT id, val FROM big WHERE val < 500 LIMIT 10"} {
+		if dop := maxDOP(q); dop >= 2 {
+			t.Errorf("%q plans DOP %d, want serial", q, dop)
+		}
+	}
+	for _, q := range []string{
+		"SELECT id FROM big ORDER BY val, id LIMIT 50",
+		"SELECT grp, COUNT(*) FROM big GROUP BY grp LIMIT 3",
+	} {
+		if dop := maxDOP(q); dop < 2 {
+			t.Errorf("%q plans DOP %d, want a parallel merge", q, dop)
+		}
+	}
+	var first string
+	for i := 0; i < 30; i++ {
+		res, err := e.QueryInstrumented(limitQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		ToPlanNodeStats(res.Plan, res.Stats).WriteCanonical(&b)
+		if i == 0 {
+			first = b.String()
+		} else if b.String() != first {
+			t.Fatalf("run %d: canonical plan\n%s\ndiffers from run 0's\n%s", i, b.String(), first)
+		}
+	}
+}
+
 // TestParallelInstrumentedWorkerStats checks the per-worker actuals a
 // parallel run leaves behind: the driver records the worker count, the
 // per-worker row shares sum to the operator total, loops collapse to 1
@@ -154,7 +215,7 @@ func TestParallelGatherOrderMatchesSerial(t *testing.T) {
 // carries the workers attribute RULE-LANTERN narrates.
 func TestParallelInstrumentedWorkerStats(t *testing.T) {
 	e := testDB(t, parTestConfig())
-	bigTable(t, e)
+	bigTable(t, e, 0)
 	e.Cfg.ParallelRowsPerWorker = 100 // 3000 rows -> 30 morsels, DOP 4
 	res, err := e.QueryInstrumented("SELECT grp, COUNT(*) FROM big GROUP BY grp")
 	if err != nil {
@@ -189,14 +250,12 @@ func TestParallelInstrumentedWorkerStats(t *testing.T) {
 	if os.Rows != 3000 {
 		t.Errorf("driver rows = %d, want 3000", os.Rows)
 	}
-	for n, st := range res.Stats {
-		if st.Loops != 1 {
-			t.Errorf("op %v: Loops = %d, want 1 in a parallel region", n.Op, st.Loops)
-		}
-	}
 	bridged := ToPlanNodeStats(res.Plan, res.Stats)
 	found := false
 	bridged.Walk(func(n *plan.Node) {
+		if loops := n.Attr(plan.AttrLoops); loops != "1" {
+			t.Errorf("op %s: loops = %q, want 1 in a parallel region", n.Name, loops)
+		}
 		if n.Attr(plan.AttrWorkers) == "4" {
 			found = true
 		}
@@ -213,7 +272,7 @@ func TestParallelInstrumentedWorkerStats(t *testing.T) {
 // surfaces the DOP the engine should have used.
 func TestParallelWantedWorkersMisEstimate(t *testing.T) {
 	e := testDB(t, parTestConfig())
-	bigTable(t, e)
+	bigTable(t, e, 0)
 	// 3000 rows, est 1000 after the opaque filter: est DOP = ceil(1000/1500)
 	// = 1 (serial), actual DOP would be ceil(3000/1500) = 2.
 	e.Cfg.ParallelRowsPerWorker = 1500
@@ -267,7 +326,7 @@ func TestParallelWantedWorkersMisEstimate(t *testing.T) {
 // rather than a clean end of stream.
 func TestParallelStreamCloseDrainsWorkers(t *testing.T) {
 	e := testDB(t, parTestConfig())
-	bigTable(t, e)
+	bigTable(t, e, 0)
 	e.Cfg.ParallelRowsPerWorker = 100
 
 	before := runtime.NumGoroutine()
@@ -352,7 +411,7 @@ func TestParallelConcurrentQueriesStress(t *testing.T) {
 		t.Skip("stress test")
 	}
 	base := testDB(t, parTestConfig())
-	bigTable(t, base)
+	bigTable(t, base, 0)
 	queries := []string{
 		"SELECT grp, COUNT(*), SUM(val) FROM big GROUP BY grp",
 		"SELECT id FROM big WHERE val < 250",
@@ -406,7 +465,7 @@ func TestParallelConcurrentQueriesStress(t *testing.T) {
 // batch), growing 4x per batch up to the full batch size.
 func TestAdaptiveFirstBatch(t *testing.T) {
 	e := testDB(t, DefaultConfig())
-	bigTable(t, e)
+	bigTable(t, e, 0)
 	sel, err := sqlparser.ParseSelect("SELECT id FROM big")
 	if err != nil {
 		t.Fatal(err)

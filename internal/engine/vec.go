@@ -223,7 +223,7 @@ func (w *batchWriter) full() bool { return len(w.rows) >= batchSize }
 
 // segRows locates batch rows in a loaded segment payload: row j of the
 // batch is row sel[j] of sd, or row lo+j when sel is nil. A nil sd means
-// tail rows, in no segment.
+// rows in no segment (tail rows, index-scan candidates).
 type segRows struct {
 	sd  *storage.SegData
 	sel []int32
@@ -246,9 +246,9 @@ type batchOrigin interface {
 	origin() segRows
 }
 
-// scanFilter is the filtering both scans share: the selection vector the
-// predicate narrows over a segment chunk, the row headers gathered from
-// the survivors, and the origin of the batch last returned.
+// scanFilter is the filtering every scan shares: the selection vector the
+// predicate narrows over a chunk, the row headers gathered from the
+// survivors, and the origin of the batch last returned.
 type scanFilter struct {
 	pred vecPred // nil when unfiltered
 	sel  []int32
@@ -256,12 +256,12 @@ type scanFilter struct {
 	at   segRows
 }
 
-// segment returns the rows of sd in [lo, hi) that satisfy the predicate.
-// It fills the selection vector with the chunk, narrows it through the
-// predicate and gathers the survivors' row headers once; an unfiltered
-// chunk is a direct subslice of the payload.
-func (f *scanFilter) segment(sd *storage.SegData, lo, hi int) ([]storage.Row, error) {
-	rows := sd.Rows()
+// filter returns the rows of rows[lo:hi] that satisfy the predicate. sd is
+// the loaded segment payload rows belongs to, or nil for tail rows and
+// index-scan candidates. It fills the selection vector with the chunk,
+// narrows it through the predicate and gathers the survivors' row headers
+// once; an unfiltered chunk is a direct subslice of rows.
+func (f *scanFilter) filter(rows []storage.Row, sd *storage.SegData, lo, hi int) ([]storage.Row, error) {
 	if f.pred == nil {
 		f.at = segRows{sd: sd, lo: lo}
 		return rows[lo:hi], nil
@@ -275,7 +275,7 @@ func (f *scanFilter) segment(sd *storage.SegData, lo, hi int) ([]storage.Row, er
 	for j := range sel {
 		sel[j] = int32(lo + j)
 	}
-	sel, err := f.pred.narrow(sd, sel)
+	sel, err := f.pred.narrow(rows, sd, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -290,31 +290,14 @@ func (f *scanFilter) segment(sd *storage.SegData, lo, hi int) ([]storage.Row, er
 	return out, nil
 }
 
-// tail returns the rows of a tail chunk that satisfy the predicate.
-func (f *scanFilter) tail(rows []storage.Row) ([]storage.Row, error) {
-	f.at = segRows{}
-	if f.pred == nil {
-		return rows, nil
-	}
-	if cap(f.out) < len(rows) {
-		f.out = make([]storage.Row, 0, len(rows))
-	}
-	out, err := f.pred.selectInto(f.out[:0], rows)
-	if err != nil {
-		return nil, err
-	}
-	f.out = out
-	return out, nil
-}
-
 func (f *scanFilter) origin() segRows { return f.at }
 
 // seqScanVec scans the table's sealed segments and then its tail, in
 // chunks. Filtered scans consult each segment's zone maps first and skip
-// refuted segments without touching a row; surviving segments filter
-// through a selection vector that every conjunct narrows with its typed
-// column-vector loop (vexpr.go), late-materializing only surviving row
-// headers. Unfiltered chunks are returned as direct segment/tail
+// refuted segments without touching a row. Every chunk filters through a
+// selection vector that every conjunct narrows (vexpr.go), with its typed
+// column-vector loop over a segment, late-materializing only surviving
+// row headers. Unfiltered chunks are returned as direct segment/tail
 // subslices (zero copies, zero allocations). Chunks grow adaptively from
 // initialChunkSize to batchSize (×4 per chunk): a `LIMIT 10` consumer
 // stops after one small chunk instead of paying for a full 1024-row batch,
@@ -474,15 +457,7 @@ func (it *seqScanVec) NextBatch() ([]storage.Row, error) {
 		if it.chunk < batchSize {
 			it.chunk = min(it.chunk*4, batchSize)
 		}
-		var (
-			b   []storage.Row
-			err error
-		)
-		if it.curSD != nil {
-			b, err = it.segment(it.curSD, lo, it.pos)
-		} else {
-			b, err = it.tail(it.cur[lo:it.pos])
-		}
+		b, err := it.filter(it.cur, it.curSD, lo, it.pos)
 		if err != nil {
 			return nil, err
 		}
@@ -500,22 +475,21 @@ func (it *seqScanVec) Close() error {
 	return nil
 }
 
-// indexScanVec resolves the index at Open, then gathers candidate rows per
+// indexScanVec resolves the index at Open, then fetches candidate rows per
 // batch and rechecks the full index condition plus residual filter
-// through a compiled predicate (cheap, and it keeps multi-conjunct
-// conditions exact when the scan bounds captured only part of them, as
-// the reference executor does). Index and row data
-// come from the same snapshot, so the gather is consistent under
-// concurrent DML.
+// through the scans' selection-vector filter (cheap, and it keeps
+// multi-conjunct conditions exact when the scan bounds captured only part
+// of them, as the reference executor does). Its predicate is the index
+// condition ∧ residual filter, nil when neither. Index and row data come
+// from the same snapshot, so the fetch is consistent under concurrent DML.
 type indexScanVec struct {
+	scanFilter
 	eng  *Engine
 	n    *Node
 	snap storage.Snapshot
-	pred vecPred // index condition ∧ residual filter, nil when neither
 	ids  []int
 	pos  int
 	in   []storage.Row
-	out  []storage.Row
 }
 
 func (v *vbuild) newIndexScanVec(n *Node) (*indexScanVec, error) {
@@ -558,13 +532,10 @@ func (it *indexScanVec) Open() error {
 
 func (it *indexScanVec) NextBatch() ([]storage.Row, error) {
 	for it.pos < len(it.ids) {
-		end := it.pos + batchSize
-		if end > len(it.ids) {
-			end = len(it.ids)
-		}
-		// Size the gather buffer to the candidates actually present rather
+		end := min(it.pos+batchSize, len(it.ids))
+		// Size the fetch buffer to the candidates actually present rather
 		// than a full batch: a point lookup returning one id should not pay
-		// for zeroing two 1024-header buffers per query.
+		// for zeroing 1024-entry buffers per query.
 		if need := end - it.pos; cap(it.in) < need {
 			it.in = make([]storage.Row, 0, need)
 		}
@@ -572,19 +543,11 @@ func (it *indexScanVec) NextBatch() ([]storage.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		it.in = in
-		it.pos = end
-		if it.pred == nil {
-			return in, nil
-		}
-		if cap(it.out) < len(in) {
-			it.out = make([]storage.Row, 0, len(in))
-		}
-		out, err := it.pred.selectInto(it.out[:0], in)
+		it.in, it.pos = in, end
+		out, err := it.filter(in, nil, 0, len(in))
 		if err != nil {
 			return nil, err
 		}
-		it.out = out
 		if len(out) > 0 {
 			return out, nil
 		}

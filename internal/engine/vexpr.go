@@ -15,19 +15,19 @@ package engine
 // evaluated row-by-row, so vectorized filtering is never less general than
 // a bound expression.
 //
-// A selector filters two forms of input. Over a loaded segment it narrows
-// a selection vector, the indices of the rows still in play: each conjunct
-// compacts it in place with its typed loop over the segment's column
-// vectors, so the second and later conjuncts of a conjunction run typed
-// loops too, and the scan gathers row headers once, for the final
-// survivors (narrow). Over row headers (the unsealed tail, index-scan
-// candidates) it appends the survivors to a new slice (selectInto).
+// A selector narrows a selection vector, the indices of the rows still in
+// play, and each conjunct compacts it in place, so the scan gathers row
+// headers once, for the final survivors. Over a loaded segment every shape
+// runs its typed loop over the segment's column vectors, the second and
+// later conjuncts of a conjunction included. Rows in no segment (the
+// unsealed tail, index-scan candidates) go through the same narrow, which
+// decides each row's datums.
 //
 // SQL semantics are preserved exactly: a comparison with a NULL operand is
 // not true, so the row is dropped — identical to what truthy(bound(env))
 // yields — and every typed loop decides a row as datum.Compare orders its
-// kind pairing. The differential tests pin both forms against the
-// reference executor.
+// kind pairing. The differential tests pin segment, tail and index-scan
+// input against the reference executor.
 
 import (
 	"slices"
@@ -37,16 +37,14 @@ import (
 	"lantern/internal/storage"
 )
 
-// vecPred filters a batch. selectInto appends the rows of in that satisfy
-// the predicate to out and returns it; in rows must not be mutated, and out
-// must not alias in except as in[:0] (selection only drops rows, never
-// reorders ones already written). narrow keeps the entries of sel, row
-// indices into the loaded segment payload sd, whose rows satisfy the
-// predicate: it compacts sel in place, preserving order, and returns the
-// shortened slice.
+// vecPred filters rows through a selection vector. narrow keeps the
+// entries of sel, indices into rows, whose rows satisfy the predicate: it
+// compacts sel in place, preserving order, and returns the shortened
+// slice. sd is the loaded segment payload rows belongs to (rows is then
+// sd.Rows()), whose typed column vectors the typed loops read; a nil sd
+// (tail rows, index-scan candidates) decides each row's datums.
 type vecPred interface {
-	selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error)
-	narrow(sd *storage.SegData, sel []int32) ([]int32, error)
+	narrow(rows []storage.Row, sd *storage.SegData, sel []int32) ([]int32, error)
 }
 
 // compileVecPred compiles e into a vectorized selector over schema.
@@ -177,35 +175,6 @@ func (p *cmpColLit) holds(v datum.D) bool {
 	return !v.IsNull() && cmpHolds(p.op, datum.Compare(v, p.lit))
 }
 
-func (p *cmpColLit) selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error) {
-	if p.lit.IsNull() {
-		return out, nil
-	}
-	// Fast integer path: the common TPC-H filter compares an int column to
-	// an int literal; skip datum.Compare's kind dispatch for int values.
-	if p.lit.Kind() == datum.KInt {
-		lv := p.lit.Int()
-		for _, r := range in {
-			var ok bool
-			if v := r[p.ord]; v.Kind() == datum.KInt {
-				ok = holds(p.op, v.Int(), lv)
-			} else {
-				ok = p.holds(v)
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		return out, nil
-	}
-	for _, r := range in {
-		if p.holds(r[p.ord]) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
 // cmpColCol compares two columns of the same row.
 type cmpColCol struct {
 	a, b int
@@ -217,28 +186,10 @@ func (p *cmpColCol) holds(r storage.Row) bool {
 	return !av.IsNull() && !bv.IsNull() && cmpHolds(p.op, datum.Compare(av, bv))
 }
 
-func (p *cmpColCol) selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error) {
-	for _, r := range in {
-		if p.holds(r) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
 // isNullPred implements IS [NOT] NULL on a column.
 type isNullPred struct {
 	ord int
 	not bool
-}
-
-func (p *isNullPred) selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error) {
-	for _, r := range in {
-		if r[p.ord].IsNull() != p.not {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // inColLit is x IN (lit, ...): a row survives when x is non-NULL and
@@ -306,43 +257,10 @@ func (p *inColLit) holds(v datum.D) bool {
 	return false
 }
 
-func (p *inColLit) selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error) {
-	for _, r := range in {
-		if p.holds(r[p.ord]) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// andPred chains conjuncts: each filters the survivors of the previous.
-// selectInto holds intermediate survivor sets in the scratch buffers, and
-// the final conjunct writes directly into out; narrow needs none, since
-// every conjunct compacts the one selection vector in place.
+// andPred chains conjuncts: each narrows the one selection vector in
+// place, over the survivors of the previous one.
 type andPred struct {
-	preds   []vecPred
-	scratch [2][]storage.Row
-}
-
-func (p *andPred) selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error) {
-	cur := in
-	var err error
-	for i, pred := range p.preds {
-		if i == len(p.preds)-1 {
-			return pred.selectInto(out, cur)
-		}
-		buf := p.scratch[i%2][:0]
-		if buf == nil {
-			buf = make([]storage.Row, 0, batchSize)
-		}
-		buf, err = pred.selectInto(buf, cur)
-		if err != nil {
-			return out, err
-		}
-		p.scratch[i%2] = buf
-		cur = buf
-	}
-	return append(out, cur...), nil // unreachable for len(preds) >= 1
+	preds []vecPred
 }
 
 // exprPred is the general fallback: the pre-bound closure from bind.go
@@ -353,21 +271,7 @@ type exprPred struct {
 	env   rowEnv
 }
 
-func (p *exprPred) selectInto(out []storage.Row, in []storage.Row) ([]storage.Row, error) {
-	for _, r := range in {
-		p.env.left = r
-		v, err := p.bound(&p.env)
-		if err != nil {
-			return out, err
-		}
-		if truthy(v) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// --- Zone-map pruning and segment selection ----------------------------------
+// --- Zone-map pruning and selection ------------------------------------------
 //
 // Scan schemas list table columns in declared order, so a predicate ordinal
 // indexes a segment's zone maps and column vectors directly. Pruning reads
@@ -376,8 +280,9 @@ func (p *exprPred) selectInto(out []storage.Row, in []storage.Row) ([]storage.Ro
 // itself, so the two stay on opposite sides of the I/O boundary. Both are
 // conservative: a predicate shape without pruning support never prunes,
 // and a column without a typed vector (or a kind pairing outside the typed
-// loops) decides each row datum as selectInto does, so neither changes a
-// result. The differential corpus pins that.
+// loops, or rows in no segment) decides each row datum as the row loop of
+// its shape does, so neither changes a result. The differential corpus
+// pins that.
 
 // zonePruner is implemented by predicates that can refute a whole sealed
 // segment from its per-column zone maps: true means no row of the segment
@@ -393,10 +298,10 @@ func segPruned(p vecPred, seg *storage.Segment) bool {
 }
 
 // prunesSegment refutes a comparison from the column's zone map. Bounds
-// are compared with datum.Compare — the same total order selectInto's
-// verdicts refine — so a pruned segment can never contain a surviving row:
-// selectInto keeps a row only if cmpHolds(op, Compare(v, lit)), and the
-// zone map bounds every non-NULL v under that order.
+// are compared with datum.Compare — the same total order narrow's verdicts
+// refine — so a pruned segment can never contain a surviving row: narrow
+// keeps a row only if cmpHolds(op, Compare(v, lit)), and the zone map
+// bounds every non-NULL v under that order.
 func (p *cmpColLit) prunesSegment(seg *storage.Segment) bool {
 	if p.lit.IsNull() {
 		return true // a NULL literal rejects every row
@@ -428,33 +333,50 @@ func (p *cmpColLit) prunesSegment(seg *storage.Segment) bool {
 // narrow runs the comparison over the typed column vector where the kind
 // pairing has a typed loop: int with int, string with string, and any
 // other numeric pairing widened to float, as datum.Compare widens it. Any
-// other pairing, or a column without a typed vector, decides each row
-// datum.
-func (p *cmpColLit) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
+// other pairing, a column without a typed vector, or rows in no segment
+// decide each row datum.
+func (p *cmpColLit) narrow(rows []storage.Row, sd *storage.SegData, sel []int32) ([]int32, error) {
 	if p.lit.IsNull() {
 		return sel[:0], nil
 	}
-	vec := sd.Col(p.ord)
-	switch lk := p.lit.Kind(); {
-	case vec.Kind == datum.KInt && lk == datum.KInt:
-		return narrowLit(sel, vec, vec.Ints, p.op, p.lit.Int()), nil
-	case vec.Kind == datum.KFloat && p.lit.IsNumeric():
-		return narrowLit(sel, vec, vec.Floats, p.op, p.lit.Float()), nil
-	case vec.Kind == datum.KString && lk == datum.KString:
-		return narrowLit(sel, vec, vec.Strs, p.op, p.lit.Str()), nil
-	case vec.Kind == datum.KInt && lk == datum.KFloat:
-		lf, n := p.lit.Float(), 0
-		for _, i := range sel {
-			if !vec.Null(int(i)) && holds(p.op, float64(vec.Ints[i]), lf) {
-				sel[n] = i
-				n++
+	if sd != nil {
+		vec := sd.Col(p.ord)
+		switch lk := p.lit.Kind(); {
+		case vec.Kind == datum.KInt && lk == datum.KInt:
+			return narrowLit(sel, vec, vec.Ints, p.op, p.lit.Int()), nil
+		case vec.Kind == datum.KFloat && p.lit.IsNumeric():
+			return narrowLit(sel, vec, vec.Floats, p.op, p.lit.Float()), nil
+		case vec.Kind == datum.KString && lk == datum.KString:
+			return narrowLit(sel, vec, vec.Strs, p.op, p.lit.Str()), nil
+		case vec.Kind == datum.KInt && lk == datum.KFloat:
+			lf, n := p.lit.Float(), 0
+			for _, i := range sel {
+				if !vec.Null(int(i)) && holds(p.op, float64(vec.Ints[i]), lf) {
+					sel[n] = i
+					n++
+				}
 			}
+			return sel[:n], nil
 		}
-		return sel[:n], nil
 	}
-	rows, n := sd.Rows(), 0
+	// The common TPC-H filter compares an int column to an int literal: an
+	// int value then skips datum.Compare's kind dispatch and the call to
+	// holds, which is too large to inline.
+	var lv int64
+	intLit := p.lit.Kind() == datum.KInt
+	if intLit {
+		lv = p.lit.Int()
+	}
+	n := 0
 	for _, i := range sel {
-		if p.holds(rows[i][p.ord]) {
+		v := rows[i][p.ord]
+		var ok bool
+		if intLit && v.Kind() == datum.KInt {
+			ok = holds(p.op, v.Int(), lv)
+		} else {
+			ok = p.holds(v)
+		}
+		if ok {
 			sel[n] = i
 			n++
 		}
@@ -464,22 +386,25 @@ func (p *cmpColLit) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
 
 // narrow compares the two typed vectors row by row: same-kind pairs
 // directly, an INT against a FLOAT column widened to float as
-// datum.Compare widens. Other pairings decide each row's datums.
-func (p *cmpColCol) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
-	a, b := sd.Col(p.a), sd.Col(p.b)
-	switch {
-	case a.Kind == datum.KInt && b.Kind == datum.KInt:
-		return narrowCols(sel, a, b, a.Ints, b.Ints, p.op), nil
-	case a.Kind == datum.KFloat && b.Kind == datum.KFloat:
-		return narrowCols(sel, a, b, a.Floats, b.Floats, p.op), nil
-	case a.Kind == datum.KString && b.Kind == datum.KString:
-		return narrowCols(sel, a, b, a.Strs, b.Strs, p.op), nil
-	case a.Kind == datum.KInt && b.Kind == datum.KFloat:
-		return narrowIntFloat(sel, a, b, p.op), nil
-	case a.Kind == datum.KFloat && b.Kind == datum.KInt:
-		return narrowIntFloat(sel, b, a, flipCmp(p.op)), nil
+// datum.Compare widens. Other pairings, and rows in no segment, decide
+// each row's datums.
+func (p *cmpColCol) narrow(rows []storage.Row, sd *storage.SegData, sel []int32) ([]int32, error) {
+	if sd != nil {
+		a, b := sd.Col(p.a), sd.Col(p.b)
+		switch {
+		case a.Kind == datum.KInt && b.Kind == datum.KInt:
+			return narrowCols(sel, a, b, a.Ints, b.Ints, p.op), nil
+		case a.Kind == datum.KFloat && b.Kind == datum.KFloat:
+			return narrowCols(sel, a, b, a.Floats, b.Floats, p.op), nil
+		case a.Kind == datum.KString && b.Kind == datum.KString:
+			return narrowCols(sel, a, b, a.Strs, b.Strs, p.op), nil
+		case a.Kind == datum.KInt && b.Kind == datum.KFloat:
+			return narrowIntFloat(sel, a, b, p.op), nil
+		case a.Kind == datum.KFloat && b.Kind == datum.KInt:
+			return narrowIntFloat(sel, b, a, flipCmp(p.op)), nil
+		}
 	}
-	rows, n := sd.Rows(), 0
+	n := 0
 	for _, i := range sel {
 		if p.holds(rows[i]) {
 			sel[n] = i
@@ -560,13 +485,23 @@ func (p *isNullPred) prunesSegment(seg *storage.Segment) bool {
 	return zm.NullCount == 0
 }
 
-// narrow answers IS [NOT] NULL from the null bitmap alone — the bitmap is
-// built for every column, typed vector or not.
-func (p *isNullPred) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
-	vec := sd.Col(p.ord)
+// narrow answers IS [NOT] NULL over a segment from the null bitmap alone —
+// the bitmap is built for every column, typed vector or not — and over
+// rows in no segment from each row's datum.
+func (p *isNullPred) narrow(rows []storage.Row, sd *storage.SegData, sel []int32) ([]int32, error) {
 	n := 0
+	if sd != nil {
+		vec := sd.Col(p.ord)
+		for _, i := range sel {
+			if vec.Null(int(i)) != p.not {
+				sel[n] = i
+				n++
+			}
+		}
+		return sel[:n], nil
+	}
 	for _, i := range sel {
-		if vec.Null(int(i)) != p.not {
+		if rows[i][p.ord].IsNull() != p.not {
 			sel[n] = i
 			n++
 		}
@@ -591,16 +526,19 @@ func (p *inColLit) prunesSegment(seg *storage.Segment) bool {
 
 // narrow probes the sorted literal set with the typed vector's values for
 // an integer column and integer literals, or a string column and string
-// literals; any other pairing decides each row datum.
-func (p *inColLit) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
-	vec := sd.Col(p.ord)
-	switch {
-	case vec.Kind == datum.KInt && p.ints != nil:
-		return narrowIn(sel, vec, vec.Ints, p.ints), nil
-	case vec.Kind == datum.KString && p.strs != nil:
-		return narrowIn(sel, vec, vec.Strs, p.strs), nil
+// literals; any other pairing, and rows in no segment, decide each row
+// datum.
+func (p *inColLit) narrow(rows []storage.Row, sd *storage.SegData, sel []int32) ([]int32, error) {
+	if sd != nil {
+		vec := sd.Col(p.ord)
+		switch {
+		case vec.Kind == datum.KInt && p.ints != nil:
+			return narrowIn(sel, vec, vec.Ints, p.ints), nil
+		case vec.Kind == datum.KString && p.strs != nil:
+			return narrowIn(sel, vec, vec.Strs, p.strs), nil
+		}
 	}
-	rows, n := sd.Rows(), 0
+	n := 0
 	for _, i := range sel {
 		if p.holds(rows[i][p.ord]) {
 			sel[n] = i
@@ -638,13 +576,13 @@ func (p *andPred) prunesSegment(seg *storage.Segment) bool {
 
 // narrow narrows the selection through each conjunct in order, each over
 // the survivors of the previous one.
-func (p *andPred) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
+func (p *andPred) narrow(rows []storage.Row, sd *storage.SegData, sel []int32) ([]int32, error) {
 	var err error
 	for _, pred := range p.preds {
 		if len(sel) == 0 {
 			break
 		}
-		if sel, err = pred.narrow(sd, sel); err != nil {
+		if sel, err = pred.narrow(rows, sd, sel); err != nil {
 			return sel, err
 		}
 	}
@@ -652,8 +590,8 @@ func (p *andPred) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
 }
 
 // narrow evaluates the bound closure on each selected row.
-func (p *exprPred) narrow(sd *storage.SegData, sel []int32) ([]int32, error) {
-	rows, n := sd.Rows(), 0
+func (p *exprPred) narrow(rows []storage.Row, _ *storage.SegData, sel []int32) ([]int32, error) {
+	n := 0
 	for _, i := range sel {
 		p.env.left = rows[i]
 		v, err := p.bound(&p.env)

@@ -15,7 +15,6 @@ import (
 	"io"
 	"math/rand"
 
-	"lantern/internal/core"
 	"lantern/internal/datasets"
 	"lantern/internal/embed"
 	"lantern/internal/engine"
@@ -311,18 +310,6 @@ func cutSuffix(s, suffix string) (string, bool) {
 		return s[:len(s)-len(suffix)], true
 	}
 	return s, false
-}
-
-// ruleNarrations narrates every training tree with RULE-LANTERN.
-func (l *Lab) ruleNarrations(trees []*plan.Node) []*core.Narration {
-	rl := core.NewRuleLantern(l.Store)
-	var out []*core.Narration
-	for _, t := range trees {
-		n, err := rl.Narrate(t)
-		must(err)
-		out = append(out, n)
-	}
-	return out
 }
 
 // rng derives a deterministic RNG for an experiment.

@@ -145,20 +145,6 @@ func (d *Dataset) DecodeOutput(ids []int) string {
 	return strings.Join(words, " ")
 }
 
-// OriginalSamples returns only the un-paraphrased sample of each group —
-// the training set a builder without tools would have produced, but encoded
-// in this dataset's (shared) vocabularies so models trained on either set
-// can be evaluated on the same validation samples.
-func (d *Dataset) OriginalSamples() []nn.Sample {
-	out := make([]nn.Sample, 0, len(d.Groups))
-	idx := 0
-	for _, g := range d.Groups {
-		out = append(out, d.Samples[idx])
-		idx += len(g)
-	}
-	return out
-}
-
 // Split partitions the samples into train/validation sets (the paper uses
 // 80/20, selected randomly; here a deterministic stride keeps runs
 // reproducible).

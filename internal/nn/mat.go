@@ -31,9 +31,6 @@ func NewMatUniform(r, c int, scale float64, rng *rand.Rand) *Mat {
 	return m
 }
 
-// At returns the element at (i, j).
-func (m *Mat) At(i, j int) float64 { return m.W[i*m.C+j] }
-
 // Set assigns the element at (i, j).
 func (m *Mat) Set(i, j int, v float64) { m.W[i*m.C+j] = v }
 
@@ -95,13 +92,6 @@ func (m *Mat) Step(lr float64) {
 	}
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (m *Mat) ZeroGrad() {
-	for i := range m.G {
-		m.G[i] = 0
-	}
-}
-
 // NumParams returns the number of weights.
 func (m *Mat) NumParams() int { return len(m.W) }
 
@@ -111,12 +101,4 @@ func addInto(dst, src []float64) {
 	for i, v := range src {
 		dst[i] += v
 	}
-}
-
-func hadamard(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] * b[i]
-	}
-	return out
 }

@@ -127,21 +127,6 @@ func (p *Pool) unpin(f *frame) {
 	p.mu.Unlock()
 }
 
-// Invalidate removes key from the pool. If the frame is pinned it is
-// marked dead and dropped when the last pin releases; new Pin calls for
-// the key load fresh.
-func (p *Pool) Invalidate(key string) {
-	p.mu.Lock()
-	if f, ok := p.frames[key]; ok {
-		delete(p.frames, key)
-		f.dead = true
-		if f.pins == 0 {
-			p.dropLocked(f)
-		}
-	}
-	p.mu.Unlock()
-}
-
 // InvalidatePrefix removes every key beginning with prefix — used when a
 // table is dropped, since a recreated table reuses segment file names.
 func (p *Pool) InvalidatePrefix(prefix string) {

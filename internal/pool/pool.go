@@ -177,13 +177,6 @@ func (s *Store) Sources() []string {
 	return out
 }
 
-// SetSeed re-seeds the RNG used for unconstrained desc selection.
-func (s *Store) SetSeed(seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rng = rand.New(rand.NewSource(seed))
-}
-
 // Exec parses and executes one POOL statement.
 func (s *Store) Exec(stmt string) (*Result, error) {
 	parsed, err := parsePool(stmt)

@@ -125,9 +125,6 @@ func (t *Table) SetSegmentCapacity(n int) error {
 	return nil
 }
 
-// SegmentCapacity returns the rows-per-segment capacity.
-func (t *Table) SegmentCapacity() int { return t.segCap }
-
 // ColumnIndex returns the position of the named column, or -1.
 func (t *Table) ColumnIndex(name string) int {
 	if i, ok := t.colPos[name]; ok {
