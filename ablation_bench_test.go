@@ -92,24 +92,26 @@ const fiveWayJoin = `SELECT COUNT(*) FROM customer c, orders o, lineitem l, nati
 	WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = l.l_orderkey
 	AND c.c_nationkey = n.n_nationkey AND n.n_regionkey = r.r_regionkey`
 
-func BenchmarkAblationOrderingDP(b *testing.B) {
-	e := ablationEngine(b, nil)
+// benchPlan is benchQuery for planning alone, with the same warm-up.
+func benchPlan(b *testing.B, e *engine.Engine, q string) {
+	b.Helper()
+	if _, err := e.PlanSQL(q); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.PlanSQL(fiveWayJoin); err != nil {
+		if _, err := e.PlanSQL(q); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+func BenchmarkAblationOrderingDP(b *testing.B) {
+	benchPlan(b, ablationEngine(b, nil), fiveWayJoin)
+}
+
 func BenchmarkAblationOrderingGreedy(b *testing.B) {
-	e := ablationEngine(b, func(c *engine.Config) { c.DPThreshold = 1 })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.PlanSQL(fiveWayJoin); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPlan(b, ablationEngine(b, func(c *engine.Config) { c.DPThreshold = 1 }), fiveWayJoin)
 }
 
 // --- Beam width ablation -----------------------------------------------------------

@@ -121,13 +121,7 @@ func BenchmarkPlannerJoin(b *testing.B) {
 
 // BenchmarkExecutorJoin measures full execution of the same query.
 func BenchmarkExecutorJoin(b *testing.B) {
-	e := tpchEngine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Exec(benchJoinQuery); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchQuery(b, tpchEngine(b), benchJoinQuery)
 }
 
 // BenchmarkRuleNarration measures RULE-LANTERN end to end (the paper's

@@ -103,12 +103,9 @@ func InputTokens(node *lot.Node) []string {
 func InputVocabulary(store *pool.Store) []string {
 	seen := map[string]bool{}
 	var out []string
+	ix := store.Index()
 	for _, src := range store.Sources() {
-		objs, err := store.Objects(src)
-		if err != nil {
-			continue
-		}
-		for _, o := range objs {
+		for _, o := range ix.Objects(src) {
 			if !seen[o.Name] {
 				seen[o.Name] = true
 				out = append(out, o.Name)

@@ -73,21 +73,20 @@ type Tree struct {
 
 // Build constructs the LOT for an operator tree using the POEM store,
 // clustering auxiliary nodes and assigning intermediate identifiers in
-// post-order — lines 1–2 of Algorithm 1.
+// post-order — lines 1–2 of Algorithm 1. The whole tree reads one published
+// index, so a LOT never mixes two POOL states.
 func Build(tree *plan.Node, store *pool.Store) (*Tree, error) {
-	targets, err := store.AuxiliaryTargets(tree.Source)
-	if err != nil {
-		return nil, err
-	}
+	ix := store.Index()
+	targets := ix.AuxiliaryTargets(tree.Source)
 	var build func(p *plan.Node, parent *Node) (*Node, error)
 	build = func(p *plan.Node, parent *Node) (*Node, error) {
-		obj, err := store.Lookup(tree.Source, plan.Canon(p.Name))
+		obj, err := ix.Lookup(tree.Source, plan.Canon(p.Name))
 		if err != nil {
 			return nil, fmt.Errorf("lot: operator %q has no POEM entry for source %q: %w",
 				p.Name, tree.Source, err)
 		}
 		n := &Node{Plan: p, Name: obj.DisplayName(), Definition: obj.Defn, Parent: parent}
-		label, err := store.ComposeTemplate(tree.Source, []string{obj.Name}, nil)
+		label, err := ix.ComposeTemplate(tree.Source, []string{obj.Name}, nil)
 		if err != nil {
 			return nil, err
 		}

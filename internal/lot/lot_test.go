@@ -1,6 +1,8 @@
 package lot
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"lantern/internal/plan"
@@ -155,4 +157,59 @@ func TestBuildUnknownSource(t *testing.T) {
 	if _, err := Build(tree, store); err == nil {
 		t.Error("expected error for unseeded source")
 	}
+}
+
+// TestBuildReadsOnePoolState: a writer keeps rewriting the description of
+// every binary pg operator to a new epoch while readers build LOTs of a
+// plan with two binary joins. Build reads one published index for the
+// whole tree, so both join labels of every LOT carry the same epoch. Run
+// under -race in CI.
+func TestBuildReadsOnePoolState(t *testing.T) {
+	store := pool.NewSeededStore()
+	scan := func(rel string) *plan.Node {
+		return &plan.Node{Name: "Seq Scan", Source: "pg", Attrs: map[string]string{plan.AttrRelation: rel}}
+	}
+	hash := func(c *plan.Node) *plan.Node {
+		return &plan.Node{Name: "Hash", Source: "pg", Children: []*plan.Node{c}}
+	}
+	inner := &plan.Node{Name: "Hash Join", Source: "pg", Children: []*plan.Node{scan("orders"), hash(scan("customer"))}}
+	tree := &plan.Node{Name: "Nested Loop", Source: "pg", Children: []*plan.Node{scan("lineitem"), inner}}
+
+	epoch := func(v int) {
+		store.MustExec(fmt.Sprintf(`UPDATE pg SET desc = 'join in epoch-%d' WHERE type = 'binary'`, v))
+	}
+	epoch(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := 1; v <= 100; v++ {
+			epoch(v)
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				lt, err := Build(tree, store)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Both joins are binary with COND = 'true', so one epoch
+				// composes both to the same label.
+				if outer, join := lt.Root.Label, lt.Root.Children[1].Label; outer != join {
+					t.Errorf("one LOT mixes two POOL states: %q and %q", outer, join)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

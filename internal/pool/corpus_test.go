@@ -22,12 +22,12 @@ func TestCorpusOperatorCoverage(t *testing.T) {
 			t.Fatalf("%s/%s: %v", e.Dialect, e.Name, err)
 		}
 		for _, op := range tree.OperatorSet() {
-			obj, err := store.Lookup(e.Dialect, op)
+			obj, err := store.Index().Lookup(e.Dialect, op)
 			if err != nil {
 				t.Errorf("%s/%s: operator %q has no POEM entry: %v", e.Dialect, e.Name, op, err)
 				continue
 			}
-			tpl, err := store.ComposeTemplate(e.Dialect, []string{obj.Name}, nil)
+			tpl, err := store.Index().ComposeTemplate(e.Dialect, []string{obj.Name}, nil)
 			if err != nil {
 				t.Errorf("%s/%s: COMPOSE %s failed: %v", e.Dialect, e.Name, op, err)
 				continue

@@ -79,12 +79,12 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				switch g % 3 {
 				case 0:
-					if _, err := s.Lookup("pg", "hashjoin"); err != nil {
+					if _, err := s.Index().Lookup("pg", "hashjoin"); err != nil {
 						t.Error(err)
 						return
 					}
 				case 1:
-					if _, err := s.ComposeTemplate("pg", []string{"hash", "hashjoin"}, nil); err != nil {
+					if _, err := s.Index().ComposeTemplate("pg", []string{"hash", "hashjoin"}, nil); err != nil {
 						t.Error(err)
 						return
 					}

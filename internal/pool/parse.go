@@ -248,18 +248,24 @@ func (p *pparser) parseStmt() (poolStmt, error) {
 	return nil, fmt.Errorf("pool: expected CREATE, SELECT, COMPOSE, UPDATE or DROP, got %q", p.peekText())
 }
 
-func (p *pparser) parseCreate() (poolStmt, error) {
+// parseOperator parses "POPERATOR <name> FOR <source>", the head of CREATE
+// and DROP.
+func (p *pparser) parseOperator() (name, source string, err error) {
 	if err := p.expectKw("POPERATOR"); err != nil {
-		return nil, err
+		return "", "", err
 	}
-	name, err := p.word()
-	if err != nil {
-		return nil, err
+	if name, err = p.word(); err != nil {
+		return "", "", err
 	}
 	if err := p.expectKw("FOR"); err != nil {
-		return nil, err
+		return "", "", err
 	}
-	source, err := p.word()
+	source, err = p.word()
+	return name, source, err
+}
+
+func (p *pparser) parseCreate() (poolStmt, error) {
+	name, source, err := p.parseOperator()
 	if err != nil {
 		return nil, err
 	}
@@ -309,17 +315,7 @@ func (p *pparser) parseCreate() (poolStmt, error) {
 }
 
 func (p *pparser) parseDrop() (poolStmt, error) {
-	if err := p.expectKw("POPERATOR"); err != nil {
-		return nil, err
-	}
-	name, err := p.word()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("FOR"); err != nil {
-		return nil, err
-	}
-	source, err := p.word()
+	name, source, err := p.parseOperator()
 	if err != nil {
 		return nil, err
 	}

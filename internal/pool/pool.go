@@ -11,8 +11,10 @@
 //	POperators(oid, source, name, alias, type, defn, cond, targetid)
 //	PDesc(oid, descr)
 //
-// and POOL statements are translated to SQL statements over these relations
-// (the paper used a Python script; here the translation layer is Go).
+// and the POOL writes and SELECT are translated to SQL statements over
+// these relations (the paper used a Python script; here the translation
+// layer is Go). Narration reads an Index instead: an immutable copy of both
+// relations, rebuilt after every write, so it runs no SQL and takes no lock.
 //
 // Template conventions. A description (desc) may embed placeholders
 // ($R1$, $R2$, $cond$, $group$, $sort$, $index$) directly; when it does, the
@@ -25,11 +27,14 @@
 package pool
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"lantern/internal/engine"
 )
@@ -45,6 +50,8 @@ type Object struct {
 	Cond   bool
 	Target string // name of the critical operator this auxiliary supports
 	Descs  []string
+	// templates holds each of Descs as COMPOSE renders it.
+	templates []string
 }
 
 // DisplayName returns the alias when set, the raw name otherwise — the
@@ -79,17 +86,23 @@ type Mutation struct {
 // statement; they may call back into the store.
 type MutationHook func(Mutation)
 
-// Store is a POEM store. All state lives in the backing engine relations;
-// the struct itself only carries the connection, the OID counter, and the
-// RNG used for unconstrained desc choice in COMPOSE.
+// Store is a POEM store, safe for concurrent use. Its state lives in the
+// two relations of its backing engine, the source of truth, and in the
+// published Index. Exec rebuilds the Index after every write statement that
+// recorded a mutation (one that failed partway included), under mu and
+// before the mutation hooks fire, so a read that starts after Exec returns
+// sees the write.
 //
-// A Store is safe for concurrent use: all public entry points serialize on
-// an internal mutex (the backing engine itself is single-threaded).
+// mu serializes POOL writes and SELECT (the backing engine is
+// single-threaded) and guards the OID counter, the source vocabularies and
+// the hooks. Reads through Index and COMPOSE take no store lock; the
+// description RNG they draw from has its own.
 type Store struct {
 	mu      sync.Mutex
 	eng     *engine.Engine
 	nextOID int
-	rng     *rand.Rand
+	idx     atomic.Pointer[Index]
+	rng     *lockedRand
 	// known physical operators per source; CREATE POPERATOR validates
 	// against this, as the paper requires ("name must exist in the set of
 	// physical operators supported by the specified rdbms engine").
@@ -100,12 +113,20 @@ type Store struct {
 	pending []Mutation
 }
 
+// lockedRand is the RNG behind unconstrained description choice in
+// COMPOSE. Draws hold its own lock, so sequential COMPOSEs draw in one fixed
+// sequence.
+type lockedRand struct {
+	sync.Mutex
+	*rand.Rand
+}
+
 // NewStore creates an empty POEM store backed by a fresh engine instance.
 func NewStore() *Store {
 	s := &Store{
 		eng:     engine.NewDefault(),
 		nextOID: 1,
-		rng:     rand.New(rand.NewSource(1)),
+		rng:     &lockedRand{Rand: rand.New(rand.NewSource(1))},
 		known:   make(map[string]map[string]bool),
 	}
 	_, err := s.eng.ExecScript(`
@@ -113,6 +134,9 @@ CREATE TABLE poperators (oid INTEGER, source TEXT, name TEXT, alias TEXT, type T
 CREATE TABLE pdesc (oid INTEGER, descr TEXT);
 CREATE INDEX poperators_oid ON poperators (oid);
 CREATE INDEX pdesc_oid ON pdesc (oid);`)
+	if err == nil {
+		err = s.publish()
+	}
 	if err != nil {
 		panic("pool: backing schema creation failed: " + err.Error())
 	}
@@ -183,6 +207,13 @@ func (s *Store) Exec(stmt string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if st, ok := parsed.(*composeStmt); ok {
+		tpl, err := s.Index().ComposeTemplate(st.source, st.names, st.using)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Template: tpl}, nil
+	}
 	s.mu.Lock()
 	var res *Result
 	switch st := parsed.(type) {
@@ -190,8 +221,6 @@ func (s *Store) Exec(stmt string) (*Result, error) {
 		res, err = s.execCreate(st)
 	case *selectStmt:
 		res, err = s.execSelect(st)
-	case *composeStmt:
-		res, err = s.execCompose(st)
 	case *updateStmt:
 		res, err = s.execUpdate(st)
 	case *dropStmt:
@@ -201,6 +230,13 @@ func (s *Store) Exec(stmt string) (*Result, error) {
 	}
 	events := s.pending
 	s.pending = nil
+	// A statement that recorded a mutation may have written rows even if
+	// it then failed, so the index is rebuilt either way.
+	if len(events) > 0 {
+		if perr := s.publish(); perr != nil {
+			res, err = nil, errors.Join(err, perr)
+		}
+	}
 	hooks := s.hooks
 	s.mu.Unlock()
 	// Events fire even when the statement errored: a mutation may have
@@ -227,61 +263,71 @@ func (s *Store) MustExec(stmt string) *Result {
 // --- CREATE ---------------------------------------------------------------
 
 func (s *Store) execCreate(st *createStmt) (*Result, error) {
-	src, ok := s.known[st.source]
-	if !ok {
+	if _, ok := s.known[st.source]; !ok {
 		return nil, fmt.Errorf("pool: unknown source %q (register it first)", st.source)
 	}
-	if !src[st.name] {
-		return nil, fmt.Errorf("pool: %q is not a physical operator of source %q", st.name, st.source)
+	if st.attrs["cond"] == "" {
+		st.attrs["cond"] = "false"
+	}
+	for _, v := range [][2]string{{"name", st.name}, {"type", st.attrs["type"]}, {"cond", st.attrs["cond"]}} {
+		if err := s.checkValue(st.source, v[0], v[1]); err != nil {
+			return nil, err
+		}
 	}
 	// Multiple objects may share a name only when their targets differ
 	// (e.g. sort -> mergejoin and sort -> groupaggregate).
-	existing, err := s.loadObjects(fmt.Sprintf("source = %s AND name = %s", quote(st.source), quote(st.name)))
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range existing {
-		if o.Target == st.attrs["target"] {
+	ix := s.Index()
+	for _, o := range ix.all {
+		if o.Source == st.source && o.Name == st.name && o.Target == st.attrs["target"] {
 			return nil, fmt.Errorf("pool: operator %s.%s already exists", st.source, st.name)
 		}
-	}
-	typ := st.attrs["type"]
-	if typ != "unary" && typ != "binary" {
-		return nil, fmt.Errorf("pool: TYPE must be 'unary' or 'binary', got %q", typ)
 	}
 	if len(st.descs) == 0 {
 		return nil, fmt.Errorf("pool: DESC is mandatory")
 	}
 	targetID := "NULL"
 	if tgt := st.attrs["target"]; tgt != "" {
-		tobj, err := s.lookup(st.source, tgt)
+		tobj, err := ix.Lookup(st.source, tgt)
 		if err != nil {
 			return nil, fmt.Errorf("pool: TARGET %q does not exist in source %q", tgt, st.source)
 		}
 		targetID = fmt.Sprintf("%d", tobj.OID)
 	}
-	cond := st.attrs["cond"]
-	if cond == "" {
-		cond = "false"
-	}
 	oid := s.nextOID
 	s.nextOID++
-	ins := fmt.Sprintf(
-		"INSERT INTO poperators VALUES (%d, %s, %s, %s, %s, %s, %s, %s)",
+	script := fmt.Sprintf(
+		"INSERT INTO poperators VALUES (%d, %s, %s, %s, %s, %s, %s, %s);",
 		oid, quote(st.source), quote(st.name), quote(st.attrs["alias"]),
-		quote(typ), quote(st.attrs["defn"]), quote(cond), targetID)
-	if _, err := s.eng.Exec(ins); err != nil {
+		quote(st.attrs["type"]), quote(st.attrs["defn"]), quote(st.attrs["cond"]), targetID)
+	for _, d := range st.descs {
+		script += fmt.Sprintf("INSERT INTO pdesc VALUES (%d, %s);", oid, quote(d))
+	}
+	return s.write(script, 1, Mutation{Source: st.source, Name: st.name, Kind: "create"})
+}
+
+// write records a statement's mutations, then runs its SQL script. The
+// mutations come first so that a script failing partway, with some rows
+// written, still republishes the index and fires the hooks.
+func (s *Store) write(script string, affected int, muts ...Mutation) (*Result, error) {
+	s.pending = append(s.pending, muts...)
+	if _, err := s.eng.ExecScript(script); err != nil {
 		return nil, fmt.Errorf("pool: %w", err)
 	}
-	// Recorded as soon as the operator row exists, so the event survives a
-	// later desc-insert failure.
-	s.pending = append(s.pending, Mutation{Source: st.source, Name: st.name, Kind: "create"})
-	for _, d := range st.descs {
-		if _, err := s.eng.Exec(fmt.Sprintf("INSERT INTO pdesc VALUES (%d, %s)", oid, quote(d))); err != nil {
-			return nil, fmt.Errorf("pool: %w", err)
-		}
+	return &Result{Affected: affected}, nil
+}
+
+// checkValue rejects a name, TYPE or COND value that CREATE and UPDATE may
+// not store in source.
+func (s *Store) checkValue(source, attr, val string) error {
+	switch {
+	case attr == "name" && !s.known[source][val]:
+		return fmt.Errorf("pool: %q is not a physical operator of source %q", val, source)
+	case attr == "type" && val != "unary" && val != "binary":
+		return fmt.Errorf("pool: TYPE must be 'unary' or 'binary', got %q", val)
+	case attr == "cond" && val != "true" && val != "false":
+		return fmt.Errorf("pool: COND must be 'true' or 'false', got %q", val)
 	}
-	return &Result{Affected: 1}, nil
+	return nil
 }
 
 func quote(v string) string {
@@ -292,202 +338,160 @@ func quote(v string) string {
 // with its descriptions. Dropping an operator other objects target is
 // rejected (the POEM graph must stay consistent).
 func (s *Store) execDrop(st *dropStmt) (*Result, error) {
-	objs, err := s.loadObjects(fmt.Sprintf("source = %s AND name = %s", quote(st.source), quote(st.name)))
-	if err != nil {
-		return nil, err
+	script, n := "", 0
+	for _, o := range s.Index().all {
+		switch {
+		case o.Source != st.source:
+		case o.Name == st.name:
+			script += fmt.Sprintf("DELETE FROM pdesc WHERE oid = %[1]d; DELETE FROM poperators WHERE oid = %[1]d;", o.OID)
+			n++
+		case o.Target == st.name:
+			return nil, fmt.Errorf("pool: cannot drop %s.%s: auxiliary operator %q targets it",
+				st.source, st.name, o.Name)
+		}
 	}
-	if len(objs) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("pool: no operator %q in source %q", st.name, st.source)
 	}
-	targets, err := s.auxiliaryTargets(st.source)
-	if err != nil {
-		return nil, err
-	}
-	for aux, set := range targets {
-		if aux != st.name && set[st.name] {
-			return nil, fmt.Errorf("pool: cannot drop %s.%s: auxiliary operator %q targets it",
-				st.source, st.name, aux)
-		}
-	}
-	// Recorded before the deletes so a mid-loop failure (rows partially
-	// gone) still invalidates dependent caches.
-	s.pending = append(s.pending, Mutation{Source: st.source, Name: st.name, Kind: "drop"})
-	for _, o := range objs {
-		if _, err := s.eng.Exec(fmt.Sprintf("DELETE FROM pdesc WHERE oid = %d", o.OID)); err != nil {
-			return nil, fmt.Errorf("pool: %w", err)
-		}
-		if _, err := s.eng.Exec(fmt.Sprintf("DELETE FROM poperators WHERE oid = %d", o.OID)); err != nil {
-			return nil, fmt.Errorf("pool: %w", err)
-		}
-	}
-	return &Result{Affected: len(objs)}, nil
+	return s.write(script, n, Mutation{Source: st.source, Name: st.name, Kind: "drop"})
 }
 
-// --- Object loading --------------------------------------------------------
+// --- The published index ----------------------------------------------------
 
-// Lookup returns the first object named name in source.
-func (s *Store) Lookup(source, name string) (*Object, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lookup(source, name)
+// Index is one published state of a Store: both relations read into
+// memory, with targetids resolved to names. It never changes, so readers
+// share it without locks; the objects it hands out must not be modified.
+type Index struct {
+	all   []Object                              // every object, in OID order
+	byOID map[int]*Object                       // for SELECT *
+	first map[opKey]*Object                     // first object per (source, name)
+	aux   map[string]map[string]map[string]bool // source -> auxiliary -> critical names
+	rng   *lockedRand
 }
 
-func (s *Store) lookup(source, name string) (*Object, error) {
-	objs, err := s.loadObjects(fmt.Sprintf("source = %s AND name = %s", quote(source), quote(name)))
+type opKey struct{ source, name string }
+
+// Index returns the published index, the read side of the store. A reader
+// that needs one POOL state for a whole task, such as building a LOT, reads
+// one Index for all of it.
+func (s *Store) Index() *Index { return s.idx.Load() }
+
+// publish rebuilds the index from the two relations and publishes it. The
+// caller holds mu.
+func (s *Store) publish() error {
+	ops, err := s.eng.Exec("SELECT oid, source, name, alias, type, defn, cond, targetid FROM poperators ORDER BY oid")
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("pool: %w", err)
 	}
-	if len(objs) == 0 {
-		return nil, fmt.Errorf("pool: no operator %q in source %q", name, source)
+	descs, err := s.eng.Exec("SELECT oid, descr FROM pdesc ORDER BY oid, descr")
+	if err != nil {
+		return fmt.Errorf("pool: %w", err)
 	}
-	return &objs[0], nil
+	ix := &Index{
+		all:   make([]Object, len(ops.Rows)),
+		byOID: make(map[int]*Object, len(ops.Rows)),
+		first: make(map[opKey]*Object, len(ops.Rows)),
+		aux:   make(map[string]map[string]map[string]bool),
+		rng:   s.rng,
+	}
+	d := descs.Rows
+	for i, r := range ops.Rows {
+		// Only Exec writes these relations, and only targetid may be NULL.
+		o := &ix.all[i]
+		*o = Object{OID: int(r[0].Int()), Source: r[1].Str(), Name: r[2].Str(),
+			Alias: r[3].Str(), Type: r[4].Str(), Defn: r[5].Str(), Cond: r[6].Str() == "true"}
+		// Both results are in OID order, so this object's descriptions are
+		// at the front of d; any before them belong to no operator.
+		for ; len(d) > 0 && int(d[0][0].Int()) <= o.OID; d = d[1:] {
+			if int(d[0][0].Int()) == o.OID {
+				o.Descs = append(o.Descs, d[0][1].Str())
+				o.templates = append(o.templates, o.complete(d[0][1].Str()))
+			}
+		}
+		ix.byOID[o.OID] = o
+		if ix.first[opKey{o.Source, o.Name}] == nil {
+			ix.first[opKey{o.Source, o.Name}] = o
+		}
+	}
+	for i, r := range ops.Rows {
+		if r[7].IsNull() {
+			continue
+		}
+		o, t := &ix.all[i], ix.byOID[int(r[7].Int())]
+		if t == nil {
+			return fmt.Errorf("pool: dangling targetid %d", r[7].Int())
+		}
+		o.Target = t.Name
+		if ix.aux[o.Source] == nil {
+			ix.aux[o.Source] = make(map[string]map[string]bool)
+		}
+		if ix.aux[o.Source][o.Name] == nil {
+			ix.aux[o.Source][o.Name] = make(map[string]bool)
+		}
+		ix.aux[o.Source][o.Name][o.Target] = true
+	}
+	s.idx.Store(ix)
+	return nil
+}
+
+// Lookup returns the first object, in OID order, named name in source.
+func (ix *Index) Lookup(source, name string) (*Object, error) {
+	if o := ix.first[opKey{source, name}]; o != nil {
+		return o, nil
+	}
+	return nil, fmt.Errorf("pool: no operator %q in source %q", name, source)
 }
 
 // Objects returns every object of a source, ordered by OID.
-func (s *Store) Objects(source string) ([]Object, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.objects(source)
-}
-
-func (s *Store) objects(source string) ([]Object, error) {
-	return s.loadObjects("source = " + quote(source))
+func (ix *Index) Objects(source string) []Object {
+	var out []Object
+	for _, o := range ix.all {
+		if o.Source == source {
+			out = append(out, o)
+		}
+	}
+	return out
 }
 
 // AuxiliaryTargets returns, for a source, the mapping from auxiliary
 // operator name to the set of critical operator names it supports (derived
 // from the target attribute; paper §4.2's directed edges).
-func (s *Store) AuxiliaryTargets(source string) (map[string]map[string]bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.auxiliaryTargets(source)
-}
-
-func (s *Store) auxiliaryTargets(source string) (map[string]map[string]bool, error) {
-	objs, err := s.objects(source)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]bool)
-	for _, o := range objs {
-		if o.Target == "" {
-			continue
-		}
-		if out[o.Name] == nil {
-			out[o.Name] = make(map[string]bool)
-		}
-		out[o.Name][o.Target] = true
-	}
-	return out, nil
-}
-
-// loadObjects materializes objects matching a SQL condition over the
-// poperators relation (dogfooding: POOL reads go through engine SQL).
-func (s *Store) loadObjects(sqlCond string) ([]Object, error) {
-	q := "SELECT oid, source, name, alias, type, defn, cond, targetid FROM poperators"
-	if sqlCond != "" {
-		q += " WHERE " + sqlCond
-	}
-	q += " ORDER BY oid"
-	res, err := s.eng.Exec(q)
-	if err != nil {
-		return nil, fmt.Errorf("pool: %w", err)
-	}
-	objs := make([]Object, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		o := Object{
-			OID:    int(r[0].Int()),
-			Source: r[1].Str(),
-			Name:   r[2].Str(),
-		}
-		if !r[3].IsNull() {
-			o.Alias = r[3].Str()
-		}
-		if !r[4].IsNull() {
-			o.Type = r[4].Str()
-		}
-		if !r[5].IsNull() {
-			o.Defn = r[5].Str()
-		}
-		if !r[6].IsNull() {
-			o.Cond = r[6].Str() == "true"
-		}
-		if !r[7].IsNull() {
-			tgt, err := s.nameOf(int(r[7].Int()))
-			if err != nil {
-				return nil, err
-			}
-			o.Target = tgt
-		}
-		descRes, err := s.eng.Exec(fmt.Sprintf("SELECT descr FROM pdesc WHERE oid = %d ORDER BY descr", o.OID))
-		if err != nil {
-			return nil, fmt.Errorf("pool: %w", err)
-		}
-		for _, dr := range descRes.Rows {
-			o.Descs = append(o.Descs, dr[0].Str())
-		}
-		objs = append(objs, o)
-	}
-	return objs, nil
-}
-
-func (s *Store) nameOf(oid int) (string, error) {
-	res, err := s.eng.Exec(fmt.Sprintf("SELECT name FROM poperators WHERE oid = %d", oid))
-	if err != nil {
-		return "", fmt.Errorf("pool: %w", err)
-	}
-	if len(res.Rows) == 0 {
-		return "", fmt.Errorf("pool: dangling targetid %d", oid)
-	}
-	return res.Rows[0][0].Str(), nil
+func (ix *Index) AuxiliaryTargets(source string) map[string]map[string]bool {
+	return ix.aux[source]
 }
 
 // --- SELECT -----------------------------------------------------------------
 
 func (s *Store) execSelect(st *selectStmt) (*Result, error) {
-	// Build the SQL translation: one poperators alias per source in FROM,
-	// joined with pdesc when desc is referenced.
-	type binding struct {
-		source   string
-		opAlias  string
-		dAlias   string
-		needDesc bool
-	}
-	binds := make([]binding, len(st.sources))
-	bySource := make(map[string]*binding)
+	// Build the SQL translation: poperators AS p<i> for the i-th source in
+	// FROM, joined with pdesc AS d<i> when that source's desc is referenced.
+	qualifiers := make(map[string]int)
 	for i, ref := range st.sources {
 		if _, ok := s.known[ref.source]; !ok {
 			return nil, fmt.Errorf("pool: unknown source %q", ref.source)
 		}
-		binds[i] = binding{source: ref.source, opAlias: fmt.Sprintf("p%d", i), dAlias: fmt.Sprintf("d%d", i)}
-		bySource[ref.alias] = &binds[i]
+		qualifiers[ref.alias] = i
 	}
+	needDesc := make([]bool, len(st.sources))
 	resolveAttr := func(qual, attr string) (string, error) {
-		b := &binds[0]
-		if qual != "" {
-			var ok bool
-			b, ok = bySource[qual]
-			if !ok {
-				return "", fmt.Errorf("pool: unknown source qualifier %q", qual)
-			}
+		i, ok := qualifiers[qual] // an unqualified attribute is the first source's
+		if !ok && qual != "" {
+			return "", fmt.Errorf("pool: unknown source qualifier %q", qual)
 		}
 		col, ok := attrColumn(attr)
 		if !ok {
 			return "", fmt.Errorf("pool: unknown attribute %q", attr)
 		}
 		if attr == "desc" {
-			b.needDesc = true
-			return b.dAlias + "." + col, nil
+			needDesc[i] = true
+			return fmt.Sprintf("d%d.%s", i, col), nil
 		}
-		return b.opAlias + "." + col, nil
+		return fmt.Sprintf("p%d.%s", i, col), nil
 	}
 
-	var selectCols []string
-	var colNames []string
-	if st.star {
-		selectCols = append(selectCols, binds[0].opAlias+".oid")
-		colNames = append(colNames, "oid")
-	} else {
+	selectCols, colNames := []string{"p0.oid"}, []string{"oid"}
+	if !st.star {
+		selectCols, colNames = nil, nil
 		for _, a := range st.attrs {
 			c, err := resolveAttr(a.qual, a.name)
 			if err != nil {
@@ -515,14 +519,14 @@ func (s *Store) execSelect(st *selectStmt) (*Result, error) {
 		conds = append(conds, fmt.Sprintf("%s %s %s", lhs, c.op, rhs))
 	}
 	var from []string
-	for _, b := range binds {
-		from = append(from, "poperators AS "+b.opAlias)
-		conds = append(conds, fmt.Sprintf("%s.source = %s", b.opAlias, quote(b.source)))
+	for i, ref := range st.sources {
+		from = append(from, fmt.Sprintf("poperators AS p%d", i))
+		conds = append(conds, fmt.Sprintf("p%d.source = %s", i, quote(ref.source)))
 	}
-	for _, b := range binds {
-		if b.needDesc {
-			from = append(from, "pdesc AS "+b.dAlias)
-			conds = append(conds, fmt.Sprintf("%s.oid = %s.oid", b.opAlias, b.dAlias))
+	for i, need := range needDesc {
+		if need {
+			from = append(from, fmt.Sprintf("pdesc AS d%d", i))
+			conds = append(conds, fmt.Sprintf("p%[1]d.oid = d%[1]d.oid", i))
 		}
 	}
 	q := fmt.Sprintf("SELECT %s FROM %s WHERE %s",
@@ -533,12 +537,11 @@ func (s *Store) execSelect(st *selectStmt) (*Result, error) {
 	}
 	out := &Result{Columns: colNames}
 	if st.star {
+		ix := s.Index()
 		for _, r := range res.Rows {
-			objs, err := s.loadObjects(fmt.Sprintf("oid = %d", r[0].Int()))
-			if err != nil {
-				return nil, err
+			if o := ix.byOID[int(r[0].Int())]; o != nil {
+				out.Objects = append(out.Objects, *o)
 			}
-			out.Objects = append(out.Objects, objs...)
 		}
 		return out, nil
 	}
@@ -575,6 +578,26 @@ func (s *Store) execUpdate(st *updateStmt) (*Result, error) {
 	if _, ok := s.known[st.source]; !ok {
 		return nil, fmt.Errorf("pool: unknown source %q", st.source)
 	}
+	// Evaluate and check every value before anything is written, so a
+	// rejected UPDATE changes nothing and records no mutation.
+	vals := make([]string, len(st.sets))
+	rename := ""
+	for i, set := range st.sets {
+		if col, ok := attrColumn(set.attr); !ok || col == "oid" || col == "source" || col == "targetid" {
+			return nil, fmt.Errorf("pool: cannot update attribute %q", set.attr)
+		}
+		val, err := s.evalValue(set.value)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.checkValue(st.source, set.attr, val); err != nil {
+			return nil, err
+		}
+		if set.attr == "name" {
+			rename = val
+		}
+		vals[i] = val
+	}
 	// Locate target oids.
 	conds := []string{"source = " + quote(st.source)}
 	for _, c := range st.conds {
@@ -594,51 +617,44 @@ func (s *Store) execUpdate(st *updateStmt) (*Result, error) {
 	if len(res.Rows) == 0 {
 		return &Result{Affected: 0}, nil
 	}
-	// Record the mutations before writing (coalesced by name) so a
-	// mid-statement failure with partially applied sets still invalidates
-	// dependent caches.
-	touched := make(map[string]bool)
-	for _, r := range res.Rows {
-		touched[r[1].Str()] = true
-	}
-	names := make([]string, 0, len(touched))
-	for n := range touched {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s.pending = append(s.pending, Mutation{Source: st.source, Name: n, Kind: "update"})
-	}
-	affected := 0
-	for _, r := range res.Rows {
-		oid := r[0].Int()
-		for _, set := range st.sets {
-			val, err := s.evalValue(set.value)
-			if err != nil {
-				return nil, err
-			}
+	matched := make(map[int]bool)
+	names := make([]string, len(res.Rows))
+	script := ""
+	for i, r := range res.Rows {
+		matched[int(r[0].Int())] = true
+		names[i] = r[1].Str()
+		for j, set := range st.sets {
 			if set.attr == "desc" {
 				// Replace all descriptions with the new one.
-				if _, err := s.eng.Exec(fmt.Sprintf("DELETE FROM pdesc WHERE oid = %d", oid)); err != nil {
-					return nil, fmt.Errorf("pool: %w", err)
-				}
-				if _, err := s.eng.Exec(fmt.Sprintf("INSERT INTO pdesc VALUES (%d, %s)", oid, quote(val))); err != nil {
-					return nil, fmt.Errorf("pool: %w", err)
-				}
+				script += fmt.Sprintf("DELETE FROM pdesc WHERE oid = %[1]d; INSERT INTO pdesc VALUES (%[1]d, %[2]s);", r[0].Int(), quote(vals[j]))
 			} else {
-				col, ok := attrColumn(set.attr)
-				if !ok || set.attr == "oid" || set.attr == "source" || set.attr == "target" {
-					return nil, fmt.Errorf("pool: cannot update attribute %q", set.attr)
-				}
-				upd := fmt.Sprintf("UPDATE poperators SET %s = %s WHERE oid = %d", col, quote(val), oid)
-				if _, err := s.eng.Exec(upd); err != nil {
-					return nil, fmt.Errorf("pool: %w", err)
-				}
+				script += fmt.Sprintf("UPDATE poperators SET %s = %s WHERE oid = %d;", set.attr, quote(vals[j]), r[0].Int())
 			}
 		}
-		affected++
 	}
-	return &Result{Affected: affected}, nil
+	// After a rename, as after CREATE, no two objects of the source may
+	// share a (name, target) pair.
+	pairs := make(map[[2]string]bool)
+	for _, o := range s.Index().all {
+		if rename == "" || o.Source != st.source {
+			continue
+		}
+		name := o.Name
+		if matched[o.OID] {
+			name = rename
+		}
+		if pairs[[2]string{name, o.Target}] {
+			return nil, fmt.Errorf("pool: operator %s.%s already exists", st.source, name)
+		}
+		pairs[[2]string{name, o.Target}] = true
+	}
+	// One mutation per touched name, however many objects share it.
+	slices.Sort(names)
+	var muts []Mutation
+	for _, n := range slices.Compact(names) {
+		muts = append(muts, Mutation{Source: st.source, Name: n, Kind: "update"})
+	}
+	return s.write(script, len(res.Rows), muts...)
 }
 
 // evalValue evaluates a POOL value expression: a literal, a scalar

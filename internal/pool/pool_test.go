@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestCreateAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := s.Lookup("pg", "hashjoin")
+	o, err := s.Index().Lookup("pg", "hashjoin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +66,7 @@ func TestDuplicateRules(t *testing.T) {
 		t.Error("duplicate accepted")
 	}
 	// Same name with a different target allowed (sort appears twice already).
-	targets, err := s.AuxiliaryTargets("pg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	targets := s.Index().AuxiliaryTargets("pg")
 	if !targets["sort"]["mergejoin"] || !targets["sort"]["groupaggregate"] {
 		t.Errorf("sort targets = %v", targets["sort"])
 	}
@@ -190,7 +188,7 @@ func TestUpdateDefn(t *testing.T) {
 	if r.Affected != 1 {
 		t.Fatalf("affected = %d", r.Affected)
 	}
-	o, _ := s.Lookup("pg", "hashjoin")
+	o, _ := s.Index().Lookup("pg", "hashjoin")
 	if o.Defn != "a type of join algorithm..." {
 		t.Errorf("defn = %q", o.Defn)
 	}
@@ -208,7 +206,7 @@ func TestUpdateTransferAcrossSources(t *testing.T) {
 	if r.Affected != 1 {
 		t.Fatalf("affected = %d", r.Affected)
 	}
-	o, _ := s.Lookup("db2", "hsjoin")
+	o, _ := s.Index().Lookup("db2", "hsjoin")
 	if len(o.Descs) != 1 || o.Descs[0] != "perform hash join" {
 		t.Errorf("descs = %v", o.Descs)
 	}
@@ -224,7 +222,7 @@ func TestUpdateWithReplace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, _ := s.Lookup("pg", "nestedloop")
+	o, _ := s.Index().Lookup("pg", "nestedloop")
 	if len(o.Descs) != 1 || !strings.Contains(o.Descs[0], "nested loop") {
 		t.Errorf("descs = %v", o.Descs)
 	}
@@ -251,6 +249,41 @@ func TestUpdateForbiddenAttrs(t *testing.T) {
 		if _, err := s.Exec(stmt); err == nil {
 			t.Errorf("%s: expected error", stmt)
 		}
+	}
+}
+
+// TestUpdateChecksWhatCreateChecks: an UPDATE may not store what CREATE
+// would reject — a name outside the source's vocabulary, a duplicate
+// (name, target) pair, a bad TYPE or COND — and a rejected UPDATE changes
+// nothing and fires no hook.
+func TestUpdateChecksWhatCreateChecks(t *testing.T) {
+	s := NewSeededStore()
+	fired := 0
+	s.OnMutation(func(Mutation) { fired++ })
+	before := s.Index().Objects("pg")
+	for _, stmt := range []string{
+		`UPDATE pg SET name = 'flying_join' WHERE name = 'hashjoin'`,
+		`UPDATE pg SET name = 'seqscan' WHERE name = 'indexscan'`,
+		`UPDATE pg SET type = 'ternary' WHERE name = 'hashjoin'`,
+		`UPDATE pg SET cond = 'maybe' WHERE name = 'hashjoin'`,
+		// The check precedes the write even when an earlier SET is valid.
+		`UPDATE pg SET desc = 'x', type = 'ternary' WHERE name = 'hashjoin'`,
+		// Renaming several objects to one name duplicates among themselves.
+		`UPDATE pg SET name = 'mergejoin' WHERE type = 'binary'`,
+	} {
+		if _, err := s.Exec(stmt); err == nil {
+			t.Errorf("%s: accepted", stmt)
+		}
+	}
+	if !reflect.DeepEqual(s.Index().Objects("pg"), before) {
+		t.Error("a rejected UPDATE changed the store")
+	}
+	if fired != 0 {
+		t.Errorf("rejected UPDATEs fired %d hooks", fired)
+	}
+	// Renaming an object to its own name duplicates nothing.
+	if _, err := s.Exec(`UPDATE pg SET name = 'sort' WHERE name = 'sort'`); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -283,7 +316,7 @@ func TestSeedCoversEngineVocabulary(t *testing.T) {
 		"sort", "materialize", "aggregate", "hashaggregate", "groupaggregate",
 		"unique", "limit", "result",
 	} {
-		o, err := s.Lookup("pg", name)
+		o, err := s.Index().Lookup("pg", name)
 		if err != nil {
 			t.Errorf("pg.%s missing: %v", name, err)
 			continue
@@ -297,7 +330,7 @@ func TestSeedCoversEngineVocabulary(t *testing.T) {
 		"sort", "streamaggregate", "hashmatchaggregate", "distinctsort", "top",
 		"tablespool", "constantscan",
 	} {
-		if _, err := s.Lookup("sqlserver", name); err != nil {
+		if _, err := s.Index().Lookup("sqlserver", name); err != nil {
 			t.Errorf("sqlserver.%s missing: %v", name, err)
 		}
 	}
@@ -305,11 +338,11 @@ func TestSeedCoversEngineVocabulary(t *testing.T) {
 
 func TestAliasesInSeed(t *testing.T) {
 	s := NewSeededStore()
-	o, _ := s.Lookup("db2", "zzjoin")
+	o, _ := s.Index().Lookup("db2", "zzjoin")
 	if o.DisplayName() != "zigzag join" {
 		t.Errorf("zzjoin display = %q", o.DisplayName())
 	}
-	o, _ = s.Lookup("pg", "seqscan")
+	o, _ = s.Index().Lookup("pg", "seqscan")
 	if o.DisplayName() != "sequential scan" {
 		t.Errorf("seqscan display = %q", o.DisplayName())
 	}
@@ -396,7 +429,7 @@ func TestRegisterSourceAndSources(t *testing.T) {
 
 func TestComposeTemplateAPI(t *testing.T) {
 	s := NewSeededStore()
-	tpl, err := s.ComposeTemplate("pg", []string{"sort", "groupaggregate"}, nil)
+	tpl, err := s.Index().ComposeTemplate("pg", []string{"sort", "groupaggregate"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +447,7 @@ func TestDropPOperator(t *testing.T) {
 	if r.Affected != 1 {
 		t.Fatalf("affected = %d", r.Affected)
 	}
-	if _, err := s.Lookup("pg", "unique"); err == nil {
+	if _, err := s.Index().Lookup("pg", "unique"); err == nil {
 		t.Error("unique still present after drop")
 	}
 	// Descriptions must be gone too.

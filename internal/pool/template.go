@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -16,88 +17,68 @@ const (
 	PhIndex = "$index$" // index column / name
 )
 
-// execCompose realizes the COMPOSE statement: it builds the natural
+// ComposeTemplate realizes the COMPOSE statement: it builds the natural
 // language description template for an operator or an (auxiliary, critical)
 // operator pair, via the composition operator ∘ of paper §5.4
 // (aux ∘ critical = aux.label ∧ critical.label, rendered as "... and ...").
-func (s *Store) execCompose(st *composeStmt) (*Result, error) {
-	objs := make([]*Object, len(st.names))
-	for i, name := range st.names {
-		o, err := s.lookup(st.source, name)
-		if err != nil {
-			return nil, err
-		}
-		objs[i] = o
-	}
-	if len(objs) == 2 {
-		// The left operand must be the auxiliary node (the composition
-		// operator is neither associative nor commutative — §5.4).
-		aux, crit := objs[0], objs[1]
-		targets, err := s.auxiliaryTargets(st.source)
-		if err != nil {
-			return nil, err
-		}
-		if !targets[aux.Name][crit.Name] {
-			return nil, fmt.Errorf("pool: %q is not an auxiliary operator of %q", aux.Name, crit.Name)
-		}
-		auxT, err := s.template(aux, st.using[aux.Name])
-		if err != nil {
-			return nil, err
-		}
-		critT, err := s.template(crit, st.using[crit.Name])
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Template: auxT + " and " + critT}, nil
-	}
-	t, err := s.template(objs[0], st.using[objs[0].Name])
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Template: t}, nil
-}
-
-// ComposeTemplate is the programmatic form of the COMPOSE statement used by
-// RULE-LANTERN: names is either {operator} or {auxiliary, critical}.
-func (s *Store) ComposeTemplate(source string, names []string, using map[string]string) (string, error) {
-	if using == nil {
-		using = map[string]string{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	res, err := s.execCompose(&composeStmt{names: names, source: source, using: using})
+// names is either {operator} or {auxiliary, critical}; using maps an
+// operator name to the description it must use, and an operator it leaves
+// out draws one of its descriptions at random.
+func (ix *Index) ComposeTemplate(source string, names []string, using map[string]string) (string, error) {
+	o, err := ix.Lookup(source, names[0])
 	if err != nil {
 		return "", err
 	}
-	return res.Template, nil
+	if len(names) == 1 {
+		return ix.template(o, using[o.Name])
+	}
+	crit, err := ix.Lookup(source, names[1])
+	if err != nil {
+		return "", err
+	}
+	// The left operand must be the auxiliary node (the composition
+	// operator is neither associative nor commutative — §5.4).
+	if !ix.aux[source][o.Name][crit.Name] {
+		return "", fmt.Errorf("pool: %q is not an auxiliary operator of %q", o.Name, crit.Name)
+	}
+	auxT, err := ix.template(o, using[o.Name])
+	if err != nil {
+		return "", err
+	}
+	critT, err := ix.template(crit, using[crit.Name])
+	if err != nil {
+		return "", err
+	}
+	return auxT + " and " + critT, nil
 }
 
-// template renders one operator's description template. When the chosen
-// desc embeds placeholders it is used verbatim; otherwise the TYPE and COND
-// attributes complete it (see the package comment for the conventions).
-func (s *Store) template(o *Object, want string) (string, error) {
-	if len(o.Descs) == 0 {
+// template picks one of an operator's description templates: the one
+// whose description is want, else the only one, else a random draw.
+func (ix *Index) template(o *Object, want string) (string, error) {
+	i := 0
+	switch {
+	case len(o.Descs) == 0:
 		return "", fmt.Errorf("pool: operator %s.%s has no description", o.Source, o.Name)
-	}
-	desc := ""
-	if want != "" {
-		for _, d := range o.Descs {
-			if strings.TrimSpace(d) == want {
-				desc = d
-				break
-			}
-		}
-		if desc == "" {
+	case want != "":
+		i = slices.IndexFunc(o.Descs, func(d string) bool { return strings.TrimSpace(d) == want })
+		if i < 0 {
 			return "", fmt.Errorf("pool: operator %s.%s has no description %q", o.Source, o.Name, want)
 		}
-	} else if len(o.Descs) == 1 {
-		desc = o.Descs[0]
-	} else {
-		desc = o.Descs[s.rng.Intn(len(o.Descs))]
+	case len(o.Descs) > 1:
+		ix.rng.Lock()
+		i = ix.rng.Intn(len(o.Descs))
+		ix.rng.Unlock()
 	}
+	return o.templates[i], nil
+}
+
+// complete renders one description as a template. When the description
+// embeds placeholders it is used verbatim; otherwise the TYPE and COND
+// attributes complete it (see the package comment for the conventions).
+func (o *Object) complete(desc string) string {
 	desc = strings.TrimSpace(desc)
 	if strings.Contains(desc, "$") {
-		return desc, nil
+		return desc
 	}
 	switch o.Type {
 	case "binary":
@@ -111,7 +92,7 @@ func (s *Store) template(o *Object, want string) (string, error) {
 			desc += " and filtering on " + PhCond
 		}
 	}
-	return desc, nil
+	return desc
 }
 
 // FillTemplate substitutes placeholder values into a template. Placeholders

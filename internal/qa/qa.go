@@ -121,10 +121,7 @@ func (a *Answerer) Answer(question string) (string, error) {
 // define answers operator-definition questions from the POEM store's defn
 // attribute, matching by name or alias across the plan's source.
 func (a *Answerer) define(q string) (string, error) {
-	objs, err := a.Store.Objects(a.LOT.Source)
-	if err != nil {
-		return "", err
-	}
+	objs := a.Store.Index().Objects(a.LOT.Source)
 	// Longest matching name/alias wins ("hash join" over "hash"). Names are
 	// canonical (no spaces), so match them against the space-stripped
 	// question too.
