@@ -178,9 +178,9 @@ func loadReport(path string) (*Report, error) {
 }
 
 // allocGated matches the benchmarks whose allocs/op and bytes/op form the
-// allocation gate: the engine executor and ablation suites, whose
-// allocation counts are deterministic on fixed data.
-var allocGated = regexp.MustCompile(`^Benchmark(Exec|Ablation)`)
+// allocation gate: the engine executor, planner and ablation suites,
+// whose allocation counts are deterministic on fixed data.
+var allocGated = regexp.MustCompile(`^Benchmark(Exec|Planner|Ablation)`)
 
 // allocGateExempt maps gated benchmarks (without their -N suffix) whose
 // allocation counts are not deterministic to the reason. Their drift is

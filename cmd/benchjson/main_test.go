@@ -148,13 +148,13 @@ func TestGateFailsOnAllocDriftEitherWay(t *testing.T) {
 	report := func(name string, bytes, allocs float64) string {
 		return writeReport(t, dir, name, []Result{
 			{Name: "BenchmarkExecScan-2", NsPerOp: 5000, BytesPerOp: f(bytes), AllocsPerOp: f(allocs)},
-			// Planner benchmarks are outside the gate: their drift is advisory.
-			{Name: "BenchmarkPlannerJoin-2", NsPerOp: 5000, BytesPerOp: f(3 * bytes), AllocsPerOp: f(3 * allocs)},
+			// Parser benchmarks are outside the gate: their drift is advisory.
+			{Name: "BenchmarkParserTPCH-2", NsPerOp: 5000, BytesPerOp: f(3 * bytes), AllocsPerOp: f(3 * allocs)},
 		})
 	}
 	base := writeReport(t, dir, "base.json", []Result{
 		{Name: "BenchmarkExecScan-2", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
-		{Name: "BenchmarkPlannerJoin-2", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
+		{Name: "BenchmarkParserTPCH-2", NsPerOp: 5000, BytesPerOp: f(1000), AllocsPerOp: f(100)},
 	})
 	for _, c := range []struct {
 		name          string
@@ -181,6 +181,17 @@ func TestGateFailsOnAllocDriftEitherWay(t *testing.T) {
 	one := writeReport(t, dir, "one.json", []Result{{Name: "BenchmarkAblationX-2", NsPerOp: 500, BytesPerOp: f(16), AllocsPerOp: f(1)}})
 	if got := gateReports(zero, one, 0.20); got != 1 {
 		t.Errorf("0 -> 1 allocs: gate exit %d, want 1", got)
+	}
+	// Planner benchmarks are gated: join ordering's allocations per plan
+	// are as deterministic as the executor's.
+	planner := func(name string, allocs float64) string {
+		return writeReport(t, dir, name, []Result{{Name: "BenchmarkPlannerTPCHQ8-2", NsPerOp: 3e5, BytesPerOp: f(36000), AllocsPerOp: f(allocs)}})
+	}
+	if got := gateReports(planner("q8-base.json", 156), planner("q8-per-candidate.json", 21199), 0.20); got != 1 {
+		t.Errorf("planner allocs 156 -> 21199: gate exit %d, want 1", got)
+	}
+	if got := gateReports(planner("q8-base.json", 156), planner("q8-same.json", 156), 0.20); got != 0 {
+		t.Errorf("planner allocs unchanged: gate exit %d, want 0", got)
 	}
 	// An exempt benchmark's drift is advisory.
 	thrash := func(name string, allocs float64) string {

@@ -47,6 +47,7 @@ import (
 	"lantern/internal/pool"
 	"lantern/internal/qa"
 	"lantern/internal/service"
+	"lantern/internal/sqlparser"
 )
 
 func main() {
@@ -251,12 +252,12 @@ func loadEngine(db string, scale float64, seed int64, dataDir string) *engine.En
 // explainTree plans the query and round-trips it through the dialect's
 // serialization, exactly as LANTERN consumes plans from a real RDBMS.
 func explainTree(eng *engine.Engine, source, query string) (*plan.Node, string, error) {
+	sel, err := sqlparser.ParseSelect(query)
+	if err != nil {
+		return nil, "", err
+	}
 	return plan.ExplainAndParse(source, func(format string) (string, error) {
-		r, err := eng.Exec(fmt.Sprintf("EXPLAIN (FORMAT %s) %s", format, query))
-		if err != nil {
-			return "", err
-		}
-		return r.Plan, nil
+		return eng.Explain(sel, format)
 	})
 }
 

@@ -283,6 +283,70 @@ func (b *binder) bind(e sqlparser.Expr) (boundExpr, error) {
 	return nil, fmt.Errorf("engine: cannot evaluate expression %T", e)
 }
 
+// checkBind reports the error bindExpr would return binding e against
+// schema, without compiling e: the planner calls it so that EXPLAIN
+// rejects the column references execution rejects. It descends where bind
+// does. bind first reads an expression the schema carries as a computed
+// column, without descending; that matters only when the descent fails,
+// so only then does checkBind look for one, and an expression that binds
+// costs no formatting.
+func checkBind(e sqlparser.Expr, schema []colRef) error {
+	var err error
+	switch ex := e.(type) {
+	case nil, *sqlparser.Literal:
+		return nil
+	case *sqlparser.ColumnRef:
+		_, err := resolve(schema, ex)
+		return err
+	case *sqlparser.BinaryExpr:
+		err = checkBinds(schema, ex.Left, ex.Right)
+	case *sqlparser.UnaryExpr:
+		err = checkBind(ex.X, schema)
+	case *sqlparser.LikeExpr:
+		err = checkBinds(schema, ex.X, ex.Pattern)
+	case *sqlparser.BetweenExpr:
+		err = checkBinds(schema, ex.X, ex.Lo, ex.Hi)
+	case *sqlparser.InExpr:
+		if err = checkBind(ex.X, schema); err == nil && ex.Subquery == nil {
+			err = checkBinds(schema, ex.List...)
+		}
+	case *sqlparser.IsNullExpr:
+		err = checkBind(ex.X, schema)
+	case *sqlparser.CaseExpr:
+		for _, w := range ex.Whens {
+			if err = checkBinds(schema, w.Cond, w.Result); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = checkBind(ex.Else, schema)
+		}
+	case *sqlparser.FuncCall:
+		// bind defers an aggregate's misuse to evaluation.
+		if !sqlparser.IsAggregateName(ex.Name) {
+			err = checkBinds(schema, ex.Args...)
+		}
+	case *sqlparser.SubqueryExpr, *sqlparser.ExistsExpr:
+	default:
+		err = fmt.Errorf("engine: cannot evaluate expression %T", e)
+	}
+	if err != nil {
+		if _, ok := resolveComputed(schema, e); ok {
+			return nil
+		}
+	}
+	return err
+}
+
+func checkBinds(schema []colRef, es ...sqlparser.Expr) error {
+	for _, e := range es {
+		if err := checkBind(e, schema); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // lazySubquery returns a runner that executes an uncorrelated subquery on
 // first use and caches the result: within one statement the catalog is
 // stable, so one evaluation per operator instance suffices (the reference

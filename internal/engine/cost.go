@@ -23,10 +23,10 @@ const (
 )
 
 // selectivityEstimator estimates predicate selectivities from catalog
-// statistics. tableOf maps an alias to its base table name.
+// statistics for the bindings of one FROM clause.
 type selectivityEstimator struct {
-	cat     *catalog.Catalog
-	tableOf map[string]string
+	cat  *catalog.Catalog
+	rels []relation // in FROM order
 }
 
 // betweenSel is the estimate of a BETWEEN that folds into no interval:
@@ -243,19 +243,24 @@ func (s *selectivityEstimator) colStats(c *sqlparser.ColumnRef) (catalog.ColumnS
 
 // lookup resolves a column reference to the binding that owns it (the
 // alias, or the table name when unaliased) and that column's statistics.
+// An unqualified name resolves to the first binding in FROM order that
+// has the column, so an estimate never depends on map order; the planner
+// rejects names two bindings share.
 func (s *selectivityEstimator) lookup(c *sqlparser.ColumnRef) (string, catalog.ColumnStats, bool) {
-	tbl := c.Table
-	if mapped, ok := s.tableOf[tbl]; ok {
-		tbl = mapped
-	}
-	if tbl == "" {
-		// Unqualified: try every table for a unique owner.
-		for alias, base := range s.tableOf {
-			if cs, err := s.cat.ColumnStats(base, c.Name); err == nil {
-				return alias, cs, true
+	if c.Table == "" {
+		for _, r := range s.rels {
+			if cs, err := s.cat.ColumnStats(r.table, c.Name); err == nil {
+				return r.alias, cs, true
 			}
 		}
 		return "", catalog.ColumnStats{}, false
+	}
+	tbl := c.Table
+	for _, r := range s.rels {
+		if r.alias == c.Table {
+			tbl = r.table
+			break
+		}
 	}
 	cs, err := s.cat.ColumnStats(tbl, c.Name)
 	if err != nil {
@@ -328,6 +333,12 @@ func sortCost(rows float64) float64 {
 		return cpuOperCost
 	}
 	return sortCostFactor * rows * math.Log2(rows)
+}
+
+// hashCost is the total cost of a Hash node over an input of the given
+// rows and total cost.
+func hashCost(rows, inputCost float64) float64 {
+	return inputCost + rows*hashBuildCost
 }
 
 func hashJoinCost(build, probe, out float64) float64 {

@@ -7,14 +7,52 @@
 // exactly as the paper's system consumes the output of the commercial
 // engines.
 //
+// # Join ordering
+//
+// Queries without outer joins are ordered cost-based. A WHERE or
+// inner-join ON conjunct on one table filters that table's scan, a column
+// equality between two tables is an equi-join predicate, and any other
+// conjunct filters the join root. Up to Config.DPThreshold relations,
+// dynamic programming (planner.go dpJoin) finds the cheapest tree
+// exhaustively. A dense table indexed by subset mask holds, for every
+// subset of the relations, its cheapest plan's estimated rows, cost and
+// output ordering, the split that joins it and the join operator. Masks
+// are visited in numeric order, which costs both halves of every split
+// first, since every proper subset of a mask is numerically smaller.
+//
+// A subset tries every split into two halves that an equi-join predicate
+// crosses, and only when none does, every split as a Cartesian product.
+// Each candidate is costed arithmetically (cheapestJoin) from its halves'
+// table entries and the query's edge list, which holds every equi-join
+// predicate's two relations as mask bits and its containment divisor,
+// the larger of its columns' distinct counts, computed once. Costing a
+// candidate therefore allocates nothing: no Node, map, schema or
+// expression. Nodes are built once, top-down, for the winning tree
+// (joinNode), carrying the estimates the search compared. Ties keep the
+// earlier split, in descending order of the half without the subset's
+// highest relation, and hash join before merge join before nested loop.
+// Each equi-join predicate crosses exactly one join of the tree, whose
+// condition applies it.
+//
+// The search space keeps Cartesian sub-products under connected joins.
+// A subset no predicate connects is planned as a product, and larger
+// subsets join it on the keys of both its halves. With statistics that is
+// sometimes cheapest: TPC-H Q2 at small scales joins part × region, both
+// filtered to a row or two, before either meets its keys. Enumerating
+// only connected pairs (DPccp, Moerkotte and Neumann, VLDB 2006) would
+// drop such plans and change what LANTERN narrates for those queries.
+//
+// Beyond DPThreshold relations greedy ordering joins the cheapest pair of
+// pieces, preferring pairs a predicate connects, until one is left. It
+// costs pairs with the same function, builds only the pair it joins, and
+// tracks each relation's piece in a slice, so any number of relations
+// fits.
+//
 // # Outer-join planning
 //
-// Queries without outer joins are ordered cost-based: dynamic
-// programming over connected sub-plans, greedy beyond Config.DPThreshold
-// relations, with each WHERE and inner-join ON conjunct placed on the
-// lowest node that binds its tables. A LEFT JOIN does not commute, so a
-// query with one keeps its FROM clause in written order and applies
-// WHERE above the joins. Each LEFT JOIN's ON clause splits three ways:
+// A LEFT JOIN does not commute, so a query with one keeps its FROM clause
+// in written order and applies WHERE above the joins. Each LEFT JOIN's ON
+// clause splits three ways:
 //
 //   - Column equalities whose two columns come from opposite inputs are
 //     the hash keys.

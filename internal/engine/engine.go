@@ -451,22 +451,43 @@ func (e *Engine) runExplain(s *sqlparser.ExplainStmt) (*Result, error) {
 			return nil, err
 		}
 	}
-	var text string
-	switch s.Format {
-	case sqlparser.ExplainJSON:
-		text, err = ExplainJSONStats(plan, st)
-	case sqlparser.ExplainXML:
-		text, err = ExplainXML(plan)
-	case sqlparser.ExplainMySQL:
-		text, err = ExplainMySQL(plan)
-	case sqlparser.ExplainNative:
-		text, err = ExplainNative(plan, st)
-	default:
-		text = explainTextStats(plan, st)
-	}
+	text, err := explainAs(plan, s.Format, st)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Plan: text, Columns: []string{"QUERY PLAN"},
 		Rows: []storage.Row{{datum.NewString(text)}}}, nil
+}
+
+// Explain plans sel and serializes the plan as EXPLAIN (FORMAT format)
+// does; format is TEXT, JSON, XML, MYSQL or NATIVE. Callers that parse the
+// SELECT themselves (the serving layer, the CLI) plan it here rather than
+// wrap its text in an EXPLAIN statement, so a parse error's offset points
+// into their SQL.
+func (e *Engine) Explain(sel *sqlparser.SelectStmt, format string) (string, error) {
+	f, ok := sqlparser.ExplainFormatNamed(format)
+	if !ok {
+		return "", fmt.Errorf("engine: unknown EXPLAIN format %q", format)
+	}
+	plan, err := e.planSelect(sel)
+	if err != nil {
+		return "", err
+	}
+	return explainAs(plan, f, nil)
+}
+
+// explainAs serializes plan in format, with the actuals in st (nil without
+// ANALYZE).
+func explainAs(plan *Node, format sqlparser.ExplainFormat, st ExecStats) (string, error) {
+	switch format {
+	case sqlparser.ExplainJSON:
+		return ExplainJSONStats(plan, st)
+	case sqlparser.ExplainXML:
+		return ExplainXML(plan)
+	case sqlparser.ExplainMySQL:
+		return ExplainMySQL(plan)
+	case sqlparser.ExplainNative:
+		return ExplainNative(plan, st)
+	}
+	return explainTextStats(plan, st), nil
 }

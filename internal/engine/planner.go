@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"lantern/internal/sqlparser"
 	"lantern/internal/storage"
@@ -62,6 +62,9 @@ func (e *Engine) planSelect(sel *sqlparser.SelectStmt) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.checkBindings(n); err != nil {
+		return nil, err
+	}
 	e.annotateParallel(n)
 	return n, nil
 }
@@ -72,6 +75,10 @@ func (p *planner) planConstResult() (*Node, error) {
 	for _, it := range p.sel.Items {
 		if it.Star || it.TableStar != "" {
 			return nil, fmt.Errorf("engine: SELECT * requires a FROM clause")
+		}
+		// Execution binds the items against no columns at all.
+		if err := checkBind(it.Expr, nil); err != nil {
+			return nil, err
 		}
 		n.Schema = append(n.Schema, colRef{Name: itemName(it)})
 	}
@@ -124,9 +131,7 @@ func (p *planner) bindFrom() (bool, error) {
 	}
 	// Column ownership for unqualified references.
 	p.colOwner = make(map[string]string)
-	tableOf := make(map[string]string, len(p.rels))
 	for _, r := range p.rels {
-		tableOf[r.alias] = r.table
 		t, err := p.eng.Cat.Table(r.table)
 		if err != nil {
 			return false, err
@@ -139,7 +144,7 @@ func (p *planner) bindFrom() (bool, error) {
 			}
 		}
 	}
-	p.est = &selectivityEstimator{cat: p.eng.Cat, tableOf: tableOf}
+	p.est = &selectivityEstimator{cat: p.eng.Cat, rels: p.rels}
 
 	// Collect predicates: WHERE conjuncts + inner join ON conjuncts (outer
 	// join ONs stay attached to their join in syntactic planning).
@@ -459,11 +464,77 @@ func (p *planner) compactPreds() {
 
 // --- Cost-based join ordering ---------------------------------------------
 
-// planCostBased orders inner joins with dynamic programming over connected
-// sub-plans (greedy beyond Cfg.DPThreshold relations).
+// joinKey is one equi-join conjunct of an inner join, with its columns put
+// on the join's two inputs.
+type joinKey struct {
+	expr sqlparser.Expr       // the conjunct, for the join condition
+	l, r *sqlparser.ColumnRef // its columns on the left and the right input
+	// div is the containment divisor: the larger of the two columns'
+	// distinct counts, and at least 1.
+	div float64
+}
+
+func (k joinKey) flip() joinKey { return joinKey{expr: k.expr, l: k.r, r: k.l, div: k.div} }
+
+// joinEdge is an equi-join predicate of the query: its key oriented as
+// written, and the relations of its two columns as indices into
+// planner.rels and as bits of dpJoin's subset masks.
+type joinEdge struct {
+	joinKey
+	a, b       int
+	aBit, bBit uint64
+}
+
+// joinEdges lists the query's equi-join predicates in predicate order,
+// which is the order of every join condition built from them.
+func (p *planner) joinEdges() []joinEdge {
+	var edges []joinEdge
+	for _, pr := range p.preds {
+		if pr.eqLeft == nil {
+			continue
+		}
+		a, b := p.relIndex(p.ownerOf(pr.eqLeft)), p.relIndex(p.ownerOf(pr.eqRight))
+		edges = append(edges, joinEdge{
+			joinKey: joinKey{expr: pr.expr, l: pr.eqLeft, r: pr.eqRight, div: p.keyDivisor(pr.eqLeft, pr.eqRight)},
+			a:       a, b: b, aBit: 1 << uint(a), bBit: 1 << uint(b),
+		})
+	}
+	return edges
+}
+
+func (p *planner) relIndex(alias string) int {
+	for i, r := range p.rels {
+		if r.alias == alias {
+			return i
+		}
+	}
+	return -1
+}
+
+// keyDivisor is the containment assumption's divisor for the key l = r.
+func (p *planner) keyDivisor(l, r *sqlparser.ColumnRef) float64 {
+	return maxf(float64(maxi(p.est.ndv(l), 1)), float64(maxi(p.est.ndv(r), 1)))
+}
+
+// keysBetween appends the keys of the edges between the relation sets
+// left and right, in predicate order, oriented left to right.
+func keysBetween(keys []joinKey, edges []joinEdge, left, right uint64) []joinKey {
+	for i := range edges {
+		e := &edges[i]
+		switch {
+		case left&e.aBit != 0 && right&e.bBit != 0:
+			keys = append(keys, e.joinKey)
+		case left&e.bBit != 0 && right&e.aBit != 0:
+			keys = append(keys, e.flip())
+		}
+	}
+	return keys
+}
+
+// planCostBased orders inner joins with exhaustive dynamic programming
+// (greedy beyond Cfg.DPThreshold relations).
 func (p *planner) planCostBased() (*Node, error) {
-	n := len(p.rels)
-	scans := make([]*Node, n)
+	scans := make([]*Node, len(p.rels))
 	for i, rel := range p.rels {
 		s, err := p.planScan(rel)
 		if err != nil {
@@ -471,221 +542,304 @@ func (p *planner) planCostBased() (*Node, error) {
 		}
 		scans[i] = s
 	}
-	if n == 1 {
-		return p.applyResidual(scans[0], []string{p.rels[0].alias})
+	var root *Node
+	switch n := len(scans); {
+	case n == 1:
+		root = scans[0]
+	case n > p.eng.Cfg.DPThreshold:
+		root = p.greedyJoin(scans, p.joinEdges())
+	default:
+		root = p.dpJoin(scans, p.joinEdges())
 	}
-	if n > p.eng.Cfg.DPThreshold {
-		return p.greedyJoin(scans)
-	}
-	return p.dpJoin(scans)
+	return p.applyResidual(root), nil
 }
 
-// aliasBit maps relation index to a bitmask bit.
-func (p *planner) aliasSet(mask uint64) map[string]bool {
-	out := make(map[string]bool)
-	for i := range p.rels {
-		if mask&(1<<uint(i)) != 0 {
-			out[p.rels[i].alias] = true
-		}
-	}
-	return out
+// joinInput is what costing a join reads of one input.
+type joinInput struct {
+	rows, cost float64
+	sorted     []sortKey // output ordering
 }
 
-// joinPredsBetween returns the equi-join predicates connecting two disjoint
-// alias sets, and whether any exist.
-func (p *planner) joinPredsBetween(left, right map[string]bool) []sqlparser.Expr {
-	var out []sqlparser.Expr
-	for _, pr := range p.preds {
-		if pr.eqLeft == nil {
-			continue
-		}
-		lt, rt := p.ownerOf(pr.eqLeft), p.ownerOf(pr.eqRight)
-		if (left[lt] && right[rt]) || (left[rt] && right[lt]) {
-			out = append(out, pr.expr)
-		}
-	}
-	return out
+func inputOf(n *Node) joinInput { return joinInput{rows: n.EstRows, cost: n.EstCost, sorted: n.sorted} }
+
+// dpEntry is the cheapest plan of one subset of the relations: its
+// estimates and ordering, and for two or more relations the split it
+// joins and the operator that joins it.
+type dpEntry struct {
+	joinInput
+	left, right uint64
+	op          Op
 }
 
-func (p *planner) dpJoin(scans []*Node) (*Node, error) {
-	n := len(p.rels)
-	best := make(map[uint64]*Node, 1<<uint(n))
+// dpJoin fills a dense table, indexed by subset mask, with the cheapest
+// plan of every subset of the relations, and builds the Nodes of the full
+// set's plan. A subset tries each split that an equi-join predicate
+// crosses, or every split as a Cartesian product when none does (see
+// "Join ordering" in doc.go). Candidates are costed from the table alone,
+// so none allocates.
+func (p *planner) dpJoin(scans []*Node, edges []joinEdge) *Node {
+	full := uint64(1)<<uint(len(scans)) - 1
+	table := make([]dpEntry, full+1)
 	for i, s := range scans {
-		best[1<<uint(i)] = s
+		table[1<<uint(i)].joinInput = inputOf(s)
 	}
-	full := uint64(1<<uint(n)) - 1
-	// Enumerate subsets by population count so both halves are ready.
-	masks := make([]uint64, 0, 1<<uint(n))
-	for m := uint64(1); m <= full; m++ {
-		masks = append(masks, m)
-	}
-	sort.Slice(masks, func(a, b int) bool {
-		return bits.OnesCount64(masks[a]) < bits.OnesCount64(masks[b])
-	})
-	for _, mask := range masks {
-		if bits.OnesCount64(mask) < 2 {
-			continue
+	var keys []joinKey
+	// Every proper subset of a mask is numerically smaller, so numeric
+	// order has both halves of every split costed first.
+	for mask := uint64(3); mask <= full; mask++ {
+		if mask&(mask-1) == 0 {
+			continue // one relation
 		}
-		var bestPlan *Node
-		consider := func(sub uint64) {
-			other := mask &^ sub
-			l, lok := best[sub]
-			r, rok := best[other]
-			if !lok || !rok {
-				return
-			}
-			conds := p.joinPredsBetween(p.aliasSet(sub), p.aliasSet(other))
-			cand := p.buildJoin(l, r, conds)
-			if bestPlan == nil || cand.EstCost < bestPlan.EstCost {
-				bestPlan = cand
-			}
-		}
-		// First pass: connected splits only.
-		connectedFound := false
-		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-			if sub > mask&^sub {
-				continue // consider each unordered split once
-			}
-			if len(p.joinPredsBetween(p.aliasSet(sub), p.aliasSet(mask&^sub))) > 0 {
-				connectedFound = true
-				consider(sub)
-			}
-		}
-		if !connectedFound {
-			// Cartesian fallback.
-			for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-				if sub > mask&^sub {
+		// Each unordered split once, in descending order of the half
+		// without the mask's top bit.
+		rest := mask &^ (1 << uint(63-bits.LeadingZeros64(mask)))
+		best := &table[mask]
+		found := false
+		// The splits an equi-join predicate crosses; every split, as a
+		// Cartesian product, only when none does.
+		for _, cartesian := range [...]bool{false, true} {
+			for sub := rest; sub > 0; sub = (sub - 1) & rest {
+				other := mask &^ sub
+				if keys = keysBetween(keys[:0], edges, sub, other); len(keys) == 0 && !cartesian {
 					continue
 				}
-				consider(sub)
+				c := p.cheapestJoin(table[sub].joinInput, table[other].joinInput, keys)
+				if !found || c.cost < best.cost {
+					*best = dpEntry{joinInput: joinInput{rows: c.rows, cost: c.cost}, left: sub, right: other, op: c.op}
+					found = true
+				}
+			}
+			if found {
+				break
 			}
 		}
-		if bestPlan != nil {
-			best[mask] = bestPlan
+		if best.op == OpMergeJoin {
+			best.sorted = keyOrder(keysBetween(keys[:0], edges, best.left, best.right), true)
 		}
 	}
-	root, ok := best[full]
-	if !ok {
-		return nil, fmt.Errorf("engine: join planning failed")
-	}
-	aliases := make([]string, len(p.rels))
-	for i, r := range p.rels {
-		aliases[i] = r.alias
-	}
-	return p.applyResidual(root, aliases)
+	return buildTree(table, scans, edges, full)
 }
 
-func (p *planner) greedyJoin(scans []*Node) (*Node, error) {
-	type piece struct {
-		plan    *Node
-		aliases map[string]bool
+// buildTree builds the Nodes of dpJoin's plan for mask.
+func buildTree(table []dpEntry, scans []*Node, edges []joinEdge, mask uint64) *Node {
+	e := &table[mask]
+	if e.left == 0 {
+		return scans[bits.TrailingZeros64(mask)]
 	}
-	pieces := make([]piece, len(scans))
-	for i, s := range scans {
-		pieces[i] = piece{plan: s, aliases: map[string]bool{p.rels[i].alias: true}}
+	left := buildTree(table, scans, edges, e.left)
+	right := buildTree(table, scans, edges, e.right)
+	return joinNode(joinChoice{op: e.op, rows: e.rows, cost: e.cost}, left, right, keysBetween(nil, edges, e.left, e.right))
+}
+
+// greedyJoin joins the cheapest pair of pieces, preferring pairs an
+// equi-join predicate connects, until one piece is left. Pairs are costed
+// as dpJoin costs splits, and only the pair joined is built. pieceOf maps
+// each relation to its piece, so any number of relations fits.
+func (p *planner) greedyJoin(pieces []*Node, edges []joinEdge) *Node {
+	pieceOf := make([]int, len(pieces))
+	for i := range pieceOf {
+		pieceOf[i] = i
 	}
+	var keys []joinKey
 	for len(pieces) > 1 {
-		bestI, bestJ, bestCost := -1, -1, 0.0
-		var bestPlan *Node
-		for i := 0; i < len(pieces); i++ {
+		bestI, bestJ := -1, -1
+		var best joinChoice
+		for i := range pieces {
 			for j := i + 1; j < len(pieces); j++ {
-				conds := p.joinPredsBetween(pieces[i].aliases, pieces[j].aliases)
-				if len(conds) == 0 && bestI >= 0 {
+				keys = pieceKeys(keys[:0], edges, pieceOf, i, j)
+				if len(keys) == 0 && bestI >= 0 {
 					continue // prefer connected joins
 				}
-				cand := p.buildJoin(pieces[i].plan, pieces[j].plan, conds)
-				if bestI < 0 || cand.EstCost < bestCost {
-					bestI, bestJ, bestCost, bestPlan = i, j, cand.EstCost, cand
+				c := p.cheapestJoin(inputOf(pieces[i]), inputOf(pieces[j]), keys)
+				if bestI < 0 || c.cost < best.cost {
+					bestI, bestJ, best = i, j, c
 				}
 			}
 		}
-		merged := piece{plan: bestPlan, aliases: pieces[bestI].aliases}
-		for a := range pieces[bestJ].aliases {
-			merged.aliases[a] = true
+		merged := joinNode(best, pieces[bestI], pieces[bestJ], pieceKeys(nil, edges, pieceOf, bestI, bestJ))
+		last := len(pieces) - 1
+		for r, pc := range pieceOf {
+			switch pc {
+			case bestJ:
+				pieceOf[r] = bestI
+			case last:
+				pieceOf[r] = bestJ
+			}
 		}
-		pieces[bestJ] = pieces[len(pieces)-1]
-		pieces = pieces[:len(pieces)-1]
-		pieces[bestI] = merged
+		pieces[bestI], pieces[bestJ] = merged, pieces[last]
+		pieces = pieces[:last]
 	}
-	aliases := make([]string, len(p.rels))
-	for i, r := range p.rels {
-		aliases[i] = r.alias
-	}
-	return p.applyResidual(pieces[0].plan, aliases)
+	return pieces[0]
 }
 
-// buildJoin picks the cheapest physical join between two sub-plans.
-func (p *planner) buildJoin(left, right *Node, conds []sqlparser.Expr) *Node {
-	joinCond := sqlparser.JoinConjuncts(conds)
-	outRows := p.estimateJoinRows(left, right, conds)
-	schema := append(append([]colRef{}, left.Schema...), right.Schema...)
-	// The swapped schema is only needed when a candidate puts right first;
-	// build it lazily so the common case allocates one schema, not two.
-	var schemaRevLazy []colRef
-	schemaRev := func() []colRef {
-		if schemaRevLazy == nil {
-			schemaRevLazy = append(append(make([]colRef, 0, len(schema)), right.Schema...), left.Schema...)
+// pieceKeys appends the keys of the edges between greedy pieces left and
+// right, in predicate order, oriented left to right.
+func pieceKeys(keys []joinKey, edges []joinEdge, pieceOf []int, left, right int) []joinKey {
+	for i := range edges {
+		e := &edges[i]
+		switch pa, pb := pieceOf[e.a], pieceOf[e.b]; {
+		case pa == left && pb == right:
+			keys = append(keys, e.joinKey)
+		case pa == right && pb == left:
+			keys = append(keys, e.flip())
 		}
-		return schemaRevLazy
 	}
+	return keys
+}
 
-	var best *Node
-	consider := func(c *Node) {
-		if best == nil || c.EstCost < best.EstCost {
-			best = c
-		}
+// joinChoice is a costed join: its operator and the estimates its Node
+// carries.
+type joinChoice struct {
+	op         Op
+	rows, cost float64
+}
+
+// cheapestJoin costs left ⋈ right on keys (none: a Cartesian product)
+// under each join operator the configuration enables, and returns the
+// cheapest; a tie keeps the earlier of hash join, merge join and nested
+// loop. A hash join builds on the smaller input and a nested loop drives
+// with it. Every inner join is costed here, and nothing is allocated.
+func (p *planner) cheapestJoin(left, right joinInput, keys []joinKey) joinChoice {
+	c := joinChoice{rows: joinRows(left.rows, right.rows, keys)}
+	small, large := left, right
+	if right.rows < left.rows {
+		small, large = right, left
 	}
 	cfg := p.eng.Cfg
-	if len(conds) > 0 && cfg.EnableHashJoin {
-		// Build on the smaller side; probe with the larger. PG shows the
-		// probe side first and the Hash(build) second.
-		build, probe, sch := left, right, schema
-		if right.EstRows < left.EstRows {
-			build, probe = right, left
-		} else {
-			sch = schemaRev()
+	found := false
+	if len(keys) > 0 && cfg.EnableHashJoin {
+		c.op, c.cost, found = OpHashJoin, large.cost+hashCost(small.rows, small.cost)+hashJoinCost(small.rows, large.rows, c.rows), true
+	}
+	if len(keys) > 0 && cfg.EnableMergeJoin {
+		cost := orderedCost(left, keys, true) + orderedCost(right, keys, false) + mergeJoinCost(left.rows, right.rows, c.rows)
+		if !found || cost < c.cost {
+			c.op, c.cost, found = OpMergeJoin, cost, true
 		}
-		hash := &Node{Op: OpHash, Children: []*Node{build}, Schema: build.Schema,
-			EstRows: build.EstRows, EstCost: build.EstCost + build.EstRows*hashBuildCost}
-		consider(&Node{
-			Op: OpHashJoin, Children: []*Node{probe, hash},
-			JoinType: sqlparser.InnerJoin, JoinCond: joinCond,
-			Schema:  sch,
-			EstRows: outRows,
-			EstCost: probe.EstCost + hash.EstCost + hashJoinCost(build.EstRows, probe.EstRows, outRows),
-		})
 	}
-	if len(conds) > 0 && cfg.EnableMergeJoin {
-		lKeys, rKeys := splitJoinKeys(conds, p, left)
-		ls := p.ensureSorted(left, lKeys)
-		rs := p.ensureSorted(right, rKeys)
-		consider(&Node{
-			Op: OpMergeJoin, Children: []*Node{ls, rs},
-			JoinType: sqlparser.InnerJoin, JoinCond: joinCond,
-			Schema:  schema,
-			EstRows: outRows,
-			EstCost: ls.EstCost + rs.EstCost + mergeJoinCost(left.EstRows, right.EstRows, outRows),
-			sorted:  keysToSort(lKeys),
-		})
-	}
-	if cfg.EnableNestLoop || best == nil {
-		outer, inner, sch := left, right, schema
-		if right.EstRows < left.EstRows {
-			outer, inner, sch = right, left, schemaRev()
+	if cfg.EnableNestLoop || !found {
+		cost := small.cost + large.cost + nestedLoopCost(small.rows, large.rows, c.rows)
+		if !found || cost < c.cost {
+			c.op, c.cost = OpNestedLoop, cost
 		}
-		consider(&Node{
-			Op: OpNestedLoop, Children: []*Node{outer, inner},
-			JoinType: sqlparser.InnerJoin, JoinCond: joinCond,
-			Schema:  sch,
-			EstRows: outRows,
-			EstCost: outer.EstCost + inner.EstCost + nestedLoopCost(outer.EstRows, inner.EstRows, outRows),
-		})
 	}
-	return best
+	return c
 }
 
-// estimateJoinRows applies the containment assumption per equi-condition.
-func (p *planner) estimateJoinRows(left, right *Node, conds []sqlparser.Expr) float64 {
+// joinRows estimates an inner join's rows under the containment
+// assumption: the inputs' product divided by each key's divisor, and at
+// least one row when there is a key.
+func joinRows(left, right float64, keys []joinKey) float64 {
+	rows := left * right
+	for _, k := range keys {
+		rows = rows / k.div
+	}
+	if len(keys) > 0 && rows < 1 {
+		rows = 1
+	}
+	return rows
+}
+
+// orderedCost is the cost of one side of a merge join: the input's own
+// when its ordering leads with that side's key columns, with a sort added
+// otherwise.
+func orderedCost(in joinInput, keys []joinKey, left bool) float64 {
+	if orderedOn(in.sorted, keys, left) {
+		return in.cost
+	}
+	return in.cost + sortCost(in.rows)
+}
+
+// orderedOn reports whether ordering have leads with one side's key
+// columns, ascending.
+func orderedOn(have []sortKey, keys []joinKey, left bool) bool {
+	if len(have) < len(keys) {
+		return false
+	}
+	for i, k := range keys {
+		col := k.r
+		if left {
+			col = k.l
+		}
+		if have[i].Desc || !sortExprEqual(have[i].Expr, col) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyOrder is the ascending ordering on one side's key columns.
+func keyOrder(keys []joinKey, left bool) []sortKey {
+	out := make([]sortKey, len(keys))
+	for i, k := range keys {
+		if left {
+			out[i].Expr = k.l
+		} else {
+			out[i].Expr = k.r
+		}
+	}
+	return out
+}
+
+// buildJoin costs and builds the cheapest join of two planned inputs.
+func (p *planner) buildJoin(left, right *Node, keys []joinKey) *Node {
+	return joinNode(p.cheapestJoin(inputOf(left), inputOf(right), keys), left, right, keys)
+}
+
+// joinNode builds the Node of a costed join of left and right on keys,
+// with the Hash or Sort inputs its operator needs. It carries the
+// choice's estimates: the costs join ordering compared.
+func joinNode(c joinChoice, left, right *Node, keys []joinKey) *Node {
+	conds := make([]sqlparser.Expr, len(keys))
+	for i, k := range keys {
+		conds[i] = k.expr
+	}
+	j := &Node{Op: c.op, JoinType: sqlparser.InnerJoin, JoinCond: sqlparser.JoinConjuncts(conds), EstRows: c.rows, EstCost: c.cost}
+	small, large := left, right
+	if right.EstRows < left.EstRows {
+		small, large = right, left
+	}
+	switch c.op {
+	case OpHashJoin:
+		// The probe side first and the Hash of the build side second, as
+		// PostgreSQL shows them.
+		hash := &Node{Op: OpHash, Children: []*Node{small}, Schema: small.Schema,
+			EstRows: small.EstRows, EstCost: hashCost(small.EstRows, small.EstCost)}
+		j.Children = []*Node{large, hash}
+	case OpMergeJoin:
+		j.Children = []*Node{orderedInput(left, keys, true), orderedInput(right, keys, false)}
+		j.sorted = keyOrder(keys, true)
+	default:
+		j.Children = []*Node{small, large}
+	}
+	j.Schema = concatSchema(j.Children[0].Schema, j.Children[1].Schema)
+	return j
+}
+
+// orderedInput is n as one side of a merge join: n itself when its
+// ordering leads with that side's key columns, a Sort over it otherwise.
+func orderedInput(n *Node, keys []joinKey, left bool) *Node {
+	if orderedOn(n.sorted, keys, left) {
+		return n
+	}
+	want := keyOrder(keys, left)
+	return &Node{
+		Op: OpSort, Children: []*Node{n},
+		SortKeys: want,
+		Schema:   n.Schema,
+		EstRows:  n.EstRows,
+		EstCost:  n.EstCost + sortCost(n.EstRows),
+		sorted:   want,
+	}
+}
+
+func concatSchema(a, b []colRef) []colRef {
+	return append(append(make([]colRef, 0, len(a)+len(b)), a...), b...)
+}
+
+// leftJoinRows is a LEFT JOIN's containment estimate, before the preserved
+// side's floor: every column comparison in conds divides the inputs'
+// product.
+func (p *planner) leftJoinRows(left, right *Node, conds []sqlparser.Expr) float64 {
 	rows := left.EstRows * right.EstRows
 	for _, c := range conds {
 		be, ok := c.(*sqlparser.BinaryExpr)
@@ -697,7 +851,7 @@ func (p *planner) estimateJoinRows(left, right *Node, conds []sqlparser.Expr) fl
 		if lc == nil || rc == nil {
 			continue
 		}
-		rows = rows / maxf(float64(maxi(p.est.ndv(lc), 1)), float64(maxi(p.est.ndv(rc), 1)))
+		rows = rows / p.keyDivisor(lc, rc)
 	}
 	if len(conds) == 0 {
 		return rows
@@ -722,57 +876,12 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// splitJoinKeys extracts per-side sort keys from equi-join conditions. The
-// side owning each column is decided against leftPlan's schema.
-func splitJoinKeys(conds []sqlparser.Expr, p *planner, leftPlan *Node) (lKeys, rKeys []sqlparser.Expr) {
-	inLeft := func(c *sqlparser.ColumnRef) bool {
-		owner := p.ownerOf(c)
-		for _, sc := range leftPlan.Schema {
-			if sc.Qual == owner {
-				return true
-			}
-		}
-		return false
-	}
-	for _, c := range conds {
-		lc, rc, ok := columnEquality(c)
-		if !ok {
-			continue
-		}
-		if inLeft(lc) {
-			lKeys = append(lKeys, lc)
-			rKeys = append(rKeys, rc)
-		} else {
-			lKeys = append(lKeys, rc)
-			rKeys = append(rKeys, lc)
-		}
-	}
-	return lKeys, rKeys
-}
-
 func keysToSort(keys []sqlparser.Expr) []sortKey {
 	out := make([]sortKey, len(keys))
 	for i, k := range keys {
 		out[i] = sortKey{Expr: k}
 	}
 	return out
-}
-
-// ensureSorted wraps a plan with a Sort node unless it is already ordered by
-// the given keys.
-func (p *planner) ensureSorted(n *Node, keys []sqlparser.Expr) *Node {
-	if sortSatisfiesExprs(n.sorted, keys) {
-		return n
-	}
-	want := keysToSort(keys)
-	return &Node{
-		Op: OpSort, Children: []*Node{n},
-		SortKeys: want,
-		Schema:   n.Schema,
-		EstRows:  n.EstRows,
-		EstCost:  n.EstCost + sortCost(n.EstRows),
-		sorted:   want,
-	}
 }
 
 // sortSatisfies reports whether ordering `have` subsumes `want` (prefix
@@ -789,23 +898,6 @@ func sortSatisfies(have, want []sortKey) bool {
 			return false
 		}
 		if !sortExprEqual(have[i].Expr, w.Expr) {
-			return false
-		}
-	}
-	return true
-}
-
-// sortSatisfiesExprs is sortSatisfies for a list of ascending key
-// expressions, checked without materializing a []sortKey.
-func sortSatisfiesExprs(have []sortKey, want []sqlparser.Expr) bool {
-	if len(want) == 0 {
-		return true
-	}
-	if len(have) < len(want) {
-		return false
-	}
-	for i, w := range want {
-		if have[i].Desc || !sortExprEqual(have[i].Expr, w) {
 			return false
 		}
 	}
@@ -830,47 +922,24 @@ func sortExprEqual(a, b sqlparser.Expr) bool {
 	return sqlparser.FormatExpr(a) == sqlparser.FormatExpr(b)
 }
 
-// applyResidual attaches any predicates not yet consumed (multi-table
-// non-equi conditions, subquery conditions) as a filter on the join root.
-func (p *planner) applyResidual(root *Node, aliases []string) (*Node, error) {
+// applyResidual attaches the predicates no scan or join consumed
+// (multi-table conditions other than column equalities, subquery
+// conditions) as a filter on the join root. Each equi-join predicate
+// crosses exactly one join of the tree, whose condition carries it.
+func (p *planner) applyResidual(root *Node) *Node {
 	var rest []sqlparser.Expr
 	for _, pr := range p.preds {
-		if pr.expr == nil {
-			continue
+		if pr.eqLeft == nil {
+			rest = append(rest, pr.expr)
 		}
-		if pr.eqLeft != nil {
-			// Equi-join predicate: consumed by joins; if it survives (e.g.
-			// redundant edge), apply as filter to stay correct.
-			if predicateApplied(root, pr.expr) {
-				continue
-			}
-		}
-		rest = append(rest, pr.expr)
 	}
 	if len(rest) == 0 {
-		return root, nil
+		return root
 	}
 	sel := p.est.conjunction(rest...)
-	// Fold into the root node's filter.
-	combined := sqlparser.JoinConjuncts(append(sqlparser.SplitConjuncts(root.Filter), rest...))
-	root.Filter = combined
+	root.Filter = sqlparser.JoinConjuncts(append(sqlparser.SplitConjuncts(root.Filter), rest...))
 	root.EstRows = maxf(1, root.EstRows*sel)
-	return root, nil
-}
-
-// predicateApplied reports whether the formatted predicate already appears
-// in some join condition of the plan.
-func predicateApplied(root *Node, e sqlparser.Expr) bool {
-	text := sqlparser.FormatExpr(e)
-	found := false
-	root.Walk(func(n *Node) {
-		for _, c := range sqlparser.SplitConjuncts(n.JoinCond) {
-			if sqlparser.FormatExpr(c) == text {
-				found = true
-			}
-		}
-	})
-	return found
+	return root
 }
 
 // --- Syntactic planning (outer joins) --------------------------------------
@@ -933,12 +1002,13 @@ func (p *planner) syntacticScan(table *sqlparser.BaseTable, filters []sqlparser.
 	return p.seqScanNode(rel, t, rows, filters), nil
 }
 
-// isCrossKey reports whether e is a column equality between one of left's
-// tables and alias: a join key between the two inputs.
-func (p *planner) isCrossKey(e sqlparser.Expr, left *Node, alias string) bool {
+// crossKey reports whether e is a column equality between one of left's
+// tables and alias, a join key between the two inputs, and returns the
+// key oriented left to right.
+func (p *planner) crossKey(e sqlparser.Expr, left *Node, alias string) (joinKey, bool) {
 	lc, rc, ok := columnEquality(e)
 	if !ok {
-		return false
+		return joinKey{}, false
 	}
 	lt, rt := p.ownerOf(lc), p.ownerOf(rc)
 	inLeft := func(t string) bool {
@@ -949,7 +1019,16 @@ func (p *planner) isCrossKey(e sqlparser.Expr, left *Node, alias string) bool {
 		}
 		return false
 	}
-	return (rt == alias && inLeft(lt)) || (lt == alias && inLeft(rt))
+	k := joinKey{expr: e, l: lc, r: rc}
+	switch {
+	case rt == alias && inLeft(lt):
+	case lt == alias && inLeft(rt):
+		k = k.flip()
+	default:
+		return joinKey{}, false
+	}
+	k.div = p.keyDivisor(lc, rc)
+	return k, true
 }
 
 // buildInnerJoin plans `left JOIN table ON on` inside an outer-join query.
@@ -963,13 +1042,14 @@ func (p *planner) buildInnerJoin(left *Node, table *sqlparser.BaseTable, on sqlp
 		return nil, err
 	}
 	alias := baseRelation(table).alias
-	var keys, rest []sqlparser.Expr
+	var keys []joinKey
+	var rest []sqlparser.Expr
 	for _, c := range sqlparser.SplitConjuncts(on) {
 		if _, err := p.tablesOf(c); err != nil {
 			return nil, err
 		}
-		if p.isCrossKey(c, left, alias) {
-			keys = append(keys, c)
+		if k, ok := p.crossKey(c, left, alias); ok {
+			keys = append(keys, k)
 		} else {
 			rest = append(rest, c)
 		}
@@ -1001,8 +1081,9 @@ func (p *planner) buildLeftJoin(left *Node, table *sqlparser.BaseTable, on sqlpa
 		if err != nil {
 			return nil, err
 		}
+		_, isKey := p.crossKey(c, left, alias)
 		switch {
-		case p.isCrossKey(c, left, alias):
+		case isKey:
 			hasKey = true
 			cond = append(cond, c)
 		case len(tables) == 1 && tables[alias]:
@@ -1015,12 +1096,12 @@ func (p *planner) buildLeftJoin(left *Node, table *sqlparser.BaseTable, on sqlpa
 	if err != nil {
 		return nil, err
 	}
-	schema := append(append([]colRef{}, left.Schema...), right.Schema...)
+	schema := concatSchema(left.Schema, right.Schema)
 	joinCond := sqlparser.JoinConjuncts(cond)
-	outRows := maxf(left.EstRows, p.estimateJoinRows(left, right, cond))
+	outRows := maxf(left.EstRows, p.leftJoinRows(left, right, cond))
 	if hasKey && p.eng.Cfg.EnableHashJoin {
 		hash := &Node{Op: OpHash, Children: []*Node{right}, Schema: right.Schema,
-			EstRows: right.EstRows, EstCost: right.EstCost + right.EstRows*hashBuildCost}
+			EstRows: right.EstRows, EstCost: hashCost(right.EstRows, right.EstCost)}
 		return &Node{
 			Op: OpHashJoin, Children: []*Node{left, hash},
 			JoinType: sqlparser.LeftJoin, JoinCond: joinCond,
@@ -1093,6 +1174,62 @@ func (p *planner) finishPlan(root *Node) (*Node, error) {
 		}
 	}
 	return root, nil
+}
+
+// checkBindings rejects at plan time what execution rejects when it binds
+// the plan's expressions: first the select list against the plan's
+// output, then, bottom-up, each operator's filters and join conditions,
+// GROUP BY keys, aggregate arguments, HAVING, and DISTINCT or ORDER BY
+// keys against the schema that operator binds them to. That is the batch
+// executor's order, so a query fails EXPLAIN with the error it fails
+// execution with.
+func (p *planner) checkBindings(root *Node) error {
+	for _, it := range p.sel.Items {
+		switch {
+		case it.Star:
+		case it.TableStar != "":
+			if !slices.ContainsFunc(root.Schema, func(c colRef) bool { return c.Qual == it.TableStar }) {
+				return fmt.Errorf("engine: relation %q not found for %s.*", it.TableStar, it.TableStar)
+			}
+		default:
+			if err := checkBind(it.Expr, root.Schema); err != nil {
+				return err
+			}
+		}
+	}
+	return checkOperatorBindings(root)
+}
+
+func checkOperatorBindings(n *Node) error {
+	for _, c := range n.Children {
+		if err := checkOperatorBindings(c); err != nil {
+			return err
+		}
+	}
+	switch n.Op {
+	case OpSort, OpUnique:
+		for _, k := range n.SortKeys {
+			if err := checkBind(k.Expr, n.Children[0].Schema); err != nil {
+				return err
+			}
+		}
+	case OpAggregate, OpHashAggregate, OpGroupAggregate:
+		in := n.Children[0].Schema
+		if err := checkBinds(in, n.GroupKeys...); err != nil {
+			return err
+		}
+		for _, a := range n.Aggs {
+			if len(a.Call.Args) > 0 && !a.Call.Star {
+				if err := checkBind(a.Call.Args[0], in); err != nil {
+					return err
+				}
+			}
+		}
+		return checkBind(n.HavingFilter, n.Schema)
+	}
+	// A scan binds its conditions against its own columns, a join against
+	// its inputs' columns side by side: either way, its output schema.
+	return checkBinds(n.Schema, n.IndexCond, n.JoinCond, n.Filter)
 }
 
 func minf(a, b float64) float64 {

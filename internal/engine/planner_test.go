@@ -414,3 +414,135 @@ func TestAmbiguousColumnInPredicate(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainRejectsWhatExecutionRejects: a column reference that
+// execution cannot bind, in the select list, WHERE, ON, GROUP BY, HAVING
+// or ORDER BY, fails EXPLAIN with execution's error, under every planner
+// configuration, while a select-list alias in ORDER BY still plans.
+func TestExplainRejectsWhatExecutionRejects(t *testing.T) {
+	bad := []string{
+		"SELECT c_name, COUNT(*) FROM customer a, customer b WHERE a.c_custkey = b.c_custkey GROUP BY c_name",
+		"SELECT c_name FROM customer a, customer b WHERE a.c_custkey = b.c_custkey",
+		"SELECT a.c_name FROM customer a, customer b WHERE a.c_custkey = b.c_custkey ORDER BY c_acctbal",
+		"SELECT nope FROM customer",
+		"SELECT c_name, COUNT(*) FROM customer GROUP BY c_mktsegment",
+		"SELECT o_status, COUNT(*) FROM orders GROUP BY o_status HAVING SUM(nope) > 1",
+		"SELECT o_status FROM orders GROUP BY o_status HAVING o_totalprice > 1",
+		"SELECT o_status, SUM(nope) FROM orders GROUP BY o_status",
+		"SELECT DISTINCT c_name FROM customer a, customer b WHERE a.c_custkey = b.c_custkey",
+		"SELECT z.* FROM customer c",
+		"SELECT nope + 1",
+		"SELECT c_name FROM customer WHERE nope = 1",
+		"SELECT c.c_name FROM customer c WHERE customer.c_acctbal > 5",
+		"SELECT c.c_name FROM customer c, orders o WHERE c.nope = o.o_custkey",
+		"SELECT c.c_name FROM customer c LEFT JOIN orders o ON c.c_custkey = o.nope",
+		"SELECT c.c_name FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey WHERE nope IS NULL",
+	}
+	good := []string{
+		"SELECT a.c_name AS c_name FROM customer a, customer b WHERE a.c_custkey = b.c_custkey ORDER BY c_name",
+		"SELECT o_status AS s, COUNT(*) AS n FROM orders GROUP BY s ORDER BY n DESC, s",
+		"SELECT c.* FROM customer c, orders o WHERE c.c_custkey = o.o_custkey",
+	}
+	for name, cfg := range diffConfigs() {
+		e := testDB(t, cfg)
+		for _, q := range bad {
+			_, execErr := e.Exec(q)
+			if execErr == nil {
+				t.Fatalf("%s: %q executes; the case needs a query execution rejects", name, q)
+			}
+			if _, err := e.Exec("EXPLAIN " + q); err == nil || err.Error() != execErr.Error() {
+				t.Errorf("%s: EXPLAIN %q: err = %v, want %v", name, q, err, execErr)
+			}
+		}
+		for _, q := range good {
+			mustExec(t, e, "EXPLAIN "+q)
+			mustExec(t, e, q)
+		}
+	}
+}
+
+// TestUnqualifiedGroupKeyPlansDeterministically: two tables share a
+// column name but not its distinct count, so an estimate resolving the
+// unqualified name in map order gave two plans for one query. The name is
+// ambiguous, and planning now fails the same way every time.
+func TestUnqualifiedGroupKeyPlansDeterministically(t *testing.T) {
+	e := NewDefault()
+	if _, err := e.ExecScript(`CREATE TABLE t1 (id INTEGER, a INTEGER);
+		CREATE TABLE t2 (id INTEGER, b INTEGER);`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO t1 VALUES (%d, %d)", i%3, i))
+		mustExec(t, e, fmt.Sprintf("INSERT INTO t2 VALUES (%d, %d)", i, i))
+	}
+	for i := 0; i < 50; i++ {
+		_, err := e.PlanSQL("SELECT id, COUNT(*) FROM t1, t2 WHERE t1.a = t2.b GROUP BY id")
+		if err == nil || err.Error() != `engine: column reference "id" is ambiguous` {
+			t.Fatalf("run %d: err = %v, want the ambiguous column reference", i, err)
+		}
+	}
+}
+
+// TestCheckBindAgreesWithBind: checkBind reports exactly the error
+// bindExpr returns, over schemas with and without computed columns.
+func TestCheckBindAgreesWithBind(t *testing.T) {
+	schemas := map[string][]colRef{
+		"scan":  {{Qual: "c", Name: "c_custkey"}, {Qual: "c", Name: "c_name"}},
+		"join":  {{Qual: "a", Name: "k"}, {Qual: "a", Name: "v"}, {Qual: "b", Name: "k"}},
+		"agg":   {{Qual: "c", Name: "c_name"}, {Name: "COUNT(*)"}, {Name: "SUM(c.c_custkey)"}, {Name: "c_custkey % 3"}},
+		"const": nil,
+	}
+	exprs := []string{
+		"c_name", "c.c_name", "k", "a.k", "b.v", "nope", "x.k",
+		"c_custkey + 1", "COUNT(*)", "SUM(c.c_custkey) / COUNT(*)", "SUM(nope)", "c_custkey % 3", "(c_custkey % 3) + k",
+		"UPPER(c_name)", "LOWER(nope)", "c_name LIKE 'a%'", "k BETWEEN 1 AND v", "k IN (1, nope)",
+		"k IN (SELECT 1)", "nope IN (SELECT 1)", "k IS NULL", "CASE WHEN k > 1 THEN v ELSE nope END",
+		"EXISTS (SELECT nope)", "(SELECT nope)", "-k", "NOT v", "1",
+	}
+	for name, schema := range schemas {
+		for _, text := range exprs {
+			sel, err := sqlparser.ParseSelect("SELECT " + text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := sel.Items[0].Expr
+			_, bindErr := bindExpr(e, schema, nil)
+			if err := checkBind(e, schema); fmt.Sprint(err) != fmt.Sprint(bindErr) {
+				t.Errorf("%s: %q: checkBind = %v, bind = %v", name, text, err, bindErr)
+			}
+		}
+	}
+}
+
+// TestGreedyOrdersAnyNumberOfRelations: greedy ordering tracks each
+// relation's piece in a slice, not in a 64-bit subset mask, so a join of
+// more than 64 relations plans, with one join per relation after the
+// first and every equi-join predicate applied by exactly one of them.
+func TestGreedyOrdersAnyNumberOfRelations(t *testing.T) {
+	e := NewDefault()
+	mustExec(t, e, "CREATE TABLE r (k INTEGER, v INTEGER)")
+	mustExec(t, e, "INSERT INTO r VALUES (1, 1), (2, 2), (3, 3)")
+	const n = 70
+	var from, where []string
+	for i := 0; i < n; i++ {
+		from = append(from, fmt.Sprintf("r r%d", i))
+		if i > 0 {
+			where = append(where, fmt.Sprintf("r%d.v = r%d.k", i-1, i))
+		}
+	}
+	plan, err := e.PlanSQL("SELECT r0.k FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins, conds := 0, 0
+	plan.Walk(func(node *Node) {
+		switch node.Op {
+		case OpHashJoin, OpMergeJoin, OpNestedLoop:
+			joins++
+			conds += len(sqlparser.SplitConjuncts(node.JoinCond))
+		}
+	})
+	if joins != n-1 || conds != n-1 {
+		t.Fatalf("%d joins applying %d conditions, want %d of each", joins, conds, n-1)
+	}
+}

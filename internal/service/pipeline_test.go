@@ -71,6 +71,12 @@ func TestDoErrorCodes(t *testing.T) {
 		{"unknown dialect", &Request{Op: OpNarrate, SQL: qScan, Dialect: "db9"}, CodeBadRequest, false, ErrBadRequest},
 		{"empty question", &Request{Op: OpQA, SQL: qScan}, CodeBadRequest, false, ErrBadRequest},
 		{"broken sql", &Request{Op: OpQuery, SQL: "SELECT FROM WHERE"}, CodeBadRequest, false, ErrBadRequest},
+		{"narrate broken sql", &Request{Op: OpNarrate, SQL: "SELECT FROM WHERE"}, CodeBadRequest, false, ErrBadRequest},
+		{"narrate unknown table", &Request{Op: OpNarrate, SQL: "SELECT * FROM nope"}, CodeBadRequest, false, ErrBadRequest},
+		{"narrate unknown column", &Request{Op: OpNarrate, SQL: "SELECT nope FROM customer"}, CodeBadRequest, false, ErrBadRequest},
+		{"qa broken sql", &Request{Op: OpQA, SQL: "SELECT FROM WHERE", Question: "how many steps are there?"}, CodeBadRequest, false, ErrBadRequest},
+		{"qa unknown table", &Request{Op: OpQA, SQL: "SELECT * FROM nope", Question: "how many steps are there?"}, CodeBadRequest, false, ErrBadRequest},
+		{"qa unknown column", &Request{Op: OpQA, SQL: "SELECT nope FROM customer", Question: "how many steps are there?"}, CodeBadRequest, false, ErrBadRequest},
 		{"empty pool stmt", &Request{Op: OpPool}, CodeBadRequest, false, ErrBadRequest},
 		{"broken pool stmt", &Request{Op: OpPool, Stmt: "FROBNICATE pg"}, CodeBadRequest, false, ErrBadRequest},
 		{"empty batch", &Request{Op: OpBatch}, CodeBadRequest, false, ErrBadRequest},
@@ -94,6 +100,25 @@ func TestDoErrorCodes(t *testing.T) {
 		}
 		if tc.sentinel != nil && !errors.Is(err, tc.sentinel) {
 			t.Errorf("%s: does not unwrap to sentinel", tc.name)
+		}
+	}
+}
+
+// TestSQLErrorsReadAsQueryReadsThem: narrate and qa report a SQL error
+// with the message query reports, parse offsets included.
+func TestSQLErrorsReadAsQueryReadsThem(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	for _, sql := range []string{"SELECT FROM WHERE", "ANALYZE SELECT c_name FROM customer", "SELECT * FROM nope", "SELECT nope FROM customer"} {
+		_, err := srv.Do(context.Background(), &Request{Op: OpQuery, SQL: sql})
+		want := AsErrorInfo(err)
+		if want == nil {
+			t.Fatalf("query %q: err = %v, want a structured error", sql, err)
+		}
+		for _, req := range []*Request{{Op: OpNarrate, SQL: sql}, {Op: OpQA, SQL: sql, Question: "how many steps are there?"}} {
+			_, err := srv.Do(context.Background(), req)
+			if got := AsErrorInfo(err); got == nil || got.Code != want.Code || got.Message != want.Message {
+				t.Errorf("%s %q: err = %+v, want %+v", req.Op, sql, got, want)
+			}
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"lantern/internal/pager"
 	"lantern/internal/plan"
 	"lantern/internal/pool"
+	"lantern/internal/sqlparser"
 )
 
 // Service errors. ErrOverloaded is the fast 429-style rejection: the
@@ -667,16 +668,23 @@ func (s *Server) resolveTree(ctx context.Context, sql, planDoc, source string) (
 		return nil, err
 	}
 	tree, _, err := plan.ExplainAndParse(source, func(format string) (string, error) {
+		// The SQL is parsed and planned as query parses and plans it, so
+		// its errors read the same: bad requests, with parse offsets into
+		// the request's SQL.
+		sel, err := sqlparser.ParseSelect(sql)
+		if err != nil {
+			return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
 		sess, err := s.acquireSession(ctx)
 		if err != nil {
 			return "", err
 		}
 		defer s.sessions.Release(sess)
-		r, err := sess.Exec(fmt.Sprintf("EXPLAIN (FORMAT %s) %s", format, sql))
+		doc, err := sess.Explain(sel, format)
 		if err != nil {
-			return "", err
+			return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		return r.Plan, nil
+		return doc, nil
 	})
 	if errors.Is(err, plan.ErrUnknownDialect) || errors.Is(err, plan.ErrNoEngineSerializer) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)

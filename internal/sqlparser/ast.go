@@ -5,7 +5,11 @@
 // framework's translation layer and the data loaders need, and EXPLAIN.
 package sqlparser
 
-import "lantern/internal/datum"
+import (
+	"strings"
+
+	"lantern/internal/datum"
+)
 
 // Statement is the interface implemented by all top-level SQL statements.
 type Statement interface{ stmt() }
@@ -91,6 +95,24 @@ const (
 	ExplainMySQL
 	ExplainNative
 )
+
+// ExplainFormatNamed returns the format an EXPLAIN (FORMAT name) option
+// selects: TEXT, JSON, XML, MYSQL or NATIVE, in any letter case.
+func ExplainFormatNamed(name string) (ExplainFormat, bool) {
+	switch strings.ToUpper(name) {
+	case "TEXT":
+		return ExplainText, true
+	case "JSON":
+		return ExplainJSON, true
+	case "XML":
+		return ExplainXML, true
+	case "MYSQL":
+		return ExplainMySQL, true
+	case "NATIVE":
+		return ExplainNative, true
+	}
+	return 0, false
+}
 
 // ExplainStmt wraps a SELECT and requests its plan instead of its rows.
 // With Analyze set the query is also executed and the plan is annotated

@@ -594,20 +594,13 @@ func (p *parser) parseExplain() (Statement, error) {
 			case p.acceptWord("ANALYZE"):
 				stmt.Analyze = true
 			case p.acceptKeyword("FORMAT"):
-				switch {
-				case p.acceptKeyword("JSON"):
-					stmt.Format = ExplainJSON
-				case p.acceptKeyword("XML"):
-					stmt.Format = ExplainXML
-				case p.acceptKeyword("MYSQL"):
-					stmt.Format = ExplainMySQL
-				case p.acceptWord("NATIVE"):
-					stmt.Format = ExplainNative
-				case p.acceptKeyword("TEXT"):
-					stmt.Format = ExplainText
-				default:
-					return nil, p.errorf("expected JSON, XML, MYSQL, NATIVE or TEXT, got %q", p.peek().text)
+				t := p.peek()
+				f, ok := ExplainFormatNamed(t.text)
+				if !ok || (t.kind != tkKeyword && t.kind != tkIdent) {
+					return nil, p.errorf("expected JSON, XML, MYSQL, NATIVE or TEXT, got %q", t.text)
 				}
+				p.pos++
+				stmt.Format = f
 			default:
 				return nil, p.errorf("expected ANALYZE or FORMAT, got %q", p.peek().text)
 			}
