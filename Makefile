@@ -75,13 +75,15 @@ metrics-lint: build
 	trap 'kill $$! 2>/dev/null' EXIT; \
 	$(BIN)/promlint -url http://$(METRICS_ADDR)/metrics -wait 30s
 
-# Go-native fuzzing over the four plan-dialect parsers, seeded from the
-# golden corpus ($(FUZZTIME) per target).
+# Go-native fuzzing over the four plan-dialect parsers and the pg/native
+# format round trip, seeded from the golden corpus ($(FUZZTIME) per
+# target).
 fuzz:
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePostgresJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParseSQLServerXML -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParseMySQLJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParseNativeJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME)
 
 # Regenerates the cross-dialect golden corpus: inputs from the substrate
 # engine, then expectations via the corpus runners.

@@ -195,7 +195,8 @@ func BenchmarkNeuralNarration(b *testing.B) {
 	}
 }
 
-// BenchmarkExplainJSON measures plan serialization.
+// BenchmarkExplainJSON measures plan serialization as EXPLAIN (FORMAT
+// JSON) runs it: bridge the physical plan, then write the pg document.
 func BenchmarkExplainJSON(b *testing.B) {
 	e := tpchEngine(b)
 	pl, err := e.PlanSQL(benchJoinQuery)
@@ -204,7 +205,7 @@ func BenchmarkExplainJSON(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.ExplainJSON(pl); err != nil {
+		if _, err := plan.FormatPostgresJSON(engine.ToPlanNode(pl)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,7 +45,6 @@ package engine
 
 import (
 	"strconv"
-	"strings"
 	"time"
 
 	"lantern/internal/plan"
@@ -178,11 +177,11 @@ func (e *Engine) QueryInstrumented(sql string) (*QueryResult, error) {
 }
 
 // ToPlanNode converts a physical plan directly into the vendor-neutral
-// operator tree (Source "native") without serializing to any EXPLAIN
-// format. The emitted names and attributes match what parsing the
-// engine's own PostgreSQL-style EXPLAIN JSON would produce, so narrations
-// are identical whichever path a plan took — the differential test in
-// bridge_test.go pins this.
+// operator tree (Source "native"). Narration reads this tree, and every
+// EXPLAIN format but text is written from it by a plan-package formatter
+// (explainAs), so the attributes below are the one place that decides
+// what a plan reports: conditions in PostgreSQL's parenthesized form,
+// keys joined with ", ", costs rounded to two decimals.
 func ToPlanNode(n *Node) *plan.Node { return ToPlanNodeStats(n, nil) }
 
 // ToPlanNodeStats is ToPlanNode plus actual-stats annotation: when st has
@@ -213,12 +212,12 @@ func ToPlanNodeStats(n *Node, st ExecStats) *plan.Node {
 		p.SetAttr(plan.AttrJoinCond, condText(n.JoinCond))
 		p.SetAttr(plan.AttrFilter, condText(n.Filter))
 		if n.JoinType == sqlparser.LeftJoin {
-			p.SetAttr("jointype", "Left")
+			p.SetAttr(plan.AttrJoinType, "Left")
 		}
 	case OpSort, OpUnique:
-		p.SetAttr(plan.AttrSortKey, strings.Join(sortKeyTexts(n.SortKeys), ", "))
+		p.SetAttr(plan.AttrSortKey, sortKeyText(n.SortKeys))
 	case OpAggregate, OpHashAggregate, OpGroupAggregate:
-		p.SetAttr(plan.AttrGroupKey, strings.Join(groupKeyTexts(n.GroupKeys), ", "))
+		p.SetAttr(plan.AttrGroupKey, groupKeyText(n.GroupKeys))
 		p.SetAttr(plan.AttrFilter, condText(n.HavingFilter))
 		switch n.Op {
 		case OpAggregate:
@@ -228,6 +227,8 @@ func ToPlanNodeStats(n *Node, st ExecStats) *plan.Node {
 		case OpGroupAggregate:
 			p.SetAttr(plan.AttrStrategy, "Sorted")
 		}
+	case OpResult:
+		p.SetAttr(plan.AttrFilter, condText(n.Filter))
 	}
 	if os := st[n]; os != nil {
 		p.SetAttr(plan.AttrActualRows, strconv.FormatInt(os.Rows, 10))
@@ -256,9 +257,13 @@ func ToPlanNodeStats(n *Node, st ExecStats) *plan.Node {
 	return p
 }
 
-// ExplainNative serializes the plan in the engine's native dialect — the
-// lossless JSON rendering of the bridged tree, including actual-stats
-// attributes when st is non-nil. plan.ParseNativeJSON inverts it exactly.
-func ExplainNative(n *Node, st ExecStats) (string, error) {
-	return plan.FormatNative(ToPlanNodeStats(n, st))
+func aliasOr(n *Node) string {
+	if n.Alias != "" {
+		return n.Alias
+	}
+	return n.Relation
+}
+
+func round2(f float64) float64 {
+	return float64(int64(f*100+0.5)) / 100
 }

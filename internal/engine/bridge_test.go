@@ -1,10 +1,9 @@
 package engine
 
-// Tests for the native engine↔plan bridge: ToPlanNode must be structurally
-// indistinguishable from round-tripping the plan through the PostgreSQL
-// JSON serialization (the path the bridge replaces), the native
-// serialization must invert exactly, and the opt-in instrumentation must
-// report actuals consistent with what execution really produced.
+// Tests for the native engine↔plan bridge: the bridged tree must survive
+// the PostgreSQL JSON and native formats that EXPLAIN writes from it, and
+// the opt-in instrumentation must report actuals consistent with what
+// execution really produced.
 
 import (
 	"bytes"
@@ -38,11 +37,11 @@ func canonicalIgnoringSource(t *plan.Node) string {
 	return buf.String()
 }
 
-// TestBridgeDifferential pins the bridge against the existing round-trip:
-// for the whole differential corpus under every planner configuration,
+// TestBridgeDifferential pins the bridge against the pg round-trip: for
+// the whole differential corpus under every planner configuration,
 // ToPlanNode (without actuals) must be structurally equal — same shape,
 // operator names, attributes, row estimates and costs — to parsing the
-// engine's own EXPLAIN (FORMAT JSON) output.
+// EXPLAIN (FORMAT JSON) document written from it.
 func TestBridgeDifferential(t *testing.T) {
 	for name, cfg := range diffConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -53,7 +52,7 @@ func TestBridgeDifferential(t *testing.T) {
 					t.Fatalf("plan %q: %v", q, err)
 				}
 				direct := ToPlanNode(pl)
-				doc, err := ExplainJSON(pl)
+				doc, err := plan.FormatPostgresJSON(direct)
 				if err != nil {
 					t.Fatalf("explain %q: %v", q, err)
 				}
@@ -100,9 +99,9 @@ func TestBridgeSource(t *testing.T) {
 	})
 }
 
-// TestNativeRoundTrip: ExplainNative must invert exactly through
-// ParseNativeJSON — same canonical bytes, estimates, and actuals,
-// with and without instrumentation.
+// TestNativeRoundTrip: the native document EXPLAIN (FORMAT NATIVE) writes
+// must invert exactly through ParseNativeJSON — same canonical bytes,
+// estimates, and actuals, with and without instrumentation.
 func TestNativeRoundTrip(t *testing.T) {
 	e := testDB(t, DefaultConfig())
 	for _, q := range diffCorpus {
@@ -115,7 +114,8 @@ func TestNativeRoundTrip(t *testing.T) {
 			t.Fatalf("exec %q: %v", q, err)
 		}
 		for name, stats := range map[string]ExecStats{"plain": nil, "actuals": st} {
-			doc, err := ExplainNative(pl, stats)
+			direct := ToPlanNodeStats(pl, stats)
+			doc, err := plan.FormatNative(direct)
 			if err != nil {
 				t.Fatalf("%s %q: %v", name, q, err)
 			}
@@ -123,7 +123,6 @@ func TestNativeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %q: parse: %v", name, q, err)
 			}
-			direct := ToPlanNodeStats(pl, stats)
 			var a, b bytes.Buffer
 			direct.WriteCanonical(&a)
 			parsed.WriteCanonical(&b)

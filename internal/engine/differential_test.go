@@ -224,8 +224,16 @@ var diffCorpus = []string{
 	"SELECT SUM(m_f), SUM(m_i), COUNT(*), MAX(m_i) FROM measures WHERE m_id > 1000",
 	"SELECT m_grp, SUM(m_f + m_i) FROM measures WHERE m_f > -10 AND m_i < 600 GROUP BY m_grp HAVING COUNT(*) > 1",
 	"SELECT o_status, SUM(o_totalprice * 2 - o_custkey), AVG(o_totalprice) FROM orders WHERE o_orderkey > 3 AND o_custkey < 18 GROUP BY o_status",
-	// Constant result.
+	// Constant result: the one row a FROM-less SELECT reads goes through
+	// WHERE, aggregation, ORDER BY, LIMIT and OFFSET like any other.
 	"SELECT 1 + 2, 'x' || 'y'",
+	"SELECT 1 LIMIT 0",
+	"SELECT 1 OFFSET 1",
+	"SELECT 1 WHERE 1 = 0",
+	"SELECT 1 AS x WHERE 1 = 1 ORDER BY x DESC LIMIT 5",
+	"SELECT COUNT(*), SUM(2)",
+	"SELECT COUNT(*) WHERE 1 = 0",
+	"SELECT DISTINCT 1",
 	// Grouped join with ORDER BY over aggregate.
 	"SELECT o_status, COUNT(*) FROM customer c, orders o WHERE c.c_custkey = o.o_custkey GROUP BY o_status ORDER BY COUNT(*) DESC",
 }

@@ -1,11 +1,12 @@
 // Package engine implements the substrate RDBMS that stands in for
 // PostgreSQL / SQL Server / MySQL in this reproduction: a cost-based
 // planner over the catalog's statistics, a full in-memory executor, and
-// EXPLAIN emitters in four formats (PostgreSQL-style text and JSON,
-// SQL-Server-style XML showplan, MySQL-style EXPLAIN FORMAT=JSON).
-// LANTERN consumes the JSON/XML/MySQL forms through internal/plan,
-// exactly as the paper's system consumes the output of the commercial
-// engines.
+// EXPLAIN in five formats. The engine writes only PostgreSQL-style text
+// itself. JSON (PostgreSQL), XML (SQL Server showplan), MYSQL (MySQL's
+// EXPLAIN FORMAT=JSON) and NATIVE are written by internal/plan's
+// formatters from the bridged plan tree, beside the parsers LANTERN
+// consumes them with, exactly as the paper's system consumes the output
+// of the commercial engines.
 //
 // # Join ordering
 //
@@ -333,11 +334,14 @@
 //
 // The engine's plans reach the narrator directly through the native
 // bridge (bridge.go): ToPlanNode converts a physical plan into the
-// vendor-neutral plan.Node tree with Source "native" and no EXPLAIN-text
-// round-trip, and ExplainNative serializes that tree in the registered
-// "native" dialect. The bridge is pinned against the legacy path — the
-// differential test asserts ToPlanNode is structurally equal to parsing
-// the engine's own EXPLAIN (FORMAT JSON) output.
+// vendor-neutral plan.Node tree with Source "native". The bridge is the
+// one walker of the plan that decides what a plan reports (condition
+// text, keys, rounded costs); explainAs hands its tree to the plan
+// package's formatter for every EXPLAIN format but text, and text
+// EXPLAIN (explain.go) is the only other walker. Parsing a written
+// document gives the bridged tree back: internal/plan pins Parse∘Format
+// as the identity for the pg and native formats, and the differential
+// test here does so for pg across the corpus and planner configurations.
 //
 // Runtime instrumentation is opt-in per execution and follows EXPLAIN
 // ANALYZE semantics:

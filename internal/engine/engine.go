@@ -5,6 +5,7 @@ import (
 
 	"lantern/internal/catalog"
 	"lantern/internal/datum"
+	"lantern/internal/plan"
 	"lantern/internal/sqlparser"
 	"lantern/internal/storage"
 )
@@ -476,18 +477,22 @@ func (e *Engine) Explain(sel *sqlparser.SelectStmt, format string) (string, erro
 	return explainAs(plan, f, nil)
 }
 
-// explainAs serializes plan in format, with the actuals in st (nil without
-// ANALYZE).
-func explainAs(plan *Node, format sqlparser.ExplainFormat, st ExecStats) (string, error) {
+// explainAs serializes pl in format, with the actuals in st (nil without
+// ANALYZE). Text is written from the plan itself; every other format is
+// the plan package's formatter over the bridged tree.
+func explainAs(pl *Node, format sqlparser.ExplainFormat, st ExecStats) (string, error) {
+	var write func(*plan.Node) (string, error)
 	switch format {
 	case sqlparser.ExplainJSON:
-		return ExplainJSONStats(plan, st)
+		write = plan.FormatPostgresJSON
 	case sqlparser.ExplainXML:
-		return ExplainXML(plan)
+		write = plan.FormatSQLServerXML
 	case sqlparser.ExplainMySQL:
-		return ExplainMySQL(plan)
+		write = plan.FormatMySQLJSON
 	case sqlparser.ExplainNative:
-		return ExplainNative(plan, st)
+		write = plan.FormatNative
+	default:
+		return explainTextStats(pl, st), nil
 	}
-	return explainTextStats(plan, st), nil
+	return write(ToPlanNodeStats(pl, st))
 }

@@ -435,6 +435,68 @@ func TestSelectWithoutFrom(t *testing.T) {
 	}
 }
 
+// TestSelectWithoutFromClauses: a FROM-less SELECT is planned like any
+// other over a one-row Result, so WHERE, aggregates, ORDER BY, LIMIT and
+// OFFSET apply. Row counts are pinned in the batch, instrumented and
+// reference executors, and so is the plan EXPLAIN shows. Like
+// PostgreSQL, SELECT COUNT(*) counts the one row.
+func TestSelectWithoutFromClauses(t *testing.T) {
+	e := NewDefault()
+	for _, c := range []struct {
+		sql   string
+		rows  int
+		first string // the first row, when rows > 0
+		plan  string // the text EXPLAIN, costs dropped
+	}{
+		{"SELECT 1 LIMIT 0", 0, "", "Limit\n->  Result"},
+		{"SELECT 1 OFFSET 1", 0, "", "Limit\n->  Result"},
+		{"SELECT 1 WHERE 1 = 0", 0, "", "Result\nFilter: ((1) = (0))"},
+		{"SELECT 1 WHERE 1 = 1 LIMIT 1", 1, "[1]", "Limit\n->  Result\nFilter: ((1) = (1))"},
+		{"SELECT 7 AS x ORDER BY x DESC", 1, "[7]", "Sort\nSort Key: 7 DESC\n->  Result"},
+		{"SELECT COUNT(*)", 1, "[1]", "Aggregate\n->  Result"},
+		{"SELECT COUNT(*) WHERE 1 = 0", 1, "[0]", "Aggregate\n->  Result\nFilter: ((1) = (0))"},
+	} {
+		for _, ref := range []bool{false, true} {
+			e.Cfg.ReferenceExec = ref
+			r := mustExec(t, e, c.sql)
+			if len(r.Rows) != c.rows {
+				t.Errorf("%q (reference %v): %d rows, want %d", c.sql, ref, len(r.Rows), c.rows)
+			} else if c.rows > 0 && fmt.Sprint(r.Rows[0]) != c.first {
+				t.Errorf("%q (reference %v): first row %v, want %s", c.sql, ref, r.Rows[0], c.first)
+			}
+		}
+		e.Cfg.ReferenceExec = false
+		qr, err := e.QueryInstrumented(c.sql)
+		if err != nil {
+			t.Fatalf("%q: %v", c.sql, err)
+		}
+		if len(qr.Result.Rows) != c.rows {
+			t.Errorf("%q (instrumented): %d rows, want %d", c.sql, len(qr.Result.Rows), c.rows)
+		}
+		pl, err := e.PlanSQL(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shape []string
+		for _, line := range strings.Split(strings.TrimSpace(ExplainText(pl)), "\n") {
+			line = strings.TrimSpace(line)
+			if i := strings.Index(line, "  (cost="); i >= 0 {
+				line = line[:i]
+			}
+			shape = append(shape, line)
+		}
+		if got := strings.Join(shape, "\n"); got != c.plan {
+			t.Errorf("%q plans\n%s\nwant\n%s", c.sql, got, c.plan)
+		}
+	}
+	if _, err := e.Exec("SELECT 1 HAVING 1 = 1"); err == nil || !strings.Contains(err.Error(), "HAVING requires aggregation") {
+		t.Errorf("SELECT 1 HAVING 1 = 1: err = %v, want the FROM clause's HAVING error", err)
+	}
+	if _, err := e.Exec("SELECT *"); err == nil {
+		t.Error("SELECT * without FROM should fail")
+	}
+}
+
 func TestUpdateDelete(t *testing.T) {
 	e := testDB(t, DefaultConfig())
 	r := mustExec(t, e, "UPDATE customer SET c_mktsegment = 'RETAIL' WHERE c_custkey <= 5")

@@ -52,16 +52,7 @@ func (e *Engine) execNode(n *Node) ([]storage.Row, error) {
 		}
 		return rows, nil
 	case OpResult:
-		ctx := &evalCtx{schema: nil, row: nil, sub: e.subquery}
-		row := make(storage.Row, len(n.ResultItems))
-		for i, it := range n.ResultItems {
-			v, err := eval(ctx, it.Expr)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		return []storage.Row{row}, nil
+		return e.filterRows(n, []storage.Row{{}})
 	}
 	return nil, fmt.Errorf("engine: cannot execute operator %s", n.Op.Name())
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/xml"
 	"strings"
 	"testing"
+
+	"lantern/internal/plan"
 )
 
 // goldenEngine is a tiny fixed database whose plans are deterministic.
@@ -73,11 +75,11 @@ func TestExplainTextDeterministic(t *testing.T) {
 
 func TestExplainJSONWellFormed(t *testing.T) {
 	e := goldenEngine(t)
-	plan, err := e.PlanSQL(goldenQuery)
+	pl, err := e.PlanSQL(goldenQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := ExplainJSON(plan)
+	doc, err := plan.FormatPostgresJSON(ToPlanNode(pl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +108,11 @@ func TestExplainJSONWellFormed(t *testing.T) {
 
 func TestExplainXMLWellFormed(t *testing.T) {
 	e := goldenEngine(t)
-	plan, err := e.PlanSQL(goldenQuery)
+	pl, err := e.PlanSQL(goldenQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := ExplainXML(plan)
+	doc, err := plan.FormatSQLServerXML(ToPlanNode(pl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +140,11 @@ func TestExplainXMLWellFormed(t *testing.T) {
 
 func TestExplainMySQLWellFormed(t *testing.T) {
 	e := goldenEngine(t)
-	plan, err := e.PlanSQL(goldenQuery)
+	pl, err := e.PlanSQL(goldenQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := ExplainMySQL(plan)
+	doc, err := plan.FormatMySQLJSON(ToPlanNode(pl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +177,11 @@ func TestExplainMySQLWellFormed(t *testing.T) {
 
 func TestExplainMySQLLimitTransparent(t *testing.T) {
 	e := goldenEngine(t)
-	plan, err := e.PlanSQL("SELECT e_id FROM emp ORDER BY e_salary LIMIT 2")
+	pl, err := e.PlanSQL("SELECT e_id FROM emp ORDER BY e_salary LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := ExplainMySQL(plan)
+	doc, err := plan.FormatMySQLJSON(ToPlanNode(pl))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ const (
 	OpGroupAggregate // grouped aggregate over sorted input
 	OpUnique
 	OpLimit
-	OpResult // constant result (SELECT without FROM)
+	OpResult // the one row of no columns a SELECT without FROM reads
 )
 
 // Name returns the PostgreSQL-style node name used in EXPLAIN output.
@@ -57,40 +57,6 @@ func (o Op) Name() string {
 		return "Limit"
 	case OpResult:
 		return "Result"
-	}
-	return "Unknown"
-}
-
-// SQLServerName returns the SQL-Server-style physical operator name used by
-// the XML showplan emitter (e.g. Hash Join -> "Hash Match").
-func (o Op) SQLServerName() string {
-	switch o {
-	case OpSeqScan:
-		return "Table Scan"
-	case OpIndexScan:
-		return "Index Seek"
-	case OpHash:
-		return "Hash"
-	case OpHashJoin:
-		return "Hash Match"
-	case OpMergeJoin:
-		return "Merge Join"
-	case OpNestedLoop:
-		return "Nested Loops"
-	case OpSort:
-		return "Sort"
-	case OpMaterialize:
-		return "Table Spool"
-	case OpAggregate, OpGroupAggregate:
-		return "Stream Aggregate"
-	case OpHashAggregate:
-		return "Hash Match Aggregate"
-	case OpUnique:
-		return "Distinct Sort"
-	case OpLimit:
-		return "Top"
-	case OpResult:
-		return "Constant Scan"
 	}
 	return "Unknown"
 }
@@ -147,9 +113,6 @@ type Node struct {
 	// number of leading rows discarded before counting.
 	Limit  int64
 	Offset int64
-
-	// Result (constant) items.
-	ResultItems []sqlparser.SelectItem
 
 	// Planner annotations.
 	Schema  []colRef // output columns

@@ -39,9 +39,6 @@ type planner struct {
 // planSelect builds the physical plan for a SELECT statement.
 func (e *Engine) planSelect(sel *sqlparser.SelectStmt) (*Node, error) {
 	p := &planner{eng: e, sel: sel}
-	if len(sel.From) == 0 {
-		return p.planConstResult()
-	}
 	hasOuter, err := p.bindFrom()
 	if err != nil {
 		return nil, err
@@ -50,9 +47,12 @@ func (e *Engine) planSelect(sel *sqlparser.SelectStmt) (*Node, error) {
 		return nil, err
 	}
 	var join *Node
-	if hasOuter {
+	switch {
+	case len(sel.From) == 0:
+		join, err = p.planResult()
+	case hasOuter:
 		join, err = p.planSyntactic()
-	} else {
+	default:
 		join, err = p.planCostBased()
 	}
 	if err != nil {
@@ -69,20 +69,16 @@ func (e *Engine) planSelect(sel *sqlparser.SelectStmt) (*Node, error) {
 	return n, nil
 }
 
-// planConstResult handles SELECT without FROM.
-func (p *planner) planConstResult() (*Node, error) {
-	n := &Node{Op: OpResult, ResultItems: p.sel.Items, EstRows: 1, EstCost: cpuTupleCost}
+// planResult is the join root of a SELECT without FROM: one row of no
+// columns, which WHERE filters. The rest of the query is planned over it
+// as over any join, and the projector evaluates the select list.
+func (p *planner) planResult() (*Node, error) {
 	for _, it := range p.sel.Items {
 		if it.Star || it.TableStar != "" {
 			return nil, fmt.Errorf("engine: SELECT * requires a FROM clause")
 		}
-		// Execution binds the items against no columns at all.
-		if err := checkBind(it.Expr, nil); err != nil {
-			return nil, err
-		}
-		n.Schema = append(n.Schema, colRef{Name: itemName(it)})
 	}
-	return n, nil
+	return &Node{Op: OpResult, Filter: p.sel.Where, EstRows: 1, EstCost: cpuTupleCost}, nil
 }
 
 func itemName(it sqlparser.SelectItem) string {

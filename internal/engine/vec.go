@@ -670,36 +670,38 @@ func (it *uniqueVec) Close() error { return it.child.Close() }
 
 // --- Result -----------------------------------------------------------------
 
-// resultVec evaluates the single constant row of a FROM-less SELECT at Open
-// and returns it as one batch.
+// resultVec returns the one row of no columns a FROM-less SELECT reads, as
+// one batch, unless its filter (the query's WHERE) rejects it.
 type resultVec struct {
-	items []boundExpr
-	out   rowsOut
+	filter boundExpr
+	out    rowsOut
 }
 
 func (v *vbuild) newResultVec(n *Node) (*resultVec, error) {
-	it := &resultVec{items: make([]boundExpr, len(n.ResultItems))}
-	for i, item := range n.ResultItems {
-		bound, err := bindExpr(item.Expr, nil, v.e.subquery)
+	it := &resultVec{}
+	if n.Filter != nil {
+		f, err := bindExpr(n.Filter, nil, v.e.subquery)
 		if err != nil {
 			return nil, err
 		}
-		it.items[i] = bound
+		it.filter = f
 	}
 	return it, nil
 }
 
 func (it *resultVec) Open() error {
-	var env rowEnv
-	row := make(storage.Row, len(it.items))
-	for i, item := range it.items {
-		v, err := item(&env)
+	rows := []storage.Row{{}}
+	if it.filter != nil {
+		var env rowEnv
+		v, err := it.filter(&env)
 		if err != nil {
 			return err
 		}
-		row[i] = v
+		if !truthy(v) {
+			rows = nil
+		}
 	}
-	it.out.set([]storage.Row{row})
+	it.out.set(rows)
 	return nil
 }
 

@@ -106,3 +106,31 @@ func FuzzParseMySQLJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFormatRoundTrip: whatever tree the pg or native parser accepts,
+// writing it back out in the same format and parsing that keeps the
+// tree's canonical form, Rows and Cost (AttrTimeMs, which the canonical
+// form leaves out, is rounded to three decimals on every parse).
+func FuzzFormatRoundTrip(f *testing.F) {
+	seedCorpus(f, "pg")
+	seedCorpus(f, "native")
+	f.Fuzz(func(t *testing.T, doc string) {
+		for _, rt := range roundTrips {
+			tree, err := rt.parse(doc)
+			if err != nil {
+				continue
+			}
+			out, err := rt.format(tree)
+			if err != nil {
+				t.Fatalf("%s: format: %v", rt.name, err)
+			}
+			back, err := rt.parse(out)
+			if err != nil {
+				t.Fatalf("%s: parse of the formatted tree: %v\n%s", rt.name, err, out)
+			}
+			if d := treeDiff(tree, back, plan.AttrTimeMs); d != "" {
+				t.Fatalf("%s: round trip changed the tree: %s", rt.name, d)
+			}
+		}
+	})
+}

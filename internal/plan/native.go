@@ -8,10 +8,11 @@ import (
 
 // The native dialect is the substrate engine's own plan serialization: a
 // lossless JSON rendering of the vendor-neutral tree itself (operator name,
-// estimates, canonical attributes, children), produced by the engine's
-// EXPLAIN (FORMAT NATIVE) emitter without any cross-vendor text round-trip.
-// It is the only dialect that carries the standardized actual-stats
-// attributes (AttrActualRows, AttrLoops, AttrTimeMs) natively: an
+// estimates, canonical attributes, children), which the engine's
+// EXPLAIN (FORMAT NATIVE) writes with FormatNative. Unlike the vendor
+// formats it needs no vocabulary of its own, and it is the only dialect
+// that carries every standardized actual-stats attribute (AttrActualRows,
+// AttrLoops, AttrTimeMs, the worker and segment counts): an
 // EXPLAIN (ANALYZE, FORMAT NATIVE) document narrates what actually
 // happened, not just what the optimizer expected.
 //
@@ -57,7 +58,7 @@ func detectNative(doc string) bool {
 // serialize→parse round-trip bit-identically.
 func FormatNative(n *Node) (string, error) {
 	if n == nil {
-		return "", fmt.Errorf("plan: cannot serialize a nil tree")
+		return "", errNilTree
 	}
 	var conv func(x *Node) *nativeNode
 	conv = func(x *Node) *nativeNode {

@@ -1,30 +1,37 @@
 // Package plan defines the vendor-neutral query-execution-plan tree that
 // LANTERN operates on, together with a pluggable dialect registry
-// (registry.go) and the three built-in frontends: PostgreSQL-style
-// EXPLAIN (FORMAT JSON) documents, SQL-Server-style XML showplans, and
-// MySQL-style EXPLAIN FORMAT=JSON documents. This makes the paper's
-// architecture note operational: "we can extend lantern to any rdbms
-// easily by writing a parser to create operator trees" — write a
-// ParseFunc, Register it, seed POOL descriptions for the new operator
-// vocabulary, and add a testdata/<dialect> conformance corpus.
+// (registry.go) and one file per built-in plan format, each holding the
+// format's document types, its parser and its formatter: PostgreSQL-style
+// EXPLAIN (FORMAT JSON) documents (pg.go), SQL-Server-style XML showplans
+// (sqlserver.go), MySQL-style EXPLAIN FORMAT=JSON documents (mysql.go),
+// and the engine's lossless native JSON (native.go). The substrate engine
+// bridges its physical plan into a Node tree and writes every EXPLAIN
+// format but text with these formatters, so each format is declared once.
+// This makes the paper's architecture note operational: "we can extend
+// lantern to any rdbms easily by writing a parser to create operator
+// trees" — write a ParseFunc, Register it, seed POOL descriptions for the
+// new operator vocabulary, and add a testdata/<dialect> conformance
+// corpus.
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
 
-// Canonical attribute keys shared by both parsers. RULE-LANTERN fills its
+// Canonical attribute keys shared by every format. RULE-LANTERN fills its
 // templates from these.
 const (
 	AttrRelation  = "relation"  // base table name
 	AttrAlias     = "alias"     // binding alias
 	AttrFilter    = "filter"    // residual / HAVING filter text
 	AttrJoinCond  = "joincond"  // hash/merge/nested-loop join condition text
+	AttrJoinType  = "jointype"  // "Left" on a left outer join; unset on an inner one
 	AttrIndexCond = "indexcond" // index scan condition text
 	AttrIndexName = "indexname"
-	AttrSortKey   = "sortkey"
-	AttrGroupKey  = "groupkey"
+	AttrSortKey   = "sortkey"  // sort keys, joined with ", "
+	AttrGroupKey  = "groupkey" // group keys, joined with ", "
 	AttrStrategy  = "strategy" // aggregate strategy (Plain/Sorted/Hashed)
 )
 
@@ -64,6 +71,8 @@ const (
 	AttrSegments       = "segments"
 	AttrSegmentsPruned = "segspruned"
 )
+
+var errNilTree = errors.New("plan: cannot serialize a nil tree")
 
 // Node is one operator of a vendor-neutral QEP tree.
 type Node struct {

@@ -24,7 +24,9 @@ type ParseFunc func(doc string) (*Node, error)
 // when the substrate engine can emit the serialization — which EXPLAIN
 // FORMAT keyword produces it. Adding an RDBMS to LANTERN is exactly what
 // the paper promises: write a parser, register it here, and seed POOL
-// descriptions for its operator vocabulary.
+// descriptions for its operator vocabulary. For the engine to emit the
+// format too, write its formatter beside the parser and give it a case in
+// the engine's EXPLAIN switch.
 type Dialect struct {
 	// Name is the dialect identifier used throughout the system ("pg",
 	// "sqlserver", "mysql") and as the Source of parsed nodes.
@@ -35,9 +37,11 @@ type Dialect struct {
 	// Optional; dialects without a detector are skipped by auto-detection.
 	Detect func(doc string) bool
 	// EngineFormat is the substrate engine's EXPLAIN FORMAT keyword that
-	// emits this dialect's serialization ("JSON", "XML", "MYSQL"), or ""
-	// when the engine cannot produce it and only pre-serialized plan
-	// documents can be narrated.
+	// emits this dialect's serialization ("NATIVE", "JSON", "XML",
+	// "MYSQL"), or "" when the engine cannot produce it and only
+	// pre-serialized plan documents can be narrated. The engine writes
+	// each with this package's formatter for the dialect (FormatNative,
+	// FormatPostgresJSON, FormatSQLServerXML, FormatMySQLJSON).
 	EngineFormat string
 }
 
@@ -114,8 +118,10 @@ func Parse(dialect, doc string) (*Node, error) {
 // dialect, obtains the serialized plan by calling explain with the
 // dialect's engine EXPLAIN FORMAT keyword, and parses the document back
 // through the registered frontend — exactly how LANTERN consumes plans
-// from a real RDBMS. Used by the CLI, the serving layer, and the corpus
-// generator so dialect plumbing lives in one place.
+// from a real RDBMS. For the substrate engine that is Format then Parse
+// of one format in this package, which the round-trip tests pin as the
+// identity for pg and native. Used by the CLI, the serving layer, and the
+// corpus generator so dialect plumbing lives in one place.
 func ExplainAndParse(dialect string, explain func(engineFormat string) (doc string, err error)) (*Node, string, error) {
 	d, ok := Lookup(dialect)
 	if !ok {

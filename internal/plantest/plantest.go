@@ -81,6 +81,28 @@ func Entries(t testing.TB) []Entry {
 	return entries
 }
 
+// CorpusQueries is the conformance query set the corpus inputs are
+// generated from (testdata/gen): every dialect's corpus is the same
+// queries, chosen to cover scans (sequential and index), the join
+// families, grouping, sorting, duplicate removal, and limits.
+var CorpusQueries = []struct{ Name, SQL string }{
+	{"scan_filter", "SELECT c_name FROM customer WHERE c_mktsegment = 'BUILDING'"},
+	{"index_lookup", "SELECT o_totalprice FROM orders WHERE o_orderkey = 7"},
+	{"join_group_sort", "SELECT c.c_name, SUM(o.o_totalprice) FROM customer c, orders o WHERE c.c_custkey = o.o_custkey AND o.o_totalprice > 1000 GROUP BY c.c_name ORDER BY c.c_name"},
+	{"distinct_limit", "SELECT DISTINCT c_mktsegment FROM customer ORDER BY c_mktsegment LIMIT 3"},
+	{"left_join", "SELECT c.c_name, o.o_totalprice FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey"},
+	{"three_way_join", "SELECT c.c_name, l.l_quantity FROM customer c, orders o, lineitem l WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = l.l_orderkey AND c.c_mktsegment = 'AUTOMOBILE'"},
+	// Both inputs arrive in join-key order from index range scans.
+	{"merge_join", "SELECT o.o_orderkey, l.l_quantity FROM orders o, lineitem l WHERE o.o_orderkey = l.l_orderkey AND o.o_orderkey < 200 AND l.l_orderkey < 200"},
+	// Two small inputs: a Nested Loop whose equality is its join filter.
+	{"nested_loop_filter", "SELECT n.n_name, r.r_name FROM nation n, region r WHERE n.n_regionkey = r.r_regionkey"},
+	{"group_having", "SELECT c_nationkey, COUNT(*) FROM customer GROUP BY c_nationkey HAVING COUNT(*) > 10"},
+	{"index_residual", "SELECT o_totalprice FROM orders WHERE o_orderkey = 7 AND o_totalprice > 100"},
+	// Sort and group keys with ", " inside a call and inside a literal:
+	// the key lists must still split into whole keys.
+	{"comma_keys", "SELECT COALESCE(c_mktsegment, 'p, q'), COUNT(*) FROM customer GROUP BY COALESCE(c_mktsegment, 'p, q') ORDER BY SUBSTR(COALESCE(c_mktsegment, 'p, q'), 1, 2), COUNT(*)"},
+}
+
 // MinPlansPerDialect is the conformance floor: every dialect directory
 // must carry at least this many corpus plans.
 const MinPlansPerDialect = 4
