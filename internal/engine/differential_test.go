@@ -234,6 +234,11 @@ var diffCorpus = []string{
 	"SELECT COUNT(*), SUM(2)",
 	"SELECT COUNT(*) WHERE 1 = 0",
 	"SELECT DISTINCT 1",
+	// HAVING without GROUP BY makes the input one group.
+	"SELECT 1 HAVING 1 = 1",
+	"SELECT 1 FROM customer HAVING 1 = 1",
+	"SELECT 1 FROM customer HAVING 1 = 0",
+	"SELECT 1 FROM customer WHERE 1 = 0 HAVING 1 = 1",
 	// Grouped join with ORDER BY over aggregate.
 	"SELECT o_status, COUNT(*) FROM customer c, orders o WHERE c.c_custkey = o.o_custkey GROUP BY o_status ORDER BY COUNT(*) DESC",
 }

@@ -342,6 +342,8 @@
 // document gives the bridged tree back: internal/plan pins Parse∘Format
 // as the identity for the pg and native formats, and the differential
 // test here does so for pg across the corpus and planner configurations.
+// The serving layer therefore narrates SQL from the bridged tree
+// (plan.FromEngine) and writes no document for those formats.
 //
 // Runtime instrumentation is opt-in per execution and follows EXPLAIN
 // ANALYZE semantics:

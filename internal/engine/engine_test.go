@@ -489,11 +489,60 @@ func TestSelectWithoutFromClauses(t *testing.T) {
 			t.Errorf("%q plans\n%s\nwant\n%s", c.sql, got, c.plan)
 		}
 	}
-	if _, err := e.Exec("SELECT 1 HAVING 1 = 1"); err == nil || !strings.Contains(err.Error(), "HAVING requires aggregation") {
-		t.Errorf("SELECT 1 HAVING 1 = 1: err = %v, want the FROM clause's HAVING error", err)
-	}
 	if _, err := e.Exec("SELECT *"); err == nil {
 		t.Error("SELECT * without FROM should fail")
+	}
+}
+
+// TestHavingWithoutGroupBy: HAVING without GROUP BY or an aggregate makes
+// the whole input one group, as in PostgreSQL, so the query returns one
+// row when HAVING holds, even over no input rows, and none when it fails.
+// A column of that input, named or under a star, is neither grouped nor
+// aggregated and fails. Row counts are pinned in the batch, instrumented
+// and reference executors.
+func TestHavingWithoutGroupBy(t *testing.T) {
+	e := testDB(t, DefaultConfig())
+	for _, c := range []struct {
+		sql  string
+		rows int
+	}{
+		{"SELECT 1 HAVING 1 = 1", 1},
+		{"SELECT 1 HAVING 1 = 0", 0},
+		{"SELECT 1 FROM customer HAVING 1 = 1", 1},
+		{"SELECT 1 FROM customer HAVING 1 = 0", 0},
+		{"SELECT 1 FROM customer WHERE 1 = 0 HAVING 1 = 1", 1},
+	} {
+		for _, ref := range []bool{false, true} {
+			e.Cfg.ReferenceExec = ref
+			if r := mustExec(t, e, c.sql); len(r.Rows) != c.rows {
+				t.Errorf("%q (reference %v): %d rows, want %d", c.sql, ref, len(r.Rows), c.rows)
+			}
+		}
+		e.Cfg.ReferenceExec = false
+		qr, err := e.QueryInstrumented(c.sql)
+		if err != nil {
+			t.Fatalf("%q: %v", c.sql, err)
+		}
+		if len(qr.Result.Rows) != c.rows {
+			t.Errorf("%q (instrumented): %d rows, want %d", c.sql, len(qr.Result.Rows), c.rows)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT c_name FROM customer HAVING 1 = 1",
+		"SELECT * FROM customer HAVING 1 = 1",
+		"SELECT c.* FROM customer c HAVING 1 = 1",
+		"SELECT *, COUNT(*) FROM customer",
+	} {
+		for _, ref := range []bool{false, true} {
+			e.Cfg.ReferenceExec = ref
+			if r, err := e.Exec(sql); err == nil {
+				t.Errorf("%q (reference %v) returned %d rows, want an error", sql, ref, len(r.Rows))
+			}
+		}
+		e.Cfg.ReferenceExec = false
+		if _, err := e.QueryInstrumented(sql); err == nil {
+			t.Errorf("%q (instrumented) succeeded, want an error", sql)
+		}
 	}
 }
 

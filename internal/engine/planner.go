@@ -1119,16 +1119,21 @@ func (p *planner) buildLeftJoin(left *Node, table *sqlparser.BaseTable, on sqlpa
 // tree and validates the final projection.
 func (p *planner) finishPlan(root *Node) (*Node, error) {
 	aggs := p.collectAggregates()
-	grouped := len(p.sel.GroupBy) > 0 || len(aggs) > 0
+	// HAVING without GROUP BY or an aggregate makes the whole input one
+	// group, as in PostgreSQL: a plain Aggregate with HAVING as its filter.
+	grouped := len(p.sel.GroupBy) > 0 || len(aggs) > 0 || p.sel.Having != nil
 
 	if grouped {
+		if len(p.sel.GroupBy) == 0 {
+			if err := ungroupedStar(p.sel.Items, root.Schema); err != nil {
+				return nil, err
+			}
+		}
 		var err error
 		root, err = p.planAggregate(root, aggs)
 		if err != nil {
 			return nil, err
 		}
-	} else if p.sel.Having != nil {
-		return nil, fmt.Errorf("engine: HAVING requires aggregation")
 	}
 
 	if p.sel.Distinct {
@@ -1170,6 +1175,19 @@ func (p *planner) finishPlan(root *Node) (*Node, error) {
 		}
 	}
 	return root, nil
+}
+
+// ungroupedStar rejects a * or t.* over input that aggregates into one
+// group: the columns it names are neither grouped nor aggregated.
+func ungroupedStar(items []sqlparser.SelectItem, input []colRef) error {
+	for _, it := range items {
+		for _, c := range input {
+			if it.Star || it.TableStar != "" && c.Qual == it.TableStar {
+				return fmt.Errorf("engine: column \"%s.%s\" must appear in the GROUP BY clause or be used in an aggregate function", c.Qual, c.Name)
+			}
+		}
+	}
+	return nil
 }
 
 // checkBindings rejects at plan time what execution rejects when it binds

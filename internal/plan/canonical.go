@@ -1,42 +1,54 @@
 package plan
 
 import (
-	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
-// WriteCanonical writes a stable, structure-preserving serialization of the
-// tree: operator names, sources, and attributes (in sorted key order) with
-// explicit nesting markers. Two trees produce the same bytes iff they have
-// the same shape, operators, and attribute values — the property the
-// serving layer's plan fingerprinter is built on. Cardinality and cost
-// estimates are deliberately excluded: they vary with statistics but never
-// change the narration text. AttrTimeMs is excluded for the same reason —
-// it varies run to run while the narrated actuals (rows, loops) do not, so
-// including it would make actuals-annotated plans uncacheable.
-func (n *Node) WriteCanonical(w io.Writer) {
+// AppendCanonical appends a stable, structure-preserving serialization of
+// the tree to dst and returns the extended buffer: operator names,
+// sources, and attributes (in sorted key order) with explicit nesting
+// markers. Two trees produce the same bytes iff they have the same shape,
+// operators, and attribute values — the property the serving layer's plan
+// fingerprinter is built on. Cardinality and cost estimates are
+// deliberately excluded: they vary with statistics but never change the
+// narration text. AttrTimeMs is excluded for the same reason — it varies
+// run to run while the narrated actuals (rows, loops) do not, so including
+// it would make actuals-annotated plans uncacheable.
+func (n *Node) AppendCanonical(dst []byte) []byte {
 	if n == nil {
-		return
+		return dst
 	}
-	fmt.Fprintf(w, "(%s\x1f%s", n.Source, n.Name)
-	if len(n.Attrs) > 0 {
-		keys := make([]string, 0, len(n.Attrs))
-		for k := range n.Attrs {
-			if k == AttrTimeMs {
-				continue
-			}
+	dst = append(dst, '(')
+	dst = append(dst, n.Source...)
+	dst = append(dst, '\x1f')
+	dst = append(dst, n.Name...)
+	// A node carries a dozen attributes at most; sorting their keys in a
+	// stack array keeps the serialization allocation-free.
+	var stack [16]string
+	keys := stack[:0]
+	for k := range n.Attrs {
+		if k != AttrTimeMs {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "\x1f%s=%s", k, n.Attrs[k])
-		}
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		dst = append(dst, '\x1f')
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = append(dst, n.Attrs[k]...)
 	}
 	for _, c := range n.Children {
-		c.WriteCanonical(w)
+		dst = c.AppendCanonical(dst)
 	}
-	io.WriteString(w, ")")
+	return append(dst, ')')
+}
+
+// WriteCanonical writes the tree's AppendCanonical serialization to w.
+func (n *Node) WriteCanonical(w io.Writer) {
+	w.Write(n.AppendCanonical(nil))
 }
 
 // OperatorSet returns the distinct canonical operator names (Canon applied)

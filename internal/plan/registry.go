@@ -22,11 +22,12 @@ type ParseFunc func(doc string) (*Node, error)
 // Dialect describes one registered plan frontend: how to parse its
 // serialization, how to recognize a document as belonging to it, and —
 // when the substrate engine can emit the serialization — which EXPLAIN
-// FORMAT keyword produces it. Adding an RDBMS to LANTERN is exactly what
+// FORMAT keyword produces it and how a bridged engine plan becomes the
+// tree its parser would read. Adding an RDBMS to LANTERN is exactly what
 // the paper promises: write a parser, register it here, and seed POOL
 // descriptions for its operator vocabulary. For the engine to emit the
-// format too, write its formatter beside the parser and give it a case in
-// the engine's EXPLAIN switch.
+// format too, write its formatter beside the parser, give it a case in
+// the engine's EXPLAIN switch, and set EngineFormat and FromEngine.
 type Dialect struct {
 	// Name is the dialect identifier used throughout the system ("pg",
 	// "sqlserver", "mysql") and as the Source of parsed nodes.
@@ -43,6 +44,13 @@ type Dialect struct {
 	// each with this package's formatter for the dialect (FormatNative,
 	// FormatPostgresJSON, FormatSQLServerXML, FormatMySQLJSON).
 	EngineFormat string
+	// FromEngine turns a tree bridged from the engine's plan
+	// (engine.ToPlanNode, Source "native") into the tree Parse reads from
+	// the EngineFormat document of that plan. Where Parse∘Format is the
+	// identity up to Source it writes no document; otherwise it formats
+	// and parses. It may modify its argument and return it. Set exactly
+	// when EngineFormat is.
+	FromEngine func(bridged *Node) (*Node, error)
 }
 
 var (
@@ -60,6 +68,9 @@ func Register(d Dialect) error {
 	}
 	if d.Parse == nil {
 		return fmt.Errorf("plan: dialect %q has no parse function", d.Name)
+	}
+	if (d.EngineFormat == "") != (d.FromEngine == nil) {
+		return fmt.Errorf("plan: dialect %q must set EngineFormat and FromEngine together", d.Name)
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -114,22 +125,33 @@ func Parse(dialect, doc string) (*Node, error) {
 	return d.Parse(doc)
 }
 
-// ExplainAndParse is the shared SQL round-trip path: it resolves the
-// dialect, obtains the serialized plan by calling explain with the
-// dialect's engine EXPLAIN FORMAT keyword, and parses the document back
-// through the registered frontend — exactly how LANTERN consumes plans
-// from a real RDBMS. For the substrate engine that is Format then Parse
-// of one format in this package, which the round-trip tests pin as the
-// identity for pg and native. Used by the CLI, the serving layer, and the
-// corpus generator so dialect plumbing lives in one place.
-func ExplainAndParse(dialect string, explain func(engineFormat string) (doc string, err error)) (*Node, string, error) {
-	d, ok := Lookup(dialect)
+// EngineDialect looks up a dialect the substrate engine can emit, one
+// registered with an EngineFormat. Any other name fails as
+// ExplainAndParse and FromEngine fail for it, with ErrUnknownDialect or
+// ErrNoEngineSerializer.
+func EngineDialect(name string) (Dialect, error) {
+	d, ok := Lookup(name)
 	if !ok {
-		return nil, "", fmt.Errorf("%w %q (registered: %s)",
-			ErrUnknownDialect, dialect, strings.Join(Dialects(), ", "))
+		return Dialect{}, fmt.Errorf("%w %q (registered: %s)",
+			ErrUnknownDialect, name, strings.Join(Dialects(), ", "))
 	}
 	if d.EngineFormat == "" {
-		return nil, "", fmt.Errorf("%w: %q accepts only pre-serialized plan documents", ErrNoEngineSerializer, dialect)
+		return Dialect{}, fmt.Errorf("%w: %q accepts only pre-serialized plan documents", ErrNoEngineSerializer, name)
+	}
+	return d, nil
+}
+
+// ExplainAndParse is the reference SQL path: it resolves the dialect,
+// obtains the serialized plan by calling explain with the dialect's
+// engine EXPLAIN FORMAT keyword, and parses the document back through the
+// registered frontend — how LANTERN consumes plans from a real RDBMS.
+// Callers that want the document too (the CLI, which prints it with
+// -show-plan, and the corpus generator) use it, and tests pin FromEngine
+// against it.
+func ExplainAndParse(dialect string, explain func(engineFormat string) (doc string, err error)) (*Node, string, error) {
+	d, err := EngineDialect(dialect)
+	if err != nil {
+		return nil, "", err
 	}
 	doc, err := explain(d.EngineFormat)
 	if err != nil {
@@ -137,6 +159,48 @@ func ExplainAndParse(dialect string, explain func(engineFormat string) (doc stri
 	}
 	tree, err := d.Parse(doc)
 	return tree, doc, err
+}
+
+// FromEngine returns the tree ExplainAndParse returns for dialect, from
+// the engine's bridged plan tree (engine.ToPlanNode) rather than its
+// EXPLAIN document: native serves the tree as it is, pg relabels its
+// Source, and sqlserver and mysql, whose documents rename and regroup
+// operators, still format and parse. The serving layer narrates SQL
+// through it. It may modify bridged and return it.
+func FromEngine(dialect string, bridged *Node) (*Node, error) {
+	d, err := EngineDialect(dialect)
+	if err != nil {
+		return nil, err
+	}
+	return d.FromEngine(bridged)
+}
+
+// relabel is the FromEngine of a format whose Parse∘Format is the
+// identity up to Source: it sets Source on every node in place.
+func relabel(source string) func(*Node) (*Node, error) {
+	return func(n *Node) (*Node, error) {
+		setSource(n, source)
+		return n, nil
+	}
+}
+
+func setSource(n *Node, source string) {
+	n.Source = source
+	for _, c := range n.Children {
+		setSource(c, source)
+	}
+}
+
+// viaDocument is the FromEngine of a format whose parser reads back a
+// different tree than was formatted: it writes the document and parses it.
+func viaDocument(format func(*Node) (string, error), parse ParseFunc) func(*Node) (*Node, error) {
+	return func(n *Node) (*Node, error) {
+		doc, err := format(n)
+		if err != nil {
+			return nil, err
+		}
+		return parse(doc)
+	}
 }
 
 // Detect identifies which registered dialect doc is serialized in, trying
@@ -179,12 +243,17 @@ func init() {
 		Name:         "native",
 		Parse:        ParseNativeJSON,
 		EngineFormat: "NATIVE",
-		Detect:       detectNative,
+		// ParseNativeJSON∘FormatNative is the identity.
+		FromEngine: func(n *Node) (*Node, error) { return n, nil },
+		Detect:     detectNative,
 	})
 	MustRegister(Dialect{
 		Name:         "pg",
 		Parse:        ParsePostgresJSON,
 		EngineFormat: "JSON",
+		// ParsePostgresJSON∘FormatPostgresJSON is the identity up to
+		// Source on bridged trees.
+		FromEngine: relabel("pg"),
 		// PostgreSQL's EXPLAIN (FORMAT JSON) is a one-element array.
 		Detect: func(doc string) bool {
 			return strings.HasPrefix(strings.TrimSpace(doc), "[")
@@ -194,6 +263,7 @@ func init() {
 		Name:         "sqlserver",
 		Parse:        ParseSQLServerXML,
 		EngineFormat: "XML",
+		FromEngine:   viaDocument(FormatSQLServerXML, ParseSQLServerXML),
 		Detect: func(doc string) bool {
 			return strings.HasPrefix(strings.TrimSpace(doc), "<")
 		},
@@ -202,6 +272,7 @@ func init() {
 		Name:         "mysql",
 		Parse:        ParseMySQLJSON,
 		EngineFormat: "MYSQL",
+		FromEngine:   viaDocument(FormatMySQLJSON, ParseMySQLJSON),
 		// MySQL's EXPLAIN FORMAT=JSON is a bare object whose single
 		// top-level key is "query_block".
 		Detect: func(doc string) bool {

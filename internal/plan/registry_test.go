@@ -15,7 +15,7 @@ func TestRegistryBuiltins(t *testing.T) {
 		if !ok {
 			t.Fatalf("built-in dialect %q not registered (have %s)", want, joined)
 		}
-		if d.Parse == nil || d.Detect == nil || d.EngineFormat == "" {
+		if d.Parse == nil || d.Detect == nil || d.EngineFormat == "" || d.FromEngine == nil {
 			t.Errorf("built-in dialect %q incompletely registered: %+v", want, d)
 		}
 	}

@@ -60,6 +60,16 @@ func corpusEngine(t *testing.T) *engine.Engine {
 	return eng
 }
 
+// engineQueries are the corpus queries and the TPC-H workload queries,
+// whose bridged trees the format tests run over.
+func engineQueries() []struct{ Name, SQL string } {
+	queries := slices.Clone(plantest.CorpusQueries)
+	for _, w := range datasets.TPCHWorkload() {
+		queries = append(queries, struct{ Name, SQL string }{w.Name, w.SQL})
+	}
+	return queries
+}
+
 // TestCorpusCurrent: each conformance query's corpus document is, byte
 // for byte, what the engine's EXPLAIN writes in that format today
 // (regenerate the corpus with make corpus).
@@ -92,12 +102,7 @@ func TestCorpusCurrent(t *testing.T) {
 // documents unchanged up to Source.
 func TestFormatRoundTrip(t *testing.T) {
 	eng := corpusEngine(t)
-	var queries []struct{ Name, SQL string }
-	queries = append(queries, plantest.CorpusQueries...)
-	for _, w := range datasets.TPCHWorkload() {
-		queries = append(queries, struct{ Name, SQL string }{w.Name, w.SQL})
-	}
-	for _, q := range queries {
+	for _, q := range engineQueries() {
 		qr, err := eng.QueryInstrumented(q.SQL)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)

@@ -76,14 +76,15 @@ func (o Options) canonical() string {
 // render identically; cardinality/cost estimates are excluded (they never
 // reach the narration text).
 func PlanFingerprint(tree *plan.Node, opts Options) (Fingerprint, []string) {
-	h := sha256.New()
-	io.WriteString(h, "lantern-plan-fp-v1\x00")
-	io.WriteString(h, opts.canonical())
-	io.WriteString(h, "\x00")
-	tree.WriteCanonical(h)
-	var fp Fingerprint
-	copy(fp[:], h.Sum(nil))
-	return fp, tree.OperatorSet()
+	// The hashed bytes are built in one buffer on the stack, which holds
+	// the canonical form of a typical narrated plan; a larger one spills
+	// to the heap.
+	var stack [2048]byte
+	buf := append(stack[:0], "lantern-plan-fp-v1\x00"...)
+	buf = append(buf, opts.canonical()...)
+	buf = append(buf, 0)
+	buf = tree.AppendCanonical(buf)
+	return sha256.Sum256(buf), tree.OperatorSet()
 }
 
 // requestKey hashes the raw request payload (SQL text or serialized plan

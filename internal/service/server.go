@@ -653,10 +653,11 @@ func normalizeRequest(sql, planDoc, dialect, source string) (string, string, err
 }
 
 // resolveTree turns the request payload into a vendor-neutral plan tree:
-// parse the supplied plan document with the dialect's registered frontend,
-// or plan the SQL on a pooled engine session and round-trip it through the
-// dialect's serialization — exactly the path a real RDBMS deployment
-// would take.
+// parse the supplied plan document with the dialect's registered
+// frontend, or plan the SQL on a pooled engine session, bridge the plan
+// and hand it to plan.FromEngine, which gives the tree the dialect's
+// EXPLAIN document would parse to and writes that document only where the
+// dialect's parser reads back a different tree (sqlserver, mysql).
 func (s *Server) resolveTree(ctx context.Context, sql, planDoc, source string) (*plan.Node, error) {
 	if strings.TrimSpace(planDoc) != "" {
 		return plan.Parse(source, planDoc)
@@ -667,29 +668,27 @@ func (s *Server) resolveTree(ctx context.Context, sql, planDoc, source string) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tree, _, err := plan.ExplainAndParse(source, func(format string) (string, error) {
-		// The SQL is parsed and planned as query parses and plans it, so
-		// its errors read the same: bad requests, with parse offsets into
-		// the request's SQL.
-		sel, err := sqlparser.ParseSelect(sql)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		sess, err := s.acquireSession(ctx)
-		if err != nil {
-			return "", err
-		}
-		defer s.sessions.Release(sess)
-		doc, err := sess.Explain(sel, format)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		return doc, nil
-	})
-	if errors.Is(err, plan.ErrUnknownDialect) || errors.Is(err, plan.ErrNoEngineSerializer) {
+	// A dialect the engine cannot emit is refused before the SQL is read.
+	if _, err := plan.EngineDialect(source); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	return tree, err
+	// The SQL is parsed and planned as query parses and plans it, so its
+	// errors read the same: bad requests, with parse offsets into the
+	// request's SQL.
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	sess, err := s.acquireSession(ctx)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := sess.Plan(sel)
+	s.sessions.Release(sess)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return plan.FromEngine(source, engine.ToPlanNode(pl))
 }
 
 // narrateAndCache is the shared narrate-and-insert tail of the narrate and
