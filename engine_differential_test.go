@@ -110,3 +110,57 @@ func TestTPCHDifferentialParallelVsSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestStarOverGroupBy pins what a star means over grouped input, as in
+// PostgreSQL, in the batch, instrumented and reference executors: a star
+// naming a column no GROUP BY key is fails at plan time, and over input
+// grouped by every column a star expands to the group keys alone, so
+// COUNT(*) is not repeated.
+func TestStarOverGroupBy(t *testing.T) {
+	e := engine.NewDefault()
+	if err := datasets.LoadTPCH(e, 0.01, 1); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		ungrouped = "SELECT * FROM customer GROUP BY c_name"
+		grouped   = "SELECT *, COUNT(*) FROM nation GROUP BY n_nationkey, n_name, n_regionkey, n_comment"
+		wantErr   = `engine: column "customer.c_custkey" must appear in the GROUP BY clause or be used in an aggregate function`
+	)
+	wantCols := []string{"n_nationkey", "n_name", "n_regionkey", "n_comment", "COUNT(*)"}
+	run := map[string]func(string) (*engine.Result, error){
+		"batch": func(sql string) (*engine.Result, error) { return e.Exec(sql) },
+		"instrumented": func(sql string) (*engine.Result, error) {
+			qr, err := e.QueryInstrumented(sql)
+			if err != nil {
+				return nil, err
+			}
+			return qr.Result, nil
+		},
+		"reference": func(sql string) (*engine.Result, error) {
+			ref := e.Session()
+			ref.Cfg.ReferenceExec = true
+			return ref.Exec(sql)
+		},
+	}
+	for name, exec := range run {
+		if _, err := exec(ungrouped); err == nil || err.Error() != wantErr {
+			t.Errorf("%s: %q: err = %v, want %q", name, ungrouped, err, wantErr)
+		}
+		r, err := exec(grouped)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", name, grouped, err)
+		}
+		if strings.Join(r.Columns, ",") != strings.Join(wantCols, ",") || len(r.Rows) != 25 {
+			t.Errorf("%s: %q: %d rows of columns %v, want 25 of %v", name, grouped, len(r.Rows), r.Columns, wantCols)
+		}
+		for _, row := range r.Rows {
+			if len(row) != len(wantCols) || row[4].Int() != 1 {
+				t.Fatalf("%s: %q: row %v, want five columns and a count of 1", name, grouped, row)
+			}
+		}
+	}
+	// Plan-time rejection reaches EXPLAIN, and so narrate, too.
+	if _, err := e.Exec("EXPLAIN " + ungrouped); err == nil || err.Error() != wantErr {
+		t.Errorf("EXPLAIN %q: err = %v, want %q", ungrouped, err, wantErr)
+	}
+}

@@ -8,21 +8,22 @@ package engine
 //
 // The instrumentation contract:
 //
-//   - Collection is opt-in per execution. Engine.Exec builds the batch
-//     pipeline with no stats hook, so a disabled run pays zero extra
-//     allocations and zero extra branches — the pipeline is the identical
-//     object graph the allocation guards in alloc_test.go measure.
+//   - Collection is opt-in per execution. Engine.Exec opens its cursor
+//     (stream.go) with no stats, so the pipeline is built with no stats
+//     hook and a disabled run pays zero extra allocations and zero extra
+//     branches — the pipeline is the identical object graph the
+//     allocation guards in alloc_test.go measure.
 //   - When enabled (ExecPlanInstrumented, QueryInstrumented,
-//     QueryStreamInstrumented, EXPLAIN ANALYZE), the same batch pipeline
-//     runs, serial or parallel, with every operator wrapped in an
-//     instrVecIter (parallel.go) that counts rows and inclusive wall time
-//     per batch — inclusive meaning a parent's time contains its
-//     children's, exactly as PostgreSQL reports actual time. Its counters
-//     are atomic: in a parallel region the workers' clones of one
-//     operator share a single OpStats, so Rows and Time are exact totals
-//     across workers (time sums busy time, like CPU time), and the driver
-//     scan's stats additionally carry the worker count and per-worker
-//     rows/time breakdown (OpStats.Workers / PerWorker).
+//     QueryStreamInstrumented, EXPLAIN ANALYZE), the cursor gets stats
+//     and the same batch pipeline runs, serial or parallel, with every
+//     operator wrapped in an instrVecIter (parallel.go) that counts rows
+//     and inclusive wall time per batch — inclusive meaning a parent's
+//     time contains its children's, exactly as PostgreSQL reports actual
+//     time. Its counters are atomic: in a parallel region the workers'
+//     clones of one operator share a single OpStats, so Rows and Time are
+//     exact totals across workers (time sums busy time, like CPU time),
+//     and the driver scan's stats additionally carry the worker count and
+//     per-worker rows/time breakdown (OpStats.Workers / PerWorker).
 //   - Loops are reported as 1. No serial operator is re-opened (a Nested
 //     Loop runs as the keyless hash join and materializes its inner side
 //     once), and per-morsel pipeline restarts in a parallel region are
@@ -91,15 +92,18 @@ type WorkerStat struct {
 type ExecStats map[*Node]*OpStats
 
 // ExecPlanInstrumented runs a physical plan with per-operator
-// instrumentation enabled, returning the result rows and the collected
-// statistics (see the header).
+// instrumentation enabled, returning the plan's own output rows and the
+// collected statistics (see the header).
 func (e *Engine) ExecPlanInstrumented(n *Node) ([]storage.Row, ExecStats, error) {
 	st := make(ExecStats)
-	rows, err := e.execVec(n, st, nil)
+	var c Cursor
+	if err := c.open(e, n, nil, st); err != nil {
+		return nil, nil, err
+	}
+	rows, err := c.drain()
 	if err != nil {
 		return nil, nil, err
 	}
-	e.annotateWorkerStats(n, st)
 	return rows, st, nil
 }
 
@@ -117,8 +121,11 @@ func (st ExecStats) get(n *Node) *OpStats {
 // plan was considered for parallelism (driver DOP >= 1), the driver's
 // actual row count is fed back through the DOP policy to expose what a
 // correct estimate would have chosen (narrated via AttrWorkersWanted when
-// larger).
+// larger). An uninstrumented run (nil st) has nothing to complete.
 func (e *Engine) annotateWorkerStats(n *Node, st ExecStats) {
+	if st == nil {
+		return
+	}
 	var driver *Node
 	n.Walk(func(x *Node) {
 		if driver == nil && x.DOP >= 1 {
@@ -141,8 +148,8 @@ func (e *Engine) annotateWorkerStats(n *Node, st ExecStats) {
 }
 
 // QueryResult bundles an executed, projected SELECT with the physical plan
-// that produced it and the plan's runtime statistics — everything the
-// serving layer's /v1/query path needs in one call.
+// that produced it and the plan's runtime statistics, as QueryInstrumented
+// returns them to the corpus generator, tests and benchmarks.
 type QueryResult struct {
 	Result  *Result
 	Plan    *Node
@@ -151,29 +158,17 @@ type QueryResult struct {
 }
 
 // QueryInstrumented parses, plans, and executes a SELECT with runtime
-// instrumentation, projecting the output columns batch by batch.
+// instrumentation: QueryStreamInstrumented's cursor, drained.
 func (e *Engine) QueryInstrumented(sql string) (*QueryResult, error) {
-	sel, err := sqlparser.ParseSelect(sql)
+	c, err := e.QueryStreamInstrumented(sql)
 	if err != nil {
 		return nil, err
 	}
-	pl, err := e.planSelect(sel)
+	rows, err := c.drain()
 	if err != nil {
 		return nil, err
 	}
-	pr, err := e.newProjector(sel, pl)
-	if err != nil {
-		return nil, err
-	}
-	st := make(ExecStats)
-	start := time.Now()
-	rows, err := e.execVec(pl, st, pr)
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	e.annotateWorkerStats(pl, st)
-	return &QueryResult{Result: &Result{Columns: pr.columns, Rows: rows}, Plan: pl, Stats: st, Elapsed: elapsed}, nil
+	return &QueryResult{Result: &Result{Columns: c.Columns, Rows: rows}, Plan: c.plan, Stats: c.stats, Elapsed: c.Elapsed()}, nil
 }
 
 // ToPlanNode converts a physical plan directly into the vendor-neutral

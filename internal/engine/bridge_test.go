@@ -213,14 +213,14 @@ func TestQueryStreamMatchesQueryInstrumented(t *testing.T) {
 			}
 			var rows []storage.Row
 			for {
-				r, ok, err := s.Next()
+				b, err := s.NextBatch()
 				if err != nil {
 					t.Fatalf("%s %q: stream: %v", name, q, err)
 				}
-				if !ok {
+				if b == nil {
 					break
 				}
-				rows = append(rows, r)
+				rows = append(rows, b...)
 			}
 			s.Close()
 			if got, want := rowStrings(rows), rowStrings(qr.Result.Rows); !slices.Equal(got, want) {

@@ -87,8 +87,14 @@
 //
 // Every SELECT executes batch-at-a-time (vec.go, vecjoin.go, vecsort.go,
 // vecagg.go): Exec, subqueries, the streaming query API and every
-// instrumented run build the same pipeline, and every operator the planner
-// emits implements one contract:
+// instrumented run build the same pipeline and drain it through one
+// Cursor (stream.go), Volcano's open-next-close iterator pulled a batch
+// at a time: it projects each batch when given a projector, instruments
+// the operators when given stats, and hands the batches out, so the
+// callers that materialize a result (Exec, subqueries, QueryInstrumented,
+// ExecPlanInstrumented, EXPLAIN ANALYZE) and the serving layer, which
+// pulls the open cursor itself, share one loop with no per-row call. Every
+// operator the planner emits implements one contract:
 //
 //	type vecIter interface {
 //		Open() error

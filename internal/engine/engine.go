@@ -165,16 +165,29 @@ func (e *Engine) PlanSQL(sql string) (*Node, error) {
 	return e.planSelect(sel)
 }
 
-// runSelect plans, executes, and projects a SELECT. Execution runs
-// batch-at-a-time through the vectorized executor unless the config asks
-// for the materializing reference path (kept as the differential oracle).
+// runSelect plans, executes, and projects a SELECT. Execution drains a
+// cursor over the batch pipeline, each batch projected as it arrives,
+// unless the config asks for the materializing reference path (kept as
+// the differential oracle).
 func (e *Engine) runSelect(sel *sqlparser.SelectStmt) (*Result, error) {
 	plan, err := e.planSelect(sel)
 	if err != nil {
 		return nil, err
 	}
 	if !e.Cfg.ReferenceExec {
-		return e.runSelectVec(sel, plan)
+		pr, err := e.newProjector(sel, plan)
+		if err != nil {
+			return nil, err
+		}
+		var c Cursor
+		if err := c.open(e, plan, pr, nil); err != nil {
+			return nil, err
+		}
+		rows, err := c.drain()
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Columns: pr.columns, Rows: rows}, nil
 	}
 	rows, err := e.execNode(plan)
 	if err != nil {
@@ -221,15 +234,16 @@ func (e *Engine) newProjector(sel *sqlparser.SelectStmt, plan *Node) (*projector
 		pos  int // >= 0: direct copy of plan column
 	}
 	var cols []outCol
+	star := starColumns(plan)
 	for _, it := range sel.Items {
 		switch {
 		case it.Star:
-			for i, c := range plan.Schema {
+			for i, c := range star {
 				cols = append(cols, outCol{name: c.Name, pos: i})
 			}
 		case it.TableStar != "":
 			found := false
-			for i, c := range plan.Schema {
+			for i, c := range star {
 				if c.Qual == it.TableStar {
 					cols = append(cols, outCol{name: c.Name, pos: i})
 					found = true

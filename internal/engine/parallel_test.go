@@ -322,7 +322,7 @@ func TestParallelWantedWorkersMisEstimate(t *testing.T) {
 
 // TestParallelStreamCloseDrainsWorkers proves the cancellation path: a
 // client that abandons a parallel stream mid-way must leave no worker
-// goroutines behind, and Next after Close must report the abandonment
+// goroutines behind, and NextBatch after Close must report the abandonment
 // rather than a clean end of stream.
 func TestParallelStreamCloseDrainsWorkers(t *testing.T) {
 	e := testDB(t, parTestConfig())
@@ -334,16 +334,14 @@ func TestParallelStreamCloseDrainsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, ok, err := q.Next(); err != nil || !ok {
-			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
-		}
+	if b, err := q.NextBatch(); err != nil || b == nil {
+		t.Fatalf("first batch: %d rows, err=%v", len(b), err)
 	}
 	if err := q.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, _, err := q.Next(); err != ErrAbandonedStream {
-		t.Errorf("Next after Close: err = %v, want ErrAbandonedStream", err)
+	if _, err := q.NextBatch(); err != ErrAbandonedStream {
+		t.Errorf("NextBatch after Close: err = %v, want ErrAbandonedStream", err)
 	}
 	if q.Complete() {
 		t.Error("abandoned stream reports Complete")
@@ -364,14 +362,14 @@ func TestParallelStreamCloseDrainsWorkers(t *testing.T) {
 	}
 	n := 0
 	for {
-		_, ok, err := q.Next()
+		b, err := q.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
-		n++
+		n += len(b)
 	}
 	if n != 3000 {
 		t.Fatalf("drained %d rows, want 3000", n)

@@ -1124,10 +1124,8 @@ func (p *planner) finishPlan(root *Node) (*Node, error) {
 	grouped := len(p.sel.GroupBy) > 0 || len(aggs) > 0 || p.sel.Having != nil
 
 	if grouped {
-		if len(p.sel.GroupBy) == 0 {
-			if err := ungroupedStar(p.sel.Items, root.Schema); err != nil {
-				return nil, err
-			}
+		if err := p.ungroupedStar(root.Schema); err != nil {
+			return nil, err
 		}
 		var err error
 		root, err = p.planAggregate(root, aggs)
@@ -1177,17 +1175,42 @@ func (p *planner) finishPlan(root *Node) (*Node, error) {
 	return root, nil
 }
 
-// ungroupedStar rejects a * or t.* over input that aggregates into one
-// group: the columns it names are neither grouped nor aggregated.
-func ungroupedStar(items []sqlparser.SelectItem, input []colRef) error {
-	for _, it := range items {
+// ungroupedStar rejects a * or t.* over grouped input that names a column
+// no GROUP BY key is, as PostgreSQL does: over input that aggregates into
+// one group, any column it names.
+func (p *planner) ungroupedStar(input []colRef) error {
+	for _, it := range p.sel.Items {
 		for _, c := range input {
-			if it.Star || it.TableStar != "" && c.Qual == it.TableStar {
+			if (it.Star || it.TableStar != "" && c.Qual == it.TableStar) && !p.groupedBy(c) {
 				return fmt.Errorf("engine: column \"%s.%s\" must appear in the GROUP BY clause or be used in an aggregate function", c.Qual, c.Name)
 			}
 		}
 	}
 	return nil
+}
+
+// groupedBy reports whether some GROUP BY key is the input column c.
+func (p *planner) groupedBy(c colRef) bool {
+	return slices.ContainsFunc(p.sel.GroupBy, func(k sqlparser.Expr) bool {
+		r, ok := k.(*sqlparser.ColumnRef)
+		return ok && r.Name == c.Name && p.ownerOf(r) == c.Qual
+	})
+}
+
+// starColumns returns the columns a * expands to over n's output: all of
+// them, or over grouped output the group keys alone, which lead the
+// aggregate's schema (ungroupedStar has rejected a star naming any other
+// column).
+func starColumns(n *Node) []colRef {
+	for x := n; ; x = x.Children[0] {
+		switch x.Op {
+		case OpAggregate, OpHashAggregate, OpGroupAggregate:
+			return n.Schema[:len(x.GroupKeys)]
+		case OpLimit, OpSort, OpUnique:
+			continue
+		}
+		return n.Schema
+	}
 }
 
 // checkBindings rejects at plan time what execution rejects when it binds
@@ -1344,7 +1367,7 @@ func (p *planner) planDistinct(input *Node) *Node {
 	var keys []sortKey
 	for _, it := range p.sel.Items {
 		if it.Star || it.TableStar != "" {
-			for _, c := range input.Schema {
+			for _, c := range starColumns(input) {
 				keys = append(keys, sortKey{Expr: &sqlparser.ColumnRef{Table: c.Qual, Name: c.Name}})
 			}
 			continue

@@ -137,7 +137,7 @@ func TestSessionPoolClose(t *testing.T) {
 	pool.Release(s) // must not panic
 }
 
-// TestQueryStreamIncremental: the streaming query delivers its first row
+// TestQueryStreamIncremental: the streaming query delivers its first batch
 // while execution is demonstrably still in progress (the iterator has not
 // reached end of stream), and the final actuals match the materializing
 // path.
@@ -164,20 +164,22 @@ func TestQueryStreamIncremental(t *testing.T) {
 	}
 	n := 0
 	for {
-		row, ok, err := q.Next()
+		b, err := q.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
-		if n == 0 && q.RowCount() != 1 {
-			t.Fatalf("RowCount after first row = %d", q.RowCount())
+		if n == 0 && (q.RowCount() != len(b) || q.Complete()) {
+			t.Fatalf("first batch of %d rows: RowCount %d, Complete %v", len(b), q.RowCount(), q.Complete())
 		}
-		if len(row) != 2 {
-			t.Fatalf("row arity = %d", len(row))
+		for _, row := range b {
+			if len(row) != 2 {
+				t.Fatalf("row arity = %d", len(row))
+			}
 		}
-		n++
+		n += len(b)
 	}
 	if n != want {
 		t.Fatalf("streamed %d rows, materialized %d", n, want)
@@ -194,33 +196,32 @@ func TestQueryStreamIncremental(t *testing.T) {
 		t.Fatal("Complete() = false after a clean drain")
 	}
 	// A drained stream stays at clean end-of-stream, even after Close.
-	if _, ok, err := q.Next(); ok || err != nil {
-		t.Fatalf("Next after end of stream: ok=%v err=%v", ok, err)
+	if b, err := q.NextBatch(); b != nil || err != nil {
+		t.Fatalf("NextBatch after end of stream: %d rows, err=%v", len(b), err)
 	}
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := q.Next(); ok || err != nil {
-		t.Fatalf("Next after Close on a complete stream: ok=%v err=%v", ok, err)
+	if b, err := q.NextBatch(); b != nil || err != nil {
+		t.Fatalf("NextBatch after Close on a complete stream: %d rows, err=%v", len(b), err)
 	}
 }
 
 // TestQueryStreamAbandon: closing mid-stream releases the pipeline without
 // error and freezes the counters — and the abandoned stream is clearly
-// distinguishable from a drained one. Before the fix, Next after a
-// mid-stream Close returned the same (nil, false, nil) as a genuine end of
-// stream, so Finish's partial actuals could pass for complete ones and
-// poison the actuals-keyed narration cache.
+// distinguishable from a drained one. Were NextBatch after a mid-stream
+// Close to return the same (nil, nil) as a genuine end of stream, Finish's
+// partial actuals could pass for complete ones and poison the
+// actuals-keyed narration cache.
 func TestQueryStreamAbandon(t *testing.T) {
 	e := sessionTestEngine(t)
 	q, err := e.QueryStreamInstrumented("SELECT id FROM o")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, ok, err := q.Next(); err != nil || !ok {
-			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
-		}
+	first, err := q.NextBatch()
+	if err != nil || first == nil {
+		t.Fatalf("first batch: %d rows, err=%v", len(first), err)
 	}
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
@@ -231,14 +232,14 @@ func TestQueryStreamAbandon(t *testing.T) {
 	if q.Complete() {
 		t.Fatal("Complete() = true on a stream abandoned mid-iteration")
 	}
-	row, ok, err := q.Next()
-	if row != nil || ok {
-		t.Fatal("Next after mid-stream Close produced a row")
+	b, err := q.NextBatch()
+	if b != nil {
+		t.Fatal("NextBatch after mid-stream Close produced rows")
 	}
 	if !errors.Is(err, ErrAbandonedStream) {
-		t.Fatalf("Next after mid-stream Close: err = %v, want ErrAbandonedStream", err)
+		t.Fatalf("NextBatch after mid-stream Close: err = %v, want ErrAbandonedStream", err)
 	}
-	if q.RowCount() != 5 {
-		t.Fatalf("RowCount = %d, want 5", q.RowCount())
+	if q.RowCount() != len(first) || len(first) >= 800 {
+		t.Fatalf("RowCount = %d after one batch of %d of 800 rows", q.RowCount(), len(first))
 	}
 }

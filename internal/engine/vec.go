@@ -23,12 +23,13 @@ package engine
 // This is the engine's one production executor: Exec, subqueries, the
 // streaming query API and every instrumented run (ExecPlanInstrumented,
 // QueryInstrumented, QueryStreamInstrumented, EXPLAIN ANALYZE) build the
-// same operator tree, and every operator the planner emits implements
-// vecIter. Instrumented builds wrap each operator in an instrVecIter
-// (parallel.go) that counts rows and time per batch; an uninstrumented
-// build adds no wrapper. Blocking operators (sort, aggregation, Result)
-// hand out their materialized output through rowsOut. The materializing
-// reference executor (executor.go) stays as the differential oracle.
+// same operator tree and pull it through one Cursor (stream.go), and
+// every operator the planner emits implements vecIter. Instrumented
+// builds wrap each operator in an instrVecIter (parallel.go) that counts
+// rows and time per batch; an uninstrumented build adds no wrapper.
+// Blocking operators (sort, aggregation, Result) hand out their
+// materialized output through rowsOut. The materializing reference
+// executor (executor.go) stays as the differential oracle.
 
 import (
 	"fmt"
@@ -708,49 +709,3 @@ func (it *resultVec) Open() error {
 func (it *resultVec) NextBatch() ([]storage.Row, error) { return it.out.next(), nil }
 
 func (it *resultVec) Close() error { return nil }
-
-// --- Query entry ------------------------------------------------------------
-
-// runSelectVec executes a planned SELECT through the batch pipeline and
-// projects each batch through the arena-amortized projector.
-func (e *Engine) runSelectVec(sel *sqlparser.SelectStmt, plan *Node) (*Result, error) {
-	pr, err := e.newProjector(sel, plan)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := e.execVec(plan, nil, pr)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: pr.columns, Rows: rows}, nil
-}
-
-// execVec runs plan through the batch pipeline and collects its output:
-// each batch projected through pr when pr is non-nil, the plan's own rows
-// otherwise. A non-nil st instruments every operator into it.
-func (e *Engine) execVec(plan *Node, st ExecStats, pr *projector) ([]storage.Row, error) {
-	it, err := e.buildVec(plan, st)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	var out []storage.Row
-	for {
-		b, err := it.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		if pr != nil {
-			if b, err = pr.projectBatch(b); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, b...)
-	}
-}

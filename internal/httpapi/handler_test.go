@@ -124,7 +124,7 @@ func TestV2QueryStreamNDJSON(t *testing.T) {
 // TestV2QueryStreamEarlyClose: a client abandoning an NDJSON stream
 // mid-iteration must not leave partial results in the narration cache. The
 // abandoned execution carries partial actuals (the engine marks such
-// streams incomplete — StreamingQuery.Complete), so the first complete run
+// streams incomplete — Cursor.Complete), so the first complete run
 // of the same SQL must still be a cache miss, and only the complete run
 // may populate the cache. The server must also stay fully serviceable
 // after the disconnect.

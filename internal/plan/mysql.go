@@ -16,6 +16,7 @@ type myBlock struct {
 	Message             string   `json:"message,omitempty"`
 	UsingFilesort       *bool    `json:"using_filesort,omitempty"`
 	UsingTemporaryTable bool     `json:"using_temporary_table,omitempty"`
+	HavingCondition     string   `json:"having_condition,omitempty"`
 	Ordering            *myBlock `json:"ordering_operation,omitempty"`
 	Grouping            *myBlock `json:"grouping_operation,omitempty"`
 	Duplicates          *myBlock `json:"duplicates_removal,omitempty"`
@@ -92,8 +93,8 @@ func parseCost(s string) float64 {
 // join loop, so it becomes the join condition of the fold. Wrapper
 // operations map to unary operators: ordering_operation → "Filesort"
 // (skipped when using_filesort is false — the order came for free from an
-// index), grouping_operation → "Group", duplicates_removal → "Duplicates
-// Removal", buffer_result → "Buffer Result", materialized_from_subquery →
+// index), grouping_operation → "Group" (its having_condition the Group's
+// filter), duplicates_removal → "Duplicates Removal", buffer_result → "Buffer Result", materialized_from_subquery →
 // "Materialize". A bare message ("No tables used") becomes "Constant
 // Result".
 func ParseMySQLJSON(doc string) (*Node, error) {
@@ -132,7 +133,12 @@ func fromMyBlock(b *myBlock) (*Node, error) {
 		}
 		return wrap("Filesort", b.Ordering)
 	case b.Grouping != nil:
-		return wrap("Group", b.Grouping)
+		n, err := wrap("Group", b.Grouping)
+		if err != nil {
+			return nil, err
+		}
+		n.SetAttr(AttrFilter, b.Grouping.HavingCondition)
+		return n, nil
 	case b.Duplicates != nil:
 		return wrap("Duplicates Removal", b.Duplicates)
 	case b.Buffer != nil:
@@ -248,8 +254,10 @@ func fromMyTable(t *myTable, inner bool) (*Node, error) {
 // document. MySQL executes only nested-loop-family joins and reports
 // sorting, grouping and duplicate removal as wrapper operations rather
 // than tree nodes, so the document keeps less than the tree: Limit and
-// Hash nodes are transparent, sort and group keys are left out, and a
-// join input that is not a scan becomes a materialized derived table.
+// Hash nodes are transparent, sort and group keys are left out (an
+// aggregate's HAVING filter stays, as its grouping operation's
+// having_condition), and a join input that is not a scan becomes a
+// materialized derived table.
 // ParseMySQLJSON reads back a tree in MySQL's own vocabulary, the
 // cross-vendor gap the paper's parsers bridge.
 func FormatMySQLJSON(n *Node) (string, error) {
@@ -296,6 +304,7 @@ func (w *myWriter) block(n *Node) *myBlock {
 		return &myBlock{Duplicates: inner}
 	case "Aggregate", "HashAggregate", "GroupAggregate":
 		inner.UsingTemporaryTable = n.Name == "HashAggregate"
+		inner.HavingCondition = n.Attr(AttrFilter)
 		return &myBlock{Grouping: inner}
 	case "Materialize":
 		return &myBlock{Buffer: inner}

@@ -17,9 +17,12 @@
 // native dialect, and narrate what actually happened — with the narration
 // cached under an actuals-aware fingerprint (actual rows and loops key
 // the cache; wall time, the one non-deterministic statistic, does not).
-// QueryStream (stream.go) is the incremental flavor: rows are emitted as
-// the iterator pipeline produces them, the narration follows as a
-// trailer.
+// Unary queries (on the worker pool) and streams (QueryStream, stream.go,
+// on the caller's goroutine) run one runner, runQuery (pipeline.go): it
+// pulls the engine's cursor batch by batch, checks the deadline before
+// every row, hands rendered rows out up to the caller's cap (a unary
+// response echoes ten by default, a stream emits all), returns the
+// session to the pool when the cursor closes, and narrates.
 //
 // The design follows the precompute-and-maintain playbook: a narration is
 // a pure function of (plan structure, operator conditions, narration
@@ -33,7 +36,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 
 	"lantern/internal/plan"
 )
@@ -91,15 +93,15 @@ func PlanFingerprint(tree *plan.Node, opts Options) (Fingerprint, []string) {
 // document) under its source dialect and options. It keys the server's
 // front index mapping repeated identical requests straight to their plan
 // fingerprint, skipping parsing and planning entirely on the hot path.
+// Like PlanFingerprint it hashes one buffer on the stack, which holds a
+// typical SQL text; a larger payload spills to the heap.
 func requestKey(source, payload string, opts Options) Fingerprint {
-	h := sha256.New()
-	io.WriteString(h, "lantern-req-fp-v1\x00")
-	io.WriteString(h, source)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, opts.canonical())
-	io.WriteString(h, "\x00")
-	io.WriteString(h, payload)
-	var fp Fingerprint
-	copy(fp[:], h.Sum(nil))
-	return fp
+	var stack [2048]byte
+	buf := append(stack[:0], "lantern-req-fp-v1\x00"...)
+	buf = append(buf, source...)
+	buf = append(buf, 0)
+	buf = append(buf, opts.canonical()...)
+	buf = append(buf, 0)
+	buf = append(buf, payload...)
+	return sha256.Sum256(buf)
 }

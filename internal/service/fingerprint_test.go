@@ -1,6 +1,9 @@
 package service
 
 import (
+	"crypto/sha256"
+	"io"
+	"strings"
 	"testing"
 
 	"lantern/internal/plan"
@@ -96,5 +99,36 @@ func TestRequestKeyDistinguishes(t *testing.T) {
 	}
 	if requestKey("pg", "sql\x00SELECT 1", Options{}) != base {
 		t.Fatal("identical request must reproduce the key")
+	}
+}
+
+// TestRequestKeyBytes: requestKey hashes the same bytes the streamed
+// digest it replaced did, so no front-index key changes, for a short SQL
+// text and for a plan document larger than its stack buffer; the SQL text
+// costs no allocation.
+func TestRequestKeyBytes(t *testing.T) {
+	streamed := func(source, payload string, opts Options) Fingerprint {
+		h := sha256.New()
+		for _, s := range []string{"lantern-req-fp-v1\x00", source, "\x00", opts.canonical(), "\x00", payload} {
+			io.WriteString(h, s)
+		}
+		var fp Fingerprint
+		copy(fp[:], h.Sum(nil))
+		return fp
+	}
+	doc := `{"Plan": {"Node Type": "Seq Scan", "Relation Name": "customer"}}` + strings.Repeat(" ", 6<<10)
+	for _, c := range []struct{ source, payload string }{
+		{"pg", qScan},
+		{"pg", doc},
+		{"", ""},
+	} {
+		for _, opts := range []Options{{}, {Presentation: PresentTree}} {
+			if got, want := requestKey(c.source, c.payload, opts), streamed(c.source, c.payload, opts); got != want {
+				t.Errorf("requestKey(%q, %d-byte payload, %+v) = %s, want %s", c.source, len(c.payload), opts, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { requestKey("pg", qScan, Options{}) }); allocs != 0 {
+		t.Errorf("requestKey of a SQL text allocates %.0f times, want 0", allocs)
 	}
 }

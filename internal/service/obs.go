@@ -128,10 +128,6 @@ type SlowQueryEntry struct {
 	// tree. Both absent when no scan saw a sealed segment.
 	Segments       int64 `json:"segments,omitempty"`
 	SegmentsPruned int64 `json:"segments_pruned,omitempty"`
-	// Partial marks an entry whose elapsed/row figures come from a
-	// streaming execution that ended before draining; such runs carry no
-	// fingerprint and their actuals undercount the full query.
-	Partial bool `json:"partial,omitempty"`
 }
 
 // maybeSlowLog emits a slow-query entry when the server keeps a log and
@@ -157,7 +153,6 @@ func (s *Server) maybeSlowLog(req *Request, resp *Response, elapsed time.Duratio
 		ent.Fingerprint = resp.Narrate.Fingerprint
 	case resp.Query != nil:
 		ent.Fingerprint = resp.Query.Fingerprint
-		ent.Partial = resp.Query.Partial
 	}
 	line, err := json.Marshal(ent)
 	if err != nil {

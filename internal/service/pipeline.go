@@ -388,16 +388,42 @@ func (s *Server) execNarrate(ctx context.Context, r *Request) (*NarrateResponse,
 	return entryResponse(fp, ent, false), nil
 }
 
-// execQuery is the end-to-end query pipeline: acquire an engine session
-// from the pool, plan and execute the SQL with instrumentation, bridge the
-// plan with its actuals into a native tree, then narrate — answering from
-// the fingerprint cache when the same plan with the same actuals (wall
-// time excluded) was narrated before. Concurrent queries run on
-// independent sessions; nothing serializes them.
+// execQuery is the worker pool's query op: runQuery, echoing at most
+// max_rows rendered result rows (0 means 10, negative none) in the
+// response.
 func (s *Server) execQuery(ctx context.Context, r *Request) (*QueryResponse, error) {
-	if err := ctx.Err(); err != nil {
+	var rows [][]string
+	resp, err := s.runQuery(ctx, r, emitCap(r.MaxRows, 10), StreamCallbacks{
+		OnRow: func(row []string) error {
+			rows = append(rows, row)
+			return nil
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
+	resp.Rows = rows
+	return resp, nil
+}
+
+// emitCap is how many rows a query hands out for a request's max_rows:
+// dflt when it is 0, none when it is negative.
+func emitCap(maxRows, dflt int) int {
+	if maxRows == 0 {
+		return dflt
+	}
+	return maxRows
+}
+
+// runQuery is the end-to-end query pipeline, unary and streamed: acquire
+// an engine session from the pool, open the engine's instrumented cursor
+// over the SQL, hand the first emit rows to cb.OnRow rendered as strings
+// and drain the rest for complete actuals, then bridge the plan with its
+// actuals into a native tree and narrate it through finishQuery. The
+// deadline is checked before every row, so a query whose pipeline is
+// producing rows stops within a row of it. Concurrent queries run on
+// independent sessions; nothing serializes them.
+func (s *Server) runQuery(ctx context.Context, r *Request, emit int, cb StreamCallbacks) (*QueryResponse, error) {
 	sp := r.tr.Start("session_acquire")
 	sess, err := s.acquireSession(ctx)
 	sp.End()
@@ -405,34 +431,81 @@ func (s *Server) execQuery(ctx context.Context, r *Request) (*QueryResponse, err
 		return nil, err
 	}
 	spRun := r.tr.Start("run_sql")
-	qr, err := capParallelism(sess, r.MaxParallelism).QueryInstrumented(r.SQL)
+	q, err := s.drain(ctx, sess, r, emit, cb)
 	spRun.End()
-	s.sessions.Release(sess)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, err
 	}
+	pl, stats := q.Finish()
 	sp = r.tr.Start("bridge")
-	tree := engine.ToPlanNodeStats(qr.Plan, qr.Stats)
+	tree := engine.ToPlanNodeStats(pl, stats)
 	fp, ops := PlanFingerprint(tree, r.Options)
 	sp.End()
 	// The operator spans hang off run_sql — that is when they executed —
 	// with the durations/rows/loops the iterator instrumentation measured,
 	// plus one child span per parallel worker on morsel-driven operators.
-	attachOperatorSpans(spRun, tree, qr.Plan, qr.Stats)
+	attachOperatorSpans(spRun, tree, pl, stats)
 
 	resp := &QueryResponse{
 		Dialect:     tree.Source,
 		Fingerprint: fp.String(),
 		Operators:   ops,
-		Columns:     qr.Result.Columns,
-		Rows:        queryEchoRows(qr.Result, r.MaxRows),
-		RowCount:    len(qr.Result.Rows),
-		ElapsedMs:   float64(qr.Elapsed) / 1e6,
+		Columns:     q.Columns,
+		RowCount:    q.RowCount(),
+		ElapsedMs:   float64(q.Elapsed()) / 1e6,
 	}
 	if err := s.finishQuery(ctx, tree, fp, ops, r, resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
+}
+
+// drain runs r's SQL on sess through the engine's cursor, pulling every
+// batch and handing out rows as runQuery describes, and returns the
+// closed cursor. sess goes back to the pool when the cursor closes.
+func (s *Server) drain(ctx context.Context, sess *engine.Engine, r *Request, emit int, cb StreamCallbacks) (*engine.Cursor, error) {
+	defer s.sessions.Release(sess)
+	q, err := capParallelism(sess, r.MaxParallelism).QueryStreamInstrumented(r.SQL)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	defer q.Close()
+	if cb.OnColumns != nil {
+		if err := cb.OnColumns(q.Columns); err != nil {
+			return nil, err
+		}
+	}
+	if cb.OnRow == nil {
+		emit = 0
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		b, err := q.NextBatch()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		if b == nil {
+			return q, nil
+		}
+		for _, row := range b {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if emit <= 0 {
+				continue // keep executing for complete actuals, stop emitting
+			}
+			rendered := make([]string, len(row))
+			for i, d := range row {
+				rendered[i] = d.String()
+			}
+			if err := cb.OnRow(rendered); err != nil {
+				return nil, err
+			}
+			emit--
+		}
+	}
 }
 
 // finishQuery attaches the narration to an executed query response:

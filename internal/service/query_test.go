@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"lantern/internal/pool"
 )
@@ -139,5 +140,33 @@ func TestQueryMaxRows(t *testing.T) {
 	none := mustQuery(t, srv, &QueryRequest{SQL: qSort, MaxRows: -1})
 	if len(none.Rows) != 0 {
 		t.Errorf("MaxRows=-1 echoed %d rows, want 0", len(none.Rows))
+	}
+}
+
+// TestUnaryTimeoutFreesWorker: a unary query that times out while its
+// pipeline is producing rows stops within a row of its deadline and gives
+// its worker and engine session back, so the next request on a
+// one-worker, one-session server is answered at once. Run to completion,
+// the slow query (1,931,500 rows at this scale) takes seconds; before
+// the unary path checked its deadline per row, the cheap query waited for
+// all of it.
+func TestUnaryTimeoutFreesWorker(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 1, EngineSessions: 1, RequestTimeout: 30 * time.Second})
+	const slow = `SELECT a.l_orderkey FROM lineitem a, lineitem b, nation n
+		WHERE a.l_quantity < b.l_quantity`
+	_, err := srv.Do(context.Background(), &Request{Op: OpQuery, SQL: slow, TimeoutMs: 20, MaxRows: -1})
+	if info := AsErrorInfo(err); info == nil || info.Code != CodeDeadlineExceeded {
+		t.Fatalf("slow query under a 20ms timeout: %v", err)
+	}
+	// Generous for a loaded or -race run of the cheap query, and still far
+	// below the slow query's run to completion.
+	const bound = 500 * time.Millisecond
+	start := time.Now()
+	resp, err := srv.Do(context.Background(), &Request{Op: OpQuery, SQL: qScan, TimeoutMs: int64(bound / time.Millisecond)})
+	if err != nil {
+		t.Fatalf("cheap query after the timeout: %v (waited %v)", err, time.Since(start))
+	}
+	if resp.Query.RowCount == 0 {
+		t.Fatal("cheap query returned no rows")
 	}
 }

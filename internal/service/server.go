@@ -157,11 +157,6 @@ type QueryResponse struct {
 	Rows        [][]string `json:"rows,omitempty"`
 	RowCount    int        `json:"row_count"`
 	ElapsedMs   float64    `json:"elapsed_ms"`
-	// Partial marks a streaming execution that ended before draining: its
-	// actuals (and RowCount) cover only the rows pulled, so no fingerprint
-	// is assigned, and the narration cache is never written from a partial
-	// run. Unary queries and cleanly drained streams never set it.
-	Partial bool `json:"partial,omitempty"`
 }
 
 // QARequest asks a natural-language question about one query or plan.
@@ -721,29 +716,6 @@ func (s *Server) narrateAndCache(tree *plan.Node, fp Fingerprint, ops []string, 
 		s.cache.Delete(fp)
 	}
 	return ent, nil
-}
-
-// queryEchoRows renders the first maxRows result rows as strings for the
-// response body.
-func queryEchoRows(res *engine.Result, maxRows int) [][]string {
-	if maxRows == 0 {
-		maxRows = 10
-	}
-	if maxRows < 0 || len(res.Rows) == 0 {
-		return nil
-	}
-	if maxRows > len(res.Rows) {
-		maxRows = len(res.Rows)
-	}
-	out := make([][]string, maxRows)
-	for i := 0; i < maxRows; i++ {
-		row := make([]string, len(res.Rows[i]))
-		for j, d := range res.Rows[i] {
-			row[j] = d.String()
-		}
-		out[i] = row
-	}
-	return out
 }
 
 func entryResponse(fp Fingerprint, ent *CachedNarration, cached bool) *NarrateResponse {

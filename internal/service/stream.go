@@ -1,22 +1,22 @@
 package service
 
-// stream.go is the streaming flavor of the query op: rows are handed to
-// the caller as the engine's iterator pipeline produces them, and the
-// narration — which needs the complete actuals — follows as a trailer.
-// The stream runs on the caller's goroutine (backpressure is the caller's
-// transport, e.g. a flushed NDJSON HTTP response). Admission mirrors the
-// unary path: concurrent streams are bounded by QueueDepth with an
-// immediate ErrOverloaded rejection when saturated, execution is bounded
-// by the engine session pool, and the server's in-flight group tracks
+// stream.go is the streaming flavor of the query op. It runs the unary
+// op's runner (runQuery, pipeline.go) on the caller's goroutine instead
+// of a worker's: every row goes to the caller as the engine's cursor
+// produces it (backpressure is the caller's transport, e.g. a flushed
+// NDJSON HTTP response), and the narration, which needs the complete
+// actuals, follows as a trailer. Admission mirrors the worker queue's
+// fast rejection: concurrent streams are bounded by the engine session
+// count (streamSem is sized to EngineSessions) with an immediate
+// ErrOverloaded when saturated, and the server's in-flight group tracks
 // every open stream so Close drains them before teardown.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
-
-	"lantern/internal/engine"
 )
 
 // StreamCallbacks receives the incremental parts of a streaming query.
@@ -90,6 +90,8 @@ func (s *Server) QueryStream(ctx context.Context, req *QueryRequest, cb StreamCa
 	return resp.Query, nil
 }
 
+// queryStream admits a stream and runs it on the caller's goroutine:
+// runQuery with every row emitted unless max_rows caps it.
 func (s *Server) queryStream(ctx context.Context, req *Request, cb StreamCallbacks) (*QueryResponse, error) {
 	if err := s.enterInflight(); err != nil {
 		return nil, err
@@ -106,78 +108,5 @@ func (s *Server) queryStream(ctx context.Context, req *Request, cb StreamCallbac
 	}
 	ctx, cancel := s.withDeadline(ctx, req)
 	defer cancel()
-
-	sess, err := s.acquireSession(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer s.sessions.Release(sess)
-
-	q, err := capParallelism(sess, req.MaxParallelism).QueryStreamInstrumented(req.SQL)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	defer q.Close()
-
-	if cb.OnColumns != nil {
-		if err := cb.OnColumns(q.Columns); err != nil {
-			return nil, err
-		}
-	}
-
-	emitCap := req.MaxRows // 0: all; >0: cap; <0: none
-	emitted := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row, ok, err := q.Next()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		if !ok {
-			break
-		}
-		if cb.OnRow == nil || emitCap < 0 || (emitCap > 0 && emitted >= emitCap) {
-			continue // keep executing for complete actuals, stop emitting
-		}
-		rendered := make([]string, len(row))
-		for i, d := range row {
-			rendered[i] = d.String()
-		}
-		if err := cb.OnRow(rendered); err != nil {
-			return nil, err
-		}
-		emitted++
-	}
-
-	pl, stats := q.Finish()
-	tree := engine.ToPlanNodeStats(pl, stats)
-	// The drain loop above only exits cleanly at end of stream, but guard
-	// anyway: a stream that somehow ended early carries partial actuals,
-	// and narrating or caching under an actuals-aware fingerprint computed
-	// from them would poison the cache for the complete run. Mark the
-	// response partial and skip narration entirely.
-	if !q.Complete() {
-		return &QueryResponse{
-			Dialect:   tree.Source,
-			Columns:   q.Columns,
-			RowCount:  q.RowCount(),
-			ElapsedMs: float64(q.Elapsed()) / 1e6,
-			Partial:   true,
-		}, nil
-	}
-	fp, ops := PlanFingerprint(tree, req.Options)
-	resp := &QueryResponse{
-		Dialect:     tree.Source,
-		Fingerprint: fp.String(),
-		Operators:   ops,
-		Columns:     q.Columns,
-		RowCount:    q.RowCount(),
-		ElapsedMs:   float64(q.Elapsed()) / 1e6,
-	}
-	if err := s.finishQuery(ctx, tree, fp, ops, req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return s.runQuery(ctx, req, emitCap(req.MaxRows, math.MaxInt), cb)
 }

@@ -128,17 +128,18 @@ func TestStreamCallbackAbort(t *testing.T) {
 // exactly as to unary ops.
 func TestStreamTimeoutHint(t *testing.T) {
 	srv := newTestServer(t, Config{RequestTimeout: 30 * time.Second})
-	_, err := srv.DoStream(context.Background(),
-		&Request{SQL: qJoin, TimeoutMs: 1}, StreamCallbacks{
-			OnRow: func(row []string) error {
-				time.Sleep(2 * time.Millisecond) // guarantee the budget expires
-				return nil
-			},
-		})
+	// A self-join on a predicate no join algorithm can index: every pair of
+	// lineitem rows is evaluated, tens of milliseconds of work, so a 1ms
+	// budget always runs out however fast the executor's kernels get.
+	slow := `SELECT a.l_orderkey FROM lineitem a, lineitem b
+		WHERE a.l_extendedprice * b.l_quantity > b.l_extendedprice * a.l_quantity`
+	_, err := srv.DoStream(context.Background(), &Request{SQL: slow, TimeoutMs: 1}, StreamCallbacks{
+		OnRow: func(row []string) error { return nil },
+	})
 	if err == nil {
-		t.Skip("stream finished within 1ms; can't observe the deadline on this machine")
+		t.Fatal("stream finished under a 1ms timeout hint: the hint did not bound it")
 	}
-	if info := AsErrorInfo(err); info.Code != CodeDeadlineExceeded {
+	if info := AsErrorInfo(err); info.Code != CodeDeadlineExceeded || !info.Retryable {
 		t.Fatalf("timeout hint on stream: %v", err)
 	}
 }
