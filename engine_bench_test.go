@@ -274,6 +274,38 @@ func BenchmarkExecAggregateFilteredSum(b *testing.B) {
 	benchQuery(b, execBenchEngineScale(b, 2, false, benchSerialConfig), execAggFilteredSumQuery)
 }
 
+// --- Duplicate removal and IN sets -------------------------------------------
+//
+// The hashing operators besides the join and GROUP BY, serially at scale 2
+// (lineitem ≈ 75k rows, orders 30k, customer 3k): SELECT DISTINCT over
+// lineitem (Sort, then Unique keeping each of about 1,400 keys once),
+// DISTINCT aggregates folding two columns of every lineitem row into
+// per-group value sets, and the bank's Q22 (an IN set built from every
+// orders row and probed by each customer, under NOT) with Q20's IN beside
+// it in one WHERE.
+
+const (
+	execDistinctQuery      = `SELECT DISTINCT l_suppkey, l_shipmode FROM lineitem`
+	execCountDistinctQuery = `SELECT l_returnflag, l_linestatus, COUNT(DISTINCT l_suppkey), COUNT(DISTINCT l_partkey)
+		FROM lineitem GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`
+	execInSubqueryQuery = `SELECT c_nationkey, COUNT(*), SUM(c_acctbal) FROM customer
+		WHERE c_acctbal > 0 AND c_custkey NOT IN (SELECT o_custkey FROM orders)
+		AND c_nationkey IN (SELECT s_nationkey FROM supplier WHERE s_acctbal > 5000)
+		GROUP BY c_nationkey ORDER BY c_nationkey`
+)
+
+func BenchmarkExecDistinct(b *testing.B) {
+	benchQuery(b, execBenchEngineScale(b, 2, false, benchSerialConfig), execDistinctQuery)
+}
+
+func BenchmarkExecCountDistinct(b *testing.B) {
+	benchQuery(b, execBenchEngineScale(b, 2, false, benchSerialConfig), execCountDistinctQuery)
+}
+
+func BenchmarkExecInSubquery(b *testing.B) {
+	benchQuery(b, execBenchEngineScale(b, 2, false, benchSerialConfig), execInSubqueryQuery)
+}
+
 // --- Disk-backed scans through the buffer pool -------------------------------
 //
 // The disk benchmarks run against one shared TPC-H directory at the
