@@ -111,6 +111,54 @@ func TestTPCHDifferentialParallelVsSerial(t *testing.T) {
 	}
 }
 
+// starExecutors runs a query in the batch, instrumented and reference
+// executors.
+func starExecutors(e *engine.Engine) map[string]func(string) (*engine.Result, error) {
+	return map[string]func(string) (*engine.Result, error){
+		"batch": func(sql string) (*engine.Result, error) { return e.Exec(sql) },
+		"instrumented": func(sql string) (*engine.Result, error) {
+			qr, err := e.QueryInstrumented(sql)
+			if err != nil {
+				return nil, err
+			}
+			return qr.Result, nil
+		},
+		"reference": func(sql string) (*engine.Result, error) {
+			ref := e.Session()
+			ref.Cfg.ReferenceExec = true
+			return ref.Exec(sql)
+		},
+	}
+}
+
+// TestDistinctTableStar pins that DISTINCT t.* keys on t's columns alone:
+// over customer joined with its orders it returns each customer once, as
+// many rows as DISTINCT over customer's key.
+func TestDistinctTableStar(t *testing.T) {
+	e := engine.NewDefault()
+	if err := datasets.LoadTPCH(e, 0.01, 1); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		star = "SELECT DISTINCT c.* FROM customer c, orders o WHERE c.c_custkey = o.o_custkey"
+		key  = "SELECT DISTINCT c.c_custkey FROM customer c, orders o WHERE c.c_custkey = o.o_custkey"
+	)
+	for name, exec := range starExecutors(e) {
+		keys, err := exec(key)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", name, key, err)
+		}
+		r, err := exec(star)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", name, star, err)
+		}
+		if len(keys.Rows) != 15 || len(r.Rows) != 15 || len(r.Columns) != 6 {
+			t.Errorf("%s: %d rows of %d columns, and %d customer keys; want 15 rows of customer's 6 columns and 15 keys",
+				name, len(r.Rows), len(r.Columns), len(keys.Rows))
+		}
+	}
+}
+
 // TestStarOverGroupBy pins what a star means over grouped input, as in
 // PostgreSQL, in the batch, instrumented and reference executors: a star
 // naming a column no GROUP BY key is fails at plan time, and over input
@@ -127,22 +175,7 @@ func TestStarOverGroupBy(t *testing.T) {
 		wantErr   = `engine: column "customer.c_custkey" must appear in the GROUP BY clause or be used in an aggregate function`
 	)
 	wantCols := []string{"n_nationkey", "n_name", "n_regionkey", "n_comment", "COUNT(*)"}
-	run := map[string]func(string) (*engine.Result, error){
-		"batch": func(sql string) (*engine.Result, error) { return e.Exec(sql) },
-		"instrumented": func(sql string) (*engine.Result, error) {
-			qr, err := e.QueryInstrumented(sql)
-			if err != nil {
-				return nil, err
-			}
-			return qr.Result, nil
-		},
-		"reference": func(sql string) (*engine.Result, error) {
-			ref := e.Session()
-			ref.Cfg.ReferenceExec = true
-			return ref.Exec(sql)
-		},
-	}
-	for name, exec := range run {
+	for name, exec := range starExecutors(e) {
 		if _, err := exec(ungrouped); err == nil || err.Error() != wantErr {
 			t.Errorf("%s: %q: err = %v, want %q", name, ungrouped, err, wantErr)
 		}

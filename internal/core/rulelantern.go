@@ -217,14 +217,8 @@ func ActualsClause(p *plan.Node) string {
 	} else {
 		sb.WriteString(" rows")
 	}
-	// The estimate is per execution while AttrActualRows totals across
-	// all loops, so compare per-loop actuals — otherwise a perfectly
-	// estimated inner side rescanned N times would read as an N-fold
-	// underestimate.
-	perLoop := actual
 	if loops, err := strconv.ParseFloat(p.Attr(plan.AttrLoops), 64); err == nil && loops > 1 {
 		fmt.Fprintf(&sb, " across %s loops", p.Attr(plan.AttrLoops))
-		perLoop = actual / loops
 	}
 	if workers := p.Attr(plan.AttrWorkers); workers != "" {
 		fmt.Fprintf(&sb, " using %s parallel workers", workers)
@@ -239,9 +233,14 @@ func ActualsClause(p *plan.Node) string {
 		}
 		fmt.Fprintf(&sb, ", skipping %s of %s storage segments via zone maps", pruned, segs)
 	}
-	if note := misEstimateNote(p.Rows, perLoop); note != "" {
-		sb.WriteString("; ")
-		sb.WriteString(note)
+	// The displayed magnitude is the raw ratio: smoothing would understate
+	// small-estimate gaps, exactly the cases the callout exists to teach
+	// (est 1 vs actual 99 is 99x, not 50x).
+	switch perLoop, dir := MisEstimate(p); dir {
+	case 1:
+		fmt.Fprintf(&sb, "; the optimizer expected only %.0f, a %.1fx underestimate", p.Rows, perLoop/p.Rows)
+	case -1:
+		fmt.Fprintf(&sb, "; the optimizer expected %.0f, a %.1fx overestimate", p.Rows, p.Rows/math.Max(perLoop, 1))
 	}
 	if wanted := p.Attr(plan.AttrWorkersWanted); wanted != "" {
 		// The engine's DOP policy, re-applied to the actual row count, would
@@ -253,24 +252,28 @@ func ActualsClause(p *plan.Node) string {
 	return sb.String()
 }
 
-// misEstimateNote describes an optimizer mis-estimate of at least
-// MisEstimateFactor in either direction, or "" when the estimate is
-// absent or close enough. The threshold test uses add-one smoothing so
-// zero-row actuals stay comparable, but the *displayed* magnitude is the
-// raw ratio — smoothing would understate small-estimate gaps, exactly the
-// cases the callout exists to teach (est 1 vs actual 99 is 99x, not 50x).
-func misEstimateNote(est, actual float64) string {
-	if est <= 0 {
-		return ""
+// MisEstimate is the mis-estimate test of ActualsClause and the service's
+// slow log. It returns p's actual rows per loop (the estimate is per
+// loop, so an inner side rescanned N times is no N-fold underestimate),
+// and 1 or -1 when the estimate is at least MisEstimateFactor under or
+// over them, add-one smoothed so zero-row actuals stay comparable; 0
+// otherwise, or when p lacks an estimate or actuals.
+func MisEstimate(p *plan.Node) (perLoop float64, dir int) {
+	actual, err := strconv.ParseFloat(p.Attr(plan.AttrActualRows), 64)
+	if err != nil || p.Rows <= 0 {
+		return 0, 0
 	}
-	smoothed := (actual + 1) / (est + 1)
-	switch {
+	perLoop = actual
+	if loops, err := strconv.ParseFloat(p.Attr(plan.AttrLoops), 64); err == nil && loops > 1 {
+		perLoop = actual / loops
+	}
+	switch smoothed := (perLoop + 1) / (p.Rows + 1); {
 	case smoothed >= MisEstimateFactor:
-		return fmt.Sprintf("the optimizer expected only %.0f, a %.1fx underestimate", est, actual/est)
+		return perLoop, 1
 	case smoothed <= 1/MisEstimateFactor:
-		return fmt.Sprintf("the optimizer expected %.0f, a %.1fx overestimate", est, est/math.Max(actual, 1))
+		return perLoop, -1
 	}
-	return ""
+	return perLoop, 0
 }
 
 // relationDisplay shows the base relation, keeping the query's alias

@@ -135,33 +135,6 @@ func (d D) String() string {
 	return "?"
 }
 
-// AppendKey appends a grouping-key encoding of d to buf without
-// allocating: a kind tag byte followed by the value's canonical bytes.
-// Two datums encode equally exactly when String-based keying would merge
-// them — numerics share one tag and the strconv rendering (so an integer
-// and a float that print identically still land in the same group), while
-// strings, booleans, and NULL get distinct tags so no cross-kind encoding
-// can collide. The engine uses this for GROUP BY and DISTINCT hash keys,
-// where String's per-row allocation would dominate the aggregation loop.
-func (d D) AppendKey(buf []byte) []byte {
-	switch d.k {
-	case KNull:
-		return append(buf, 0xff)
-	case KInt:
-		return strconv.AppendInt(append(buf, 'n'), d.i, 10)
-	case KFloat:
-		return strconv.AppendFloat(append(buf, 'n'), d.f, 'g', -1, 64)
-	case KString:
-		return append(append(buf, 's'), d.s...)
-	case KBool:
-		if d.b {
-			return append(buf, 'b', 1)
-		}
-		return append(buf, 'b', 0)
-	}
-	return append(buf, '?')
-}
-
 // Raw renders the datum without quoting, for CSV-ish output.
 func (d D) Raw() string {
 	if d.k == KString {
@@ -354,9 +327,6 @@ func (d D) Hash() uint64 {
 	case KInt, KFloat:
 		// Widen ints so 1 and 1.0 collide, matching Equal.
 		f := d.Float()
-		if f == float64(int64(f)) && d.k == KInt {
-			f = float64(d.i)
-		}
 		if f == 0 {
 			f = 0 // -0 and +0 are Equal
 		}

@@ -291,6 +291,44 @@ func TestVecHashJoinProbeBatchBytes(t *testing.T) {
 	}
 }
 
+// TestHashJoinBuildAllocs: a hash join's build sizes its key table once
+// for the rows it drained, so filling it allocates as often for 4,096 rows
+// of one key as for 4,096 distinct keys, not once per distinct key.
+func TestHashJoinBuildAllocs(t *testing.T) {
+	e := New(DefaultConfig())
+	fill := func(table string, key func(i int) int) float64 {
+		mustExec(t, e, "CREATE TABLE "+table+" (k INT)")
+		var sb strings.Builder
+		for i := 0; i < 4096; i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d)", key(i))
+		}
+		mustExec(t, e, "INSERT INTO "+table+" VALUES "+sb.String())
+		plan, err := e.PlanSQL("SELECT k FROM " + table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, err := e.buildVec(plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer scan.Close()
+		var ht hashTable
+		return testing.AllocsPerRun(5, func() {
+			if err := ht.fill(scan, []int{0}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := fill("one_key", func(int) int { return 7 })
+	distinct := fill("distinct_keys", func(i int) int { return i })
+	if distinct != one {
+		t.Fatalf("hash build allocates %.0f times over one key and %.0f over 4096 distinct keys, want the same", one, distinct)
+	}
+}
+
 // heapAllocated reports the heap objects and bytes f allocates, measured
 // the way testing.AllocsPerRun counts: on one P, from the runtime's
 // cumulative counters.
@@ -472,8 +510,8 @@ func TestTopKPushAllocs(t *testing.T) {
 	}
 }
 
-// TestVecUniqueBatchAllocs: Unique keys rows through the AppendKey
-// encoding into a reused buffer, so over many duplicate string keys
+// TestVecUniqueBatchAllocs: Unique evaluates each row's key into a reused
+// buffer and looks it up in its key table, so over many duplicate string keys
 // `SELECT DISTINCT k` allocates a fixed cost, not one string per input
 // row. Doubling the input may add a few allocations for extra batches of
 // the sort below it, never one per row.
@@ -536,8 +574,8 @@ func TestVecUniqueBatchAllocs(t *testing.T) {
 }
 
 // TestVecAggregateBatchAllocs: once every group of a HashAggregate exists,
-// folding a further input batch allocates nothing — keys encode into a
-// reused buffer, the group map lookup does not copy it, and the states
+// folding a further input batch allocates nothing — keys load into a
+// reused buffer, the key table lookup does not copy it, and the states
 // fold in place.
 func TestVecAggregateBatchAllocs(t *testing.T) {
 	e := vecAllocDB(t, DefaultConfig())

@@ -572,40 +572,35 @@ func (b *binder) bindIn(ex *sqlparser.InExpr) (boundExpr, error) {
 }
 
 // inSet is what `x IN (subquery)` probes: the subquery's distinct
-// non-NULL values bucketed by datum.Hash, which hashes 1 and 1.0 alike as
-// datum.Equal compares them, and whether the subquery returned a NULL.
-// Built once per bound expression, it turns each probe's scan of the
-// subquery result into one bucket lookup.
+// non-NULL values, as keys of one datum in a keyTable, which finds 1.0
+// for 1 as datum.Equal compares them, and whether the subquery returned a
+// NULL. Built once per bound expression, it turns each probe's scan of
+// the subquery result into one lookup.
 type inSet struct {
-	buckets map[uint64][]datum.D
+	vals    keyTable
 	sawNull bool
 }
 
 func newInSet(rows []storage.Row) (*inSet, error) {
-	s := &inSet{buckets: make(map[uint64][]datum.D, len(rows))}
+	s := new(inSet)
+	s.vals.reset(1, 0)
 	for _, r := range rows {
 		if len(r) != 1 {
 			return nil, fmt.Errorf("engine: IN subquery must return one column")
 		}
-		v := r[0]
-		switch {
-		case v.IsNull():
+		if r[0].IsNull() {
 			s.sawNull = true
-		case !s.contains(v):
-			h := v.Hash()
-			s.buckets[h] = append(s.buckets[h], v)
+			continue
 		}
+		s.vals.insert(r, hashKey(r))
 	}
 	return s, nil
 }
 
+// contains reports whether the set holds v, which is not NULL.
 func (s *inSet) contains(v datum.D) bool {
-	for _, c := range s.buckets[v.Hash()] {
-		if datum.Equal(v, c) {
-			return true
-		}
-	}
-	return false
+	key := [1]datum.D{v}
+	return s.vals.find(key[:], hashKey(key[:])) >= 0
 }
 
 // bindFunc compiles the scalar builtins. Unknown functions, aggregate

@@ -48,9 +48,10 @@ func diffConfigs() map[string]Config {
 
 // assertSameResults runs sql through four executions on e — vectorized
 // (default), instrumented vectorized, the materializing reference, and the
-// morsel-parallel executor with forced-up DOP — and compares each against
-// the reference.
-func assertSameResults(t *testing.T, e *Engine, sql string) {
+// morsel-parallel executor with forced-up DOP — compares each against
+// the reference, and returns the reference's result (nil when all four
+// failed).
+func assertSameResults(t *testing.T, e *Engine, sql string) *Result {
 	t.Helper()
 	e.Cfg.ReferenceExec = false
 	vec, vErr := e.Exec(sql)
@@ -75,7 +76,7 @@ func assertSameResults(t *testing.T, e *Engine, sql string) {
 		t.Fatalf("query %q: vectorized err = %v, instrumented err = %v, parallel err = %v, reference err = %v", sql, vErr, iErr, pErr, rErr)
 	}
 	if rErr != nil {
-		return // all failed: acceptable as long as they agree
+		return nil // all failed: acceptable as long as they agree
 	}
 	ordered := false
 	if sel, err := sqlparser.ParseSelect(sql); err == nil {
@@ -101,6 +102,7 @@ func assertSameResults(t *testing.T, e *Engine, sql string) {
 	compare("vectorized", vec)
 	compare("instrumented", instr)
 	compare("parallel", parRes)
+	return ref
 }
 
 // diffCorpus is the hand-written query corpus, covering every operator and
@@ -167,6 +169,21 @@ var diffCorpus = []string{
 	// DISTINCT.
 	"SELECT DISTINCT o_status FROM orders",
 	"SELECT DISTINCT c_mktsegment, c_acctbal > 100 FROM customer",
+	"SELECT DISTINCT c.* FROM customer c, orders o WHERE c.c_custkey = o.o_custkey",
+	// One key equality in every hashing operator: an integer key equals
+	// the float of its value, -0.0 equals 0.0, NULL keys group together
+	// but never join or match IN, and keys of mixed kinds (integers,
+	// floats equal to some of them, strings, NULL) deduplicate as
+	// datum.Compare orders them.
+	"SELECT m.m_id, o.o_orderkey FROM measures m, orders o WHERE m.m_i = o.o_totalprice",
+	"SELECT o_orderkey FROM orders WHERE o_totalprice IN (SELECT m_i FROM measures)",
+	"SELECT o_orderkey FROM orders WHERE o_totalprice NOT IN (SELECT m_i FROM measures)",
+	"SELECT m_id FROM measures WHERE m_f IN (SELECT m_f FROM measures WHERE m_id < 10)",
+	"SELECT DISTINCT m_grp FROM measures",
+	"SELECT DISTINCT m_f * 0, m_grp FROM measures",
+	"SELECT m_f * 0, COUNT(*), COUNT(DISTINCT m_grp) FROM measures GROUP BY m_f * 0",
+	"SELECT DISTINCT CASE WHEN m_id < 6 THEN m_mixed * 1000 WHEN m_id < 11 THEN (m_id - 5) * 1000000.0 ELSE m_grp END FROM measures",
+	"SELECT COUNT(DISTINCT CASE WHEN m_id < 6 THEN m_mixed * 1000 WHEN m_id < 11 THEN (m_id - 5) * 1000000.0 ELSE m_grp END) FROM measures",
 	// ORDER BY, LIMIT, OFFSET.
 	"SELECT c_name FROM customer ORDER BY c_acctbal DESC",
 	"SELECT o_orderkey FROM orders ORDER BY o_status, o_totalprice DESC",
@@ -241,6 +258,36 @@ var diffCorpus = []string{
 	"SELECT 1 FROM customer WHERE 1 = 0 HAVING 1 = 1",
 	// Grouped join with ORDER BY over aggregate.
 	"SELECT o_status, COUNT(*) FROM customer c, orders o WHERE c.c_custkey = o.o_custkey GROUP BY o_status ORDER BY COUNT(*) DESC",
+}
+
+// TestKeyEquality pins the one key equality of every hashing operator
+// over a FLOAT column holding 0.0, -0.0, 1e6 and the integer 1000000
+// (which an UPDATE stores as it is): GROUP BY, DISTINCT and
+// COUNT(DISTINCT) see two values, as PostgreSQL does, just as a join and
+// IN against {0.0, 1e6} match all four rows, in every executor.
+func TestKeyEquality(t *testing.T) {
+	e := New(DefaultConfig())
+	mustExec(t, e, "CREATE TABLE kf (id INTEGER, v FLOAT)")
+	mustExec(t, e, "INSERT INTO kf VALUES (1, 0.0), (2, 0.0), (3, 1000000.0), (4, 1000000.0)")
+	mustExec(t, e, "UPDATE kf SET v = 0.0 * -1 WHERE id = 2")
+	mustExec(t, e, "UPDATE kf SET v = 1000 * 1000 WHERE id = 4")
+	mustExec(t, e, "CREATE TABLE kp (w FLOAT)")
+	mustExec(t, e, "INSERT INTO kp VALUES (0.0), (1000000.0)")
+	for _, c := range []struct {
+		sql  string
+		want []string // sorted rows
+	}{
+		{"SELECT v, COUNT(*) FROM kf GROUP BY v", []string{"0|2", "1e+06|2"}},
+		{"SELECT DISTINCT v FROM kf", []string{"0", "1e+06"}},
+		{"SELECT COUNT(DISTINCT v), SUM(DISTINCT v) FROM kf", []string{"2|1e+06"}},
+		{"SELECT kf.id FROM kf, kp WHERE kf.v = kp.w", []string{"1", "2", "3", "4"}},
+		{"SELECT id FROM kf WHERE v IN (SELECT w FROM kp)", []string{"1", "2", "3", "4"}},
+	} {
+		ref := assertSameResults(t, e, c.sql)
+		if got := sortedRowStrings(ref.Rows); !slices.Equal(got, c.want) {
+			t.Errorf("%q: rows %v, want %v", c.sql, got, c.want)
+		}
+	}
 }
 
 // aggErrorCorpus holds aggregates every executor must reject: arithmetic

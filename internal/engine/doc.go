@@ -108,15 +108,33 @@
 // predicates over whole chunks in tight typed loops. The joins pack joined
 // rows into flat datum arena chunks (typically one or two per output
 // batch instead of one allocation per row, never regrown or copied) and
-// resume mid-bucket or mid-group when a batch fills. A Nested Loop is the
+// resume mid-match or mid-group when a batch fills. A Nested Loop is the
 // keyless hash join: its whole condition is the residual and every inner
-// row sits in one bucket, so each outer row is checked against the inner
-// rows in order and the inner side is materialized once. Sort keeps the
-// bounded top-K heap or stably sorts an index permutation over a flat key
-// arena. Unique filters each input batch and passes on the rows it keeps.
+// row has the one empty key, so each outer row is checked against the
+// inner rows in order and the inner side is materialized once. Sort keeps
+// the bounded top-K heap or stably sorts an index permutation over a flat
+// key arena. Unique filters each input batch and passes on the rows it
+// keeps.
 // Aggregation folds batches into one accumulator (aggAcc) shared with the
 // parallel workers. The allocation guards in alloc_test.go pin the
 // steady-state batch loops at (near) zero allocations per batch.
+//
+// # Hashing and the key equality
+//
+// Every operator that hashes keeps its keys in one keyTable
+// (keytable.go): the hash join's build, which the parallel exchange's
+// workers probe read-only; GROUP BY, serial, per worker and in the
+// exchange's merge; Unique; IN (subquery) sets; and the values of a
+// DISTINCT aggregate, in both executors. The join groups its build rows
+// by key id in build order, so a probe row's matches are one run, in
+// nested-loop order. Keys are equal when datum.Compare finds every
+// component equal, and
+// their hash, datum.Hash combined per component, agrees: 1 equals 1.0,
+// -0.0 equals 0.0, and NULL equals NULL, which joins and IN sets keep out
+// of their tables. Over 0.0, -0.0, 1e6 and the integer 1000000, GROUP BY,
+// DISTINCT and COUNT(DISTINCT) therefore see two values, as PostgreSQL
+// does, and a group shows its first row's key. The reference executor
+// keeps Go maps, keyed by the same hash and checked with datum.Compare.
 //
 // Aggregate arguments fold through typed kernels (vecagg.go). An argument
 // that is a column, a numeric literal, or +, - and * over those compiles
@@ -315,10 +333,7 @@
 //     predicates bind against a two-part environment (probe/outer row +
 //     build/inner row) and are
 //     checked before the joined row is materialized, so non-matching
-//     candidate pairs cost nothing. Hash joins additionally cache the
-//     evaluated build-side key datums, making the hash-collision recheck
-//     a pure datum comparison; rows whose key contains NULL are skipped
-//     at build and get an empty bucket at probe, so NULL never matches.
+//     candidate pairs cost nothing.
 //
 // # Limit short-circuiting and top-K
 //

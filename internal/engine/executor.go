@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lantern/internal/datum"
@@ -249,22 +250,26 @@ func (e *Engine) execHashJoin(n *Node) ([]storage.Row, error) {
 	if len(probeKeys) == 0 {
 		return nil, fmt.Errorf("engine: hash join without equi-condition")
 	}
+	// Build rows are found by the hash of their keys, then by datum.Compare
+	// on every key, which never finds a probe key holding NULL.
+	type entry struct {
+		row  storage.Row
+		keys []datum.D
+	}
 	buildCtx := &evalCtx{schema: hashNode.Schema, sub: e.subquery}
-	table := make(map[uint64][]storage.Row, len(build))
+	table := make(map[uint64][]entry, len(build))
 	for _, r := range build {
 		buildCtx.row = r
-		h, ok, err := hashKeys(buildCtx, buildKeys)
+		keys, err := evalKeys(buildCtx, buildKeys)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			continue // NULL keys never match
+		if !slices.ContainsFunc(keys, datum.D.IsNull) { // NULL keys never match
+			table[hashKey(keys)] = append(table[hashKey(keys)], entry{r, keys})
 		}
-		table[h] = append(table[h], r)
 	}
 	probeCtx := &evalCtx{schema: probeNode.Schema, sub: e.subquery}
 	pairCtx := &evalCtx{schema: n.Schema, sub: e.subquery}
-	buildRowCtx := &evalCtx{schema: hashNode.Schema, sub: e.subquery}
 	residualCond := sqlparser.JoinConjuncts(residual)
 	var out []storage.Row
 	leftOuter := n.JoinType == sqlparser.LeftJoin
@@ -278,34 +283,27 @@ func (e *Engine) execHashJoin(n *Node) ([]storage.Row, error) {
 	for _, pr := range probe {
 		probeCtx.row = pr
 		matched := false
-		h, ok, err := hashKeys(probeCtx, probeKeys)
+		keys, err := evalKeys(probeCtx, probeKeys)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			for _, br := range table[h] {
-				buildRowCtx.row = br
-				match, err := evalJoinMatch(probeKeys, buildKeys, probeCtx, buildRowCtx)
+		for _, b := range table[hashKey(keys)] {
+			if compareKeys(keys, b.keys) != 0 {
+				continue
+			}
+			if residualCond != nil {
+				pairBuf = append(append(pairBuf[:0], pr...), b.row...)
+				pairCtx.row = pairBuf
+				v, err := eval(pairCtx, residualCond)
 				if err != nil {
 					return nil, err
 				}
-				if !match {
+				if !truthy(v) {
 					continue
 				}
-				if residualCond != nil {
-					pairBuf = append(append(pairBuf[:0], pr...), br...)
-					pairCtx.row = pairBuf
-					v, err := eval(pairCtx, residualCond)
-					if err != nil {
-						return nil, err
-					}
-					if !truthy(v) {
-						continue
-					}
-				}
-				matched = true
-				out = append(out, concatRows(pr, br))
 			}
+			matched = true
+			out = append(out, concatRows(pr, b.row))
 		}
 		if leftOuter && !matched {
 			out = append(out, concatRows(pr, nullsRight))
@@ -314,39 +312,17 @@ func (e *Engine) execHashJoin(n *Node) ([]storage.Row, error) {
 	return e.filterRows(n, out)
 }
 
-// evalJoinMatch verifies key equality exactly (hash collisions are possible).
-func evalJoinMatch(lKeys, rKeys []sqlparser.Expr, lCtx, rCtx *evalCtx) (bool, error) {
-	for i := range lKeys {
-		lv, err := eval(lCtx, lKeys[i])
-		if err != nil {
-			return false, err
-		}
-		rv, err := eval(rCtx, rKeys[i])
-		if err != nil {
-			return false, err
-		}
-		if !datum.Equal(lv, rv) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// hashKeys hashes the evaluated key expressions; ok is false when any key
-// is NULL (which can never join).
-func hashKeys(ctx *evalCtx, keys []sqlparser.Expr) (uint64, bool, error) {
-	var h uint64 = 1469598103934665603
-	for _, k := range keys {
+// evalKeys evaluates key expressions against ctx's row.
+func evalKeys(ctx *evalCtx, keys []sqlparser.Expr) ([]datum.D, error) {
+	vals := make([]datum.D, len(keys))
+	for i, k := range keys {
 		v, err := eval(ctx, k)
 		if err != nil {
-			return 0, false, err
+			return nil, err
 		}
-		if v.IsNull() {
-			return 0, false, nil
-		}
-		h = h*1099511628211 ^ v.Hash()
+		vals[i] = v
 	}
-	return h, true, nil
+	return vals, nil
 }
 
 func concatRows(a, b storage.Row) storage.Row {
@@ -566,7 +542,8 @@ func sortRows(e *Engine, rows []storage.Row, schema []colRef, keys []sortKey) ([
 // The running sum is typed: sumKind is KNull before the first numeric
 // value, then KInt or KFloat with the total in sumInt or sumFloat.
 // distinct, non-nil for a DISTINCT aggregate, holds the values folded so
-// far, keyed by their String form.
+// far, as keys of one datum in first-arrival order. Both executors share
+// it with the batch executor's other hashing operators.
 type aggState struct {
 	count    int64
 	needs    uint8
@@ -574,7 +551,7 @@ type aggState struct {
 	sumInt   int64
 	sumFloat float64
 	min, max datum.D
-	distinct map[string]datum.D
+	distinct *keyTable
 }
 
 const (
@@ -604,7 +581,8 @@ func aggNeeds(call *sqlparser.FuncCall) uint8 {
 func newAggState(call *sqlparser.FuncCall) aggState {
 	st := aggState{needs: aggNeeds(call), min: datum.Null, max: datum.Null}
 	if call.Distinct {
-		st.distinct = make(map[string]datum.D)
+		st.distinct = new(keyTable)
+		st.distinct.reset(1, 0)
 	}
 	return st
 }
@@ -621,30 +599,36 @@ func (e *Engine) execAggregate(n *Node) ([]storage.Row, error) {
 		keyVals []datum.D
 		states  []*aggState
 	}
-	groups := make(map[string]*group)
-	var order []string
+	newGroup := func(keyVals []datum.D) *group {
+		g := &group{keyVals: keyVals, states: make([]*aggState, len(n.Aggs))}
+		for i := range g.states {
+			st := newAggState(n.Aggs[i].Call)
+			g.states[i] = &st
+		}
+		return g
+	}
+	// Groups are found by hash, then by datum.Compare on every key.
+	groups := make(map[uint64][]*group)
+	var order []*group
 
 	for _, r := range input {
 		ctx.row = r
-		keyVals := make([]datum.D, len(n.GroupKeys))
-		keyText := ""
-		for i, k := range n.GroupKeys {
-			v, err := eval(ctx, k)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-			keyText += v.String() + "\x00"
+		keyVals, err := evalKeys(ctx, n.GroupKeys)
+		if err != nil {
+			return nil, err
 		}
-		g, ok := groups[keyText]
-		if !ok {
-			g = &group{keyVals: keyVals, states: make([]*aggState, len(n.Aggs))}
-			for i := range g.states {
-				st := newAggState(n.Aggs[i].Call)
-				g.states[i] = &st
+		h := hashKey(keyVals)
+		var g *group
+		for _, c := range groups[h] {
+			if compareKeys(c.keyVals, keyVals) == 0 {
+				g = c
+				break
 			}
-			groups[keyText] = g
-			order = append(order, keyText)
+		}
+		if g == nil {
+			g = newGroup(keyVals)
+			groups[h] = append(groups[h], g)
+			order = append(order, g)
 		}
 		for i, a := range n.Aggs {
 			if err := accumulate(ctx, g.states[i], a.Call); err != nil {
@@ -654,20 +638,13 @@ func (e *Engine) execAggregate(n *Node) ([]storage.Row, error) {
 	}
 
 	// Plain aggregate over an empty input still yields one row.
-	if len(n.GroupKeys) == 0 && len(groups) == 0 {
-		g := &group{states: make([]*aggState, len(n.Aggs))}
-		for i := range g.states {
-			st := newAggState(n.Aggs[i].Call)
-			g.states[i] = &st
-		}
-		groups[""] = g
-		order = append(order, "")
+	if len(n.GroupKeys) == 0 && len(order) == 0 {
+		order = append(order, newGroup(nil))
 	}
 
 	havingCtx := &evalCtx{schema: n.Schema, sub: e.subquery}
 	var out []storage.Row
-	for _, kt := range order {
-		g := groups[kt]
+	for _, g := range order {
 		row := make(storage.Row, 0, len(g.keyVals)+len(g.states))
 		row = append(row, g.keyVals...)
 		for i, a := range n.Aggs {
@@ -711,11 +688,10 @@ func accumulateDatum(st *aggState, v datum.D) {
 		return
 	}
 	if st.distinct != nil {
-		key := v.String()
-		if _, seen := st.distinct[key]; seen {
+		key := [1]datum.D{v}
+		if _, added := st.distinct.insert(key[:], hashKey(key[:])); !added {
 			return
 		}
-		st.distinct[key] = v
 	}
 	st.count++
 	if st.needs&aggNeedSum != 0 {
@@ -805,22 +781,24 @@ func (e *Engine) execUnique(n *Node) ([]storage.Row, error) {
 		return nil, err
 	}
 	ctx := &evalCtx{schema: n.Children[0].Schema, sub: e.subquery}
-	seen := make(map[string]bool, len(rows))
+	// Keys are found by hash, then by datum.Compare on every component.
+	seen := make(map[uint64][][]datum.D, len(rows))
 	var out []storage.Row
 	for _, r := range rows {
 		ctx.row = r
-		key := ""
-		for _, k := range n.SortKeys {
+		key := make([]datum.D, len(n.SortKeys))
+		for i, k := range n.SortKeys {
 			v, err := eval(ctx, k.Expr)
 			if err != nil {
 				return nil, err
 			}
-			key += v.String() + "\x00"
+			key[i] = v
 		}
-		if seen[key] {
+		h := hashKey(key)
+		if slices.ContainsFunc(seen[h], func(s []datum.D) bool { return compareKeys(s, key) == 0 }) {
 			continue
 		}
-		seen[key] = true
+		seen[h] = append(seen[h], key)
 		out = append(out, r)
 	}
 	return out, nil

@@ -33,8 +33,8 @@ package engine
 // driver spine has one build side, filled once per run before the workers
 // start: the exchange drains a serial pipeline over the build subtree
 // through the build loop a serial join uses (hashTable.fill), and every
-// worker's clone of the join probes that table read-only. Bucket
-// insertion order, and with it the order of duplicate matches, is
+// worker's clone of the join probes that table read-only. The order of
+// each key's build rows, and with it the order of duplicate matches, is
 // therefore the serial join's.
 //
 // Because every merge reproduces the serial operator's exact output order,
@@ -969,7 +969,7 @@ func (x *exchangeVec) mergeAggRuns(runs []*workerRun) ([]storage.Row, error) {
 	for _, run := range runs {
 		x.agg.merge(run.groups)
 	}
-	groups := x.agg.groups
+	groups := x.agg.take()
 	sort.Slice(groups, func(a, b int) bool { return groups[a].firstSeq < groups[b].firstSeq })
-	return x.agg.finish()
+	return x.agg.finish(groups)
 }

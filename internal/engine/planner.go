@@ -1368,7 +1368,9 @@ func (p *planner) planDistinct(input *Node) *Node {
 	for _, it := range p.sel.Items {
 		if it.Star || it.TableStar != "" {
 			for _, c := range starColumns(input) {
-				keys = append(keys, sortKey{Expr: &sqlparser.ColumnRef{Table: c.Qual, Name: c.Name}})
+				if it.Star || c.Qual == it.TableStar {
+					keys = append(keys, sortKey{Expr: &sqlparser.ColumnRef{Table: c.Qual, Name: c.Name}})
+				}
 			}
 			continue
 		}

@@ -609,15 +609,14 @@ func (it *limitVec) Close() error { return it.child.Close() }
 // --- Unique -----------------------------------------------------------------
 
 // uniqueVec filters each input batch down to the rows whose key it has not
-// seen before and passes on their headers. Keys encode through
-// appendGroupKey into a reused buffer, so a duplicate row costs one map
-// probe and no allocation; only a new key's insert copies it.
+// seen before and passes on their headers. Keys evaluate into a reused
+// buffer, so a duplicate row costs one keyTable lookup and no allocation;
+// only a new key's insert copies it.
 type uniqueVec struct {
 	child vecIter
 	keys  sortKeyEval
 	vals  []datum.D
-	seen  map[string]struct{}
-	buf   []byte
+	seen  keyTable
 	out   []storage.Row
 	env   rowEnv
 }
@@ -635,7 +634,7 @@ func (v *vbuild) newUniqueVec(n *Node) (*uniqueVec, error) {
 }
 
 func (it *uniqueVec) Open() error {
-	it.seen = make(map[string]struct{})
+	it.seen.reset(len(it.vals), 0)
 	return it.child.Open()
 }
 
@@ -653,12 +652,9 @@ func (it *uniqueVec) NextBatch() ([]storage.Row, error) {
 			if err := it.keys.eval(r, it.vals, &it.env); err != nil {
 				return nil, err
 			}
-			it.buf = appendGroupKey(it.buf[:0], it.vals)
-			if _, dup := it.seen[string(it.buf)]; dup {
-				continue
+			if _, added := it.seen.insert(it.vals, hashKey(it.vals)); added {
+				out = append(out, r)
 			}
-			it.seen[string(it.buf)] = struct{}{}
-			out = append(out, r)
 		}
 		it.out = out
 		if len(out) > 0 {

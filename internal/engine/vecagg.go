@@ -5,13 +5,14 @@ package engine
 // and every worker of a parallel aggregation (parallel.go), and one finish
 // step turns its groups into output rows for both. The accumulator keeps
 // its group keys (ordinals when every key is a bare column, bound closures
-// otherwise), its aggregate arguments, a group map keyed by the
-// allocation-free AppendKey encoding, and its groups in first-arrival
-// order, each tagged with the sequence of its first input row. A row of an
-// existing group therefore allocates nothing, and a plain aggregate skips
-// the key and the map lookup after its first row. The parallel exchange
-// merges the workers' groups into one more accumulator and orders them by
-// that sequence, which is the serial first-arrival order.
+// otherwise), its aggregate arguments, a keyTable (keytable.go) of the
+// group keys, and its groups in first-arrival order, so a group's index is
+// its key's id; each group is tagged with the sequence of its first input
+// row. A row of an existing group therefore allocates nothing, and a plain
+// aggregate skips the key and the lookup after its first row. The
+// parallel exchange merges the workers' groups into one more accumulator
+// and orders them by that sequence, which is the serial first-arrival
+// order.
 //
 // Arguments fold through typed kernels. An argument that is a column, a
 // numeric literal, or +, - and * over those compiles to a numExpr, which
@@ -30,19 +31,18 @@ package engine
 // Rows fold one at a time in arrival order, so each group adds its floats
 // in the reference executor's order.
 //
-// A DISTINCT aggregate folds each value at its first arrival, as the
-// reference executor does, so serial results are bit-identical to it.
+// A DISTINCT aggregate folds each value at its first arrival, keeping the
+// values it has folded in a keyTable, as the reference executor does, so
+// serial results are bit-identical to it.
 
 import (
-	"slices"
-
 	"lantern/internal/datum"
 	"lantern/internal/sqlparser"
 	"lantern/internal/storage"
 )
 
-// aggGroup is one group's key values, aggregate states and the sequence of
-// its first input row.
+// aggGroup is one group's key values (set when its accumulator hands it
+// over), aggregate states and the sequence of its first input row.
 type aggGroup struct {
 	keyVals  []datum.D
 	states   []aggState // value slice: one allocation per group, not per aggregate
@@ -60,9 +60,8 @@ type aggAcc struct {
 	having    boundExpr         // bound against the aggregate's output schema
 	plain     bool              // no GROUP BY: empty input still yields one row
 
-	idx        map[string]int32 // group key encoding → index into groups
+	keys       keyTable // group keys; a key's id indexes groups
 	groups     []aggGroup
-	keyBuf     []byte
 	keyScratch []datum.D
 	env        rowEnv
 }
@@ -264,16 +263,6 @@ func (st *aggState) foldNum(v numVal) bool {
 	return true
 }
 
-// appendGroupKey appends the AppendKey encoding of vals, each terminated by
-// a 0 byte: the map key under which aggregation groups rows and Unique
-// deduplicates them.
-func appendGroupKey(buf []byte, vals []datum.D) []byte {
-	for _, v := range vals {
-		buf = append(v.AppendKey(buf), 0)
-	}
-	return buf
-}
-
 func newAggStates(aggs []aggSpec) []aggState {
 	states := make([]aggState, len(aggs))
 	for i, ag := range aggs {
@@ -284,24 +273,8 @@ func newAggStates(aggs []aggSpec) []aggState {
 
 // reset starts an empty run.
 func (a *aggAcc) reset() {
-	a.idx = make(map[string]int32)
+	a.keys.reset(len(a.keyScratch), 0)
 	a.groups = nil
-}
-
-// find encodes keyVals into keyBuf and looks their group up, for merges.
-// The lookup does not copy keyBuf; only insert's does.
-func (a *aggAcc) find(keyVals []datum.D) (int32, bool) {
-	a.keyBuf = appendGroupKey(a.keyBuf[:0], keyVals)
-	gi, ok := a.idx[string(a.keyBuf)]
-	return gi, ok
-}
-
-// insert adds g under the key find last encoded.
-func (a *aggAcc) insert(g aggGroup) int32 {
-	gi := int32(len(a.groups))
-	a.groups = append(a.groups, g)
-	a.idx[string(a.keyBuf)] = gi
-	return gi
 }
 
 // addBatch folds a batch of input rows into their groups; seq is the
@@ -367,32 +340,19 @@ func (a *aggAcc) groupStates(r storage.Row, i int32, seq int64) ([]aggState, err
 	if a.plain && len(a.groups) > 0 {
 		return a.groups[0].states, nil
 	}
-	if a.keyOrds != nil {
-		// Encode as appendGroupKey does, without copying the values out.
-		a.keyBuf = a.keyBuf[:0]
-		for k := range a.keyOrds {
-			a.keyBuf = append(a.keyAt(k, r, i).AppendKey(a.keyBuf), 0)
-		}
-	} else {
-		for k, key := range a.groupKeys {
-			v, err := key(&a.env)
-			if err != nil {
-				return nil, err
-			}
-			a.keyScratch[k] = v
-		}
-		a.keyBuf = appendGroupKey(a.keyBuf[:0], a.keyScratch)
+	for k := range a.keyOrds {
+		a.keyScratch[k] = a.keyAt(k, r, i)
 	}
-	gi, ok := a.idx[string(a.keyBuf)]
-	if !ok {
-		for k := range a.keyOrds {
-			a.keyScratch[k] = a.keyAt(k, r, i)
+	for k, key := range a.groupKeys {
+		v, err := key(&a.env)
+		if err != nil {
+			return nil, err
 		}
-		gi = a.insert(aggGroup{
-			keyVals:  slices.Clone(a.keyScratch),
-			states:   newAggStates(a.aggs),
-			firstSeq: seq,
-		})
+		a.keyScratch[k] = v
+	}
+	gi, added := a.keys.insert(a.keyScratch, hashKey(a.keyScratch))
+	if added {
+		a.groups = append(a.groups, aggGroup{states: newAggStates(a.aggs), firstSeq: seq})
 	}
 	return a.groups[gi].states, nil
 }
@@ -415,38 +375,48 @@ func (a *aggAcc) keyAt(k int, r storage.Row, i int32) datum.D {
 	return datum.NewString(vec.Strs[i])
 }
 
-// merge folds groups another accumulator of the same aggregate built into
-// this one. A group new here is adopted whole; an existing one merges its
-// states and keeps the earlier first sequence.
+// merge folds groups another accumulator of the same aggregate handed over
+// into this one. A group new here is adopted whole; an existing one merges
+// its states and keeps the key values and sequence of the earlier first
+// row, since equal keys may differ in kind or sign (1 and 1.0, 0.0 and
+// -0.0) and a group shows its first row's.
 func (a *aggAcc) merge(groups []aggGroup) {
 	for i := range groups {
 		g := &groups[i]
-		gi, ok := a.find(g.keyVals)
-		if !ok {
-			a.insert(*g)
+		gi, added := a.keys.insert(g.keyVals, hashKey(g.keyVals))
+		if added {
+			a.groups = append(a.groups, *g)
 			continue
 		}
 		dst := &a.groups[gi]
-		dst.firstSeq = min(dst.firstSeq, g.firstSeq)
+		if g.firstSeq < dst.firstSeq {
+			dst.keyVals, dst.firstSeq = g.keyVals, g.firstSeq
+		}
 		for j := range dst.states {
 			dst.states[j].merge(&g.states[j])
 		}
 	}
 }
 
-// take hands the groups over and drops the accumulator's references to
-// them, so they are garbage once their consumer is done.
+// take hands the groups over, each with its key values (a group merge
+// adopted keeps the values it came with), and drops the accumulator's
+// references to them and to the key table holding those values, so they
+// are garbage once their consumer is done.
 func (a *aggAcc) take() []aggGroup {
-	g := a.groups
-	a.idx, a.groups = nil, nil
+	g, w := a.groups, a.keys.width
+	for i := range g {
+		if g[i].keyVals == nil {
+			g[i].keyVals = a.keys.keys[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
+	a.keys, a.groups = keyTable{}, nil
 	return g
 }
 
-// finish turns the groups, in their current order, into output rows: the
-// key values, then each aggregate finalized, kept when HAVING holds. A
-// plain aggregate over empty input yields its one row.
-func (a *aggAcc) finish() ([]storage.Row, error) {
-	groups := a.take()
+// finish turns groups, in their order, into output rows: the key values,
+// then each aggregate finalized, kept when HAVING holds. A plain
+// aggregate over empty input yields its one row.
+func (a *aggAcc) finish(groups []aggGroup) ([]storage.Row, error) {
 	if a.plain && len(groups) == 0 {
 		groups = []aggGroup{{states: newAggStates(a.aggs)}}
 	}
@@ -474,12 +444,13 @@ func (a *aggAcc) finish() ([]storage.Row, error) {
 }
 
 // merge folds another partial state of the same aggregate into st. A
-// DISTINCT state folds in the other side's values it has not seen, in map
-// order, which is safe only because aggsMergeable admits order-insensitive
-// aggregates alone.
+// DISTINCT state folds in the other side's values it has not seen, in the
+// other side's arrival order, which differs from the serial one; that is
+// safe only because aggsMergeable admits order-insensitive aggregates
+// alone.
 func (st *aggState) merge(o *aggState) {
 	if st.distinct != nil {
-		for _, v := range o.distinct {
+		for _, v := range o.distinct.keys {
 			accumulateDatum(st, v)
 		}
 		return
@@ -544,7 +515,7 @@ func (it *aggVec) Open() error {
 		}
 		seq += int64(len(b))
 	}
-	rows, err := it.acc.finish()
+	rows, err := it.acc.finish(it.acc.take())
 	if err != nil {
 		return err
 	}

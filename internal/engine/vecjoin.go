@@ -1,23 +1,22 @@
 package engine
 
 // vecjoin.go holds the batch joins. The hash join's build phase drains the
-// build side batch-at-a-time into a hashTable: a flat keyArena (the key
-// datums of every build row, so the hash-collision recheck is a pure
-// datum comparison) and bucket lists; NULL keys are skipped on insert,
-// since they can never match. Join keys are always columns of their input
+// build side batch-at-a-time into a hashTable: a keyTable of its keys and
+// its rows grouped by key id. Rows with a NULL key are skipped, since they
+// can never match. Join keys are always columns of their input
 // (joinKeyPairs admits only cross-input column equalities), so both sides
 // load key datums by ordinal. The probe phase walks each probe batch in a
 // tight loop and packs surviving joined rows into batchWriter arena
 // chunks — typically one or two allocations per output batch instead of
 // one concatRows allocation per output row. NULL semantics are
-// identical on both sides: a probe row with any NULL key component gets an
-// empty bucket (and, for LEFT JOIN, flows to the null-extension path), and
+// identical on both sides: a probe row with any NULL key component matches
+// nothing (and, for LEFT JOIN, flows to the null-extension path), and
 // `matched` is decided by the ON condition (keys + residual) alone — the
 // pushed-down WHERE filter only gates emission, after null-extension,
 // exactly as the reference executor applies it.
 //
 // A Nested Loop is the keyless hash join: no keys are extracted from its
-// condition, every inner (build) row lands in the one bucket in inner
+// condition, every inner (build) row has the one empty key, in inner
 // order, and the whole JoinCond is the residual. Each outer row is
 // therefore checked against every inner row in order, the inner side is
 // materialized once, and the output order and match semantics are the
@@ -44,7 +43,6 @@ type hashJoinVec struct {
 	// which has no keys.
 	probeKeyOrds []int
 	buildKeyOrds []int
-	nKeys        int
 
 	residual   boundExpr // pair-bound residual join condition
 	outFilter  boundExpr // pair-bound post-join filter (n.Filter)
@@ -59,54 +57,81 @@ type hashJoinVec struct {
 	keyBuf []datum.D
 
 	// Probe cursor, preserved across NextBatch calls when the output batch
-	// fills mid-bucket.
+	// fills mid-match.
 	curBatch []storage.Row
 	pi       int
 	probeRow storage.Row
-	bucket   []int32
+	matches  []storage.Row // the build rows of the probe row's key
 	bi       int
 	matched  bool
 	probing  bool
 }
 
-// hashTable is a hash join's build side: the build rows without a NULL
-// key, their key datums in one flat arena parallel to them, and the
-// bucket lists of their indices by key hash.
+// hashTable is a hash join's build side: the keys of the build rows
+// without a NULL key, and those rows, key id k's in build order at
+// rows[start[k]:start[k+1]].
 type hashTable struct {
-	entries  []storage.Row
-	keyArena []datum.D // len(entries)*len(ords), parallel to entries
-	buckets  map[uint64][]int32
+	keys  keyTable
+	rows  []storage.Row
+	start []int32
 }
 
 // fill opens src and drains it into t, keyed by the columns at ords. It is
 // the one build loop: a serial hash join fills its own table at Open, and
-// the parallel exchange fills each driver-spine join's shared table.
+// the parallel exchange fills each driver-spine join's shared table. The
+// table is sized once for the drained rows, so a build allocates as often
+// for one distinct key as for a key per row.
 func (t *hashTable) fill(src vecIter, ords []int) error {
 	if err := src.Open(); err != nil {
 		return err
 	}
-	t.entries = t.entries[:0]
-	t.keyArena = t.keyArena[:0]
-	t.buckets = make(map[uint64][]int32)
 	keyBuf := make([]datum.D, len(ords))
+	var drained []storage.Row
+	var hashes []uint64
 	for {
 		b, err := src.NextBatch()
 		if err != nil {
 			return err
 		}
 		if b == nil {
-			return nil
+			break
 		}
 		for _, r := range b {
 			h, null := hashRowKeys(r, ords, keyBuf)
 			if null {
 				continue // NULL keys never match
 			}
-			t.keyArena = append(t.keyArena, keyBuf...)
-			t.buckets[h] = append(t.buckets[h], int32(len(t.entries)))
-			t.entries = append(t.entries, r)
+			drained = append(drained, r)
+			hashes = append(hashes, h)
 		}
 	}
+	capacity := len(drained) // each row's key may be distinct,
+	if len(ords) == 0 {
+		capacity = 1 // but a nested loop's rows share the empty key
+	}
+	t.keys.reset(len(ords), capacity)
+	ids := make([]int32, len(drained))
+	for i, r := range drained {
+		hashRowKeys(r, ords, keyBuf)
+		ids[i], _ = t.keys.insert(keyBuf, hashes[i])
+	}
+	// Group the rows by key id, keeping build order within each id: count,
+	// then place each row at its id's next free slot.
+	t.start = make([]int32, len(t.keys.chain)+1)
+	for _, id := range ids {
+		t.start[id+1]++
+	}
+	for k := 1; k < len(t.start); k++ {
+		t.start[k] += t.start[k-1]
+	}
+	t.rows = make([]storage.Row, len(drained))
+	for i, id := range ids {
+		t.rows[t.start[id]] = drained[i]
+		t.start[id]++
+	}
+	copy(t.start[1:], t.start)
+	t.start[0] = 0
+	return nil
 }
 
 func (v *vbuild) newHashJoinVec(n *Node) (*hashJoinVec, error) {
@@ -142,7 +167,6 @@ func (v *vbuild) hashJoinShell(n *Node) (*hashJoinVec, error) {
 		if len(probeKeyExprs) == 0 {
 			return nil, fmt.Errorf("engine: hash join without equi-condition")
 		}
-		it.nKeys = len(probeKeyExprs)
 		if it.probeKeyOrds, err = joinKeyOrdinals(probeKeyExprs, probeNode.Schema); err != nil {
 			return nil, err
 		}
@@ -165,7 +189,7 @@ func (v *vbuild) hashJoinShell(n *Node) (*hashJoinVec, error) {
 	for i := range it.nullsRight {
 		it.nullsRight[i] = datum.Null
 	}
-	it.keyBuf = make([]datum.D, it.nKeys)
+	it.keyBuf = make([]datum.D, len(it.probeKeyOrds))
 	it.w.width = len(probeNode.Schema) + len(hashNode.Schema)
 	it.est = estCap(n.EstRows)
 	return it, nil
@@ -187,20 +211,16 @@ func joinKeyOrdinals(keys []sqlparser.Expr, schema []colRef) ([]int, error) {
 }
 
 // hashRowKeys loads r's key datums at ords into dst (which must hold
-// len(ords)), returning the FNV hash and whether any component was NULL
+// len(ords)), returning their hashKey and whether any component was NULL
 // (in which case dst is partial and the row can never match). With no
-// keys every row hashes alike, into the one bucket of a nested loop.
+// keys every row has the one empty key of a nested loop.
 func hashRowKeys(r storage.Row, ords []int, dst []datum.D) (uint64, bool) {
-	h := uint64(1469598103934665603)
 	for i, ord := range ords {
-		v := r[ord]
-		if v.IsNull() {
+		if dst[i] = r[ord]; dst[i].IsNull() {
 			return 0, true
 		}
-		dst[i] = v
-		h = h*1099511628211 ^ v.Hash()
 	}
-	return h, false
+	return hashKey(dst), false
 }
 
 // Open fills the join's own table from the build side, unless it probes
@@ -213,7 +233,7 @@ func (it *hashJoinVec) Open() error {
 	}
 	it.w.left = it.est
 	it.curBatch, it.pi = nil, 0
-	it.probeRow, it.bucket, it.bi = nil, nil, 0
+	it.probeRow, it.matches, it.bi = nil, nil, 0
 	it.probing = false
 	return it.probe.Open()
 }
@@ -246,21 +266,18 @@ func (it *hashJoinVec) NextBatch() ([]storage.Row, error) {
 			it.pi++
 			it.probeRow = r
 			it.matched = false
-			it.bucket, it.bi = nil, 0
+			it.matches, it.bi = nil, 0
 			if h, null := hashRowKeys(r, it.probeKeyOrds, it.keyBuf); !null {
-				it.bucket = it.ht.buckets[h]
+				if id := it.ht.keys.find(it.keyBuf, h); id >= 0 {
+					it.matches = it.ht.rows[it.ht.start[id]:it.ht.start[id+1]]
+				}
 			}
 			it.probing = true
 		}
 		it.env.left = it.probeRow
-		for it.bi < len(it.bucket) {
-			idx := it.bucket[it.bi]
+		for it.bi < len(it.matches) {
+			br := it.matches[it.bi]
 			it.bi++
-			off := int(idx) * it.nKeys
-			if !datumsEqual(it.keyBuf, it.ht.keyArena[off:off+it.nKeys]) {
-				continue // hash collision
-			}
-			br := it.ht.entries[idx]
 			it.env.right = br
 			if it.residual != nil {
 				v, err := it.residual(&it.env)
@@ -283,7 +300,7 @@ func (it *hashJoinVec) NextBatch() ([]storage.Row, error) {
 			}
 			it.w.appendConcat(it.probeRow, br)
 			if it.w.full() {
-				return it.w.rows, nil // resume mid-bucket next call
+				return it.w.rows, nil // resume mid-match next call
 			}
 		}
 		pr := it.probeRow
@@ -315,15 +332,6 @@ func (it *hashJoinVec) Close() error {
 		}
 	}
 	return err
-}
-
-func datumsEqual(a, b []datum.D) bool {
-	for i := range a {
-		if !datum.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // --- Merge join -------------------------------------------------------------
@@ -437,8 +445,14 @@ func keyHasNull(k []datum.D) bool {
 	return false
 }
 
+// compareKeys orders a against the key b starts with, by datum.Compare of
+// each component. Datums of one kind and payload are identical structs,
+// so equal components mostly settle without a call.
 func compareKeys(a, b []datum.D) int {
 	for i := range a {
+		if a[i] == b[i] {
+			continue
+		}
 		if c := datum.Compare(a[i], b[i]); c != 0 {
 			return c
 		}

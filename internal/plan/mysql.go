@@ -9,11 +9,12 @@ import (
 // myBlock is one "block" of MySQL's EXPLAIN FORMAT=JSON document: the
 // top-level query_block and every wrapper operation share this shape, each
 // holding exactly one content key (a table, a nested_loop array, a nested
-// operation, or a message).
+// operation, or a message, which an attached_condition may accompany).
 type myBlock struct {
 	SelectID            int      `json:"select_id,omitempty"`
 	CostInfo            *myCost  `json:"cost_info,omitempty"`
 	Message             string   `json:"message,omitempty"`
+	AttachedCondition   string   `json:"attached_condition,omitempty"`
 	UsingFilesort       *bool    `json:"using_filesort,omitempty"`
 	UsingTemporaryTable bool     `json:"using_temporary_table,omitempty"`
 	HavingCondition     string   `json:"having_condition,omitempty"`
@@ -95,8 +96,8 @@ func parseCost(s string) float64 {
 // (skipped when using_filesort is false — the order came for free from an
 // index), grouping_operation → "Group" (its having_condition the Group's
 // filter), duplicates_removal → "Duplicates Removal", buffer_result → "Buffer Result", materialized_from_subquery →
-// "Materialize". A bare message ("No tables used") becomes "Constant
-// Result".
+// "Materialize". A message ("No tables used") becomes "Constant Result",
+// filtered by the block's attached_condition when it has one.
 func ParseMySQLJSON(doc string) (*Node, error) {
 	var outer mySubquery
 	if err := json.Unmarshal([]byte(doc), &outer); err != nil {
@@ -148,7 +149,9 @@ func fromMyBlock(b *myBlock) (*Node, error) {
 	case b.Table != nil:
 		return fromMyTable(b.Table, false)
 	case b.Message != "":
-		return &Node{Name: "Constant Result", Source: "mysql"}, nil
+		n := &Node{Name: "Constant Result", Source: "mysql"}
+		n.SetAttr(AttrFilter, b.AttachedCondition)
+		return n, nil
 	}
 	return nil, fmt.Errorf("plan: MySQL query block has no recognized content (table, nested_loop, operation, or message)")
 }
@@ -256,8 +259,9 @@ func fromMyTable(t *myTable, inner bool) (*Node, error) {
 // than tree nodes, so the document keeps less than the tree: Limit and
 // Hash nodes are transparent, sort and group keys are left out (an
 // aggregate's HAVING filter stays, as its grouping operation's
-// having_condition), and a join input that is not a scan becomes a
-// materialized derived table.
+// having_condition, and so does a FROM-less Result's, as the
+// attached_condition beside its message), and a join input that is not a
+// scan becomes a materialized derived table.
 // ParseMySQLJSON reads back a tree in MySQL's own vocabulary, the
 // cross-vendor gap the paper's parsers bridge.
 func FormatMySQLJSON(n *Node) (string, error) {
@@ -288,7 +292,7 @@ func isMyJoin(n *Node) bool { return pgJoin(n.Name) && len(n.Children) == 2 }
 func (w *myWriter) block(n *Node) *myBlock {
 	switch {
 	case n.Name == "Result":
-		return &myBlock{Message: "No tables used"}
+		return &myBlock{Message: "No tables used", AttachedCondition: n.Attr(AttrFilter)}
 	case isMyJoin(n):
 		return &myBlock{NestedLoop: w.nestedLoop(n)}
 	case len(n.Children) == 0:

@@ -101,6 +101,18 @@ func TestParseMySQLJSONShapes(t *testing.T) {
 	if tree.Name != "Constant Result" {
 		t.Errorf("message plan root = %q", tree.Name)
 	}
+	// A FROM-less Result's filter round-trips as the attached_condition
+	// beside the message.
+	doc, err := plan.FormatMySQLJSON(&plan.Node{Name: "Result", Attrs: map[string]string{plan.AttrFilter: "((1) = (0))"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree, err = plan.ParseMySQLJSON(doc); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Name != "Constant Result" || tree.Attr(plan.AttrFilter) != "((1) = (0))" {
+		t.Errorf("filtered Result reads back as %q with filter %q from %s", tree.Name, tree.Attr(plan.AttrFilter), doc)
+	}
 	// Hash-join buffer marks the fold as a hash join and the inner
 	// table's attached_condition becomes the join condition.
 	tree, err = plan.ParseMySQLJSON(`{"query_block": {"nested_loop": [

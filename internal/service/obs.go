@@ -185,9 +185,8 @@ func (s *Server) cacheDisposition(resp *Response) string {
 
 // MisEstimates walks an executed plan tree and reports every operator
 // whose optimizer estimate missed the per-loop actuals by at least
-// core.MisEstimateFactor in either direction. It applies the same
-// add-one-smoothed threshold and per-loop normalization as the narration's
-// ActualsClause, so the slow log calls out exactly the nodes the
+// core.MisEstimateFactor in either direction. It applies the narration's
+// test, core.MisEstimate, so the slow log calls out exactly the nodes the
 // narration does.
 func MisEstimates(n *plan.Node) []string {
 	if n == nil {
@@ -220,20 +219,13 @@ func segmentTotals(n *plan.Node) (segs, pruned int64) {
 }
 
 func collectMisEstimates(n *plan.Node, out *[]string) {
-	if actual, err := strconv.ParseFloat(n.Attr(plan.AttrActualRows), 64); err == nil && n.Rows > 0 {
-		perLoop := actual
-		if loops, err := strconv.ParseFloat(n.Attr(plan.AttrLoops), 64); err == nil && loops > 1 {
-			perLoop = actual / loops
-		}
-		smoothed := (perLoop + 1) / (n.Rows + 1)
-		switch {
-		case smoothed >= core.MisEstimateFactor:
-			*out = append(*out, fmt.Sprintf("%s: expected %.0f rows, got %.0f per loop (%.1fx underestimate)",
-				n.Name, n.Rows, perLoop, perLoop/n.Rows))
-		case smoothed <= 1/core.MisEstimateFactor:
-			*out = append(*out, fmt.Sprintf("%s: expected %.0f rows, got %.0f per loop (%.1fx overestimate)",
-				n.Name, n.Rows, perLoop, n.Rows/math.Max(perLoop, 1)))
-		}
+	switch perLoop, dir := core.MisEstimate(n); dir {
+	case 1:
+		*out = append(*out, fmt.Sprintf("%s: expected %.0f rows, got %.0f per loop (%.1fx underestimate)",
+			n.Name, n.Rows, perLoop, perLoop/n.Rows))
+	case -1:
+		*out = append(*out, fmt.Sprintf("%s: expected %.0f rows, got %.0f per loop (%.1fx overestimate)",
+			n.Name, n.Rows, perLoop, n.Rows/math.Max(perLoop, 1)))
 	}
 	for _, c := range n.Children {
 		collectMisEstimates(c, out)
