@@ -21,8 +21,10 @@ build:
 test: vet
 	$(GO) test ./...
 
+# internal/experiments alone runs for about 18 minutes under -race on a
+# 2-vCPU machine, past go test's default 10-minute timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 vet:
 	$(GO) vet ./...

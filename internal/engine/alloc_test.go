@@ -237,7 +237,10 @@ func TestVecHashJoinProbeBatchAllocs(t *testing.T) {
 // the full join must still fill each batch from at most two chunks
 // holding one batch's worth of rows, never a regrown copy. A join whose
 // whole output (300 rows, estimated exactly) fits one batch must not
-// reserve a full batch either: its chunks hold under twice its rows.
+// reserve a full batch either: its chunks hold under twice its rows. The
+// bound scales with the join's output width, which is pinned first: each
+// join packs only the two columns the select list reads, not all five of
+// g's and t's.
 func TestVecHashJoinProbeBatchBytes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnableMergeJoin, cfg.EnableNestLoop = false, false
@@ -247,9 +250,10 @@ func TestVecHashJoinProbeBatchBytes(t *testing.T) {
 		rows        int // per measured batch
 		batches     int // measured per pass
 		maxRowsHeld int // arena capacity allowed per batch, in rows
+		width       int // output columns
 	}{
-		{"SELECT g.gname, t.id FROM g, t WHERE g.gid = t.grp", batchSize, 4, batchSize * 11 / 10},
-		{"SELECT g.gname, t.id FROM g, t WHERE g.gid = t.grp AND t.id < 300", 300, 1, 2 * 300},
+		{"SELECT g.gname, t.id FROM g, t WHERE g.gid = t.grp", batchSize, 4, batchSize * 11 / 10, 2},
+		{"SELECT g.gname, t.id FROM g, t WHERE g.gid = t.grp AND t.id < 300", 300, 1, 2 * 300, 2},
 	} {
 		plan, err := e.PlanSQL(c.sql)
 		if err != nil {
@@ -262,6 +266,9 @@ func TestVecHashJoinProbeBatchBytes(t *testing.T) {
 		hj, ok := it.(*hashJoinVec)
 		if !ok {
 			t.Fatalf("vectorized plan root = %T, want *hashJoinVec", it)
+		}
+		if hj.w.width != c.width {
+			t.Fatalf("%s: the join packs %d columns per row, want %d", c.sql, hj.w.width, c.width)
 		}
 		next := func() {
 			if b, err := it.NextBatch(); err != nil || len(b) != c.rows {

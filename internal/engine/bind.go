@@ -50,10 +50,7 @@ func bindExpr(e sqlparser.Expr, schema []colRef, sub subqueryFn) (boundExpr, err
 // this to evaluate residual and output filters on candidate pairs before
 // paying for the joined row allocation.
 func bindPairExpr(e sqlparser.Expr, left, right []colRef, sub subqueryFn) (boundExpr, error) {
-	schema := make([]colRef, 0, len(left)+len(right))
-	schema = append(schema, left...)
-	schema = append(schema, right...)
-	return (&binder{schema: schema, split: len(left), sub: sub}).bind(e)
+	return (&binder{schema: concatSchema(left, right), split: len(left), sub: sub}).bind(e)
 }
 
 // bindExprs binds a list of expressions against one schema.

@@ -258,6 +258,30 @@ var diffCorpus = []string{
 	"SELECT 1 FROM customer WHERE 1 = 0 HAVING 1 = 1",
 	// Grouped join with ORDER BY over aggregate.
 	"SELECT o_status, COUNT(*) FROM customer c, orders o WHERE c.c_custkey = o.o_custkey GROUP BY o_status ORDER BY COUNT(*) DESC",
+	// Each kind of column reference a join's output keeps for its
+	// consumers, and nothing else: HAVING and ORDER BY on columns the
+	// select list does not read, stars, LEFT JOIN residuals and an IS NULL
+	// over the null-extended side, a zero-width join under COUNT(*), a
+	// self-join, join keys nothing above reads, and subqueries in the
+	// WHERE conditions a join applies.
+	"SELECT c.c_name FROM customer c, orders o WHERE c.c_custkey = o.o_custkey GROUP BY c.c_name, c.c_acctbal HAVING c.c_acctbal > 100",
+	"SELECT c.c_name, COUNT(*) FROM customer c, orders o WHERE c.c_custkey = o.o_custkey GROUP BY c.c_name HAVING SUM(o.o_totalprice) > 500",
+	"SELECT c.c_name FROM customer c, orders o WHERE c.c_custkey = o.o_custkey ORDER BY o.o_status, o.o_orderkey",
+	"SELECT DISTINCT c.c_mktsegment FROM customer c, orders o WHERE c.c_custkey = o.o_custkey AND o.o_totalprice > 200",
+	"SELECT * FROM customer c, orders o WHERE c.c_custkey = o.o_custkey AND o.o_totalprice > 300",
+	"SELECT c.* FROM customer c, orders o WHERE c.c_custkey = o.o_custkey AND o.o_status = 'A'",
+	"SELECT o.*, c.c_name FROM customer c, orders o WHERE c.c_custkey = o.o_custkey ORDER BY o.o_orderkey",
+	"SELECT c.c_name FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND o.o_totalprice > c.c_acctbal",
+	"SELECT c.c_name FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND o.o_totalprice > 400 WHERE o.o_orderkey IS NULL",
+	"SELECT COUNT(*) FROM customer c, orders o WHERE c.c_custkey = o.o_custkey",
+	"SELECT COUNT(*) FROM customer c, orders o, publication p WHERE c.c_custkey = o.o_custkey AND o.o_custkey = p.pub_key",
+	"SELECT a.c_name, b.c_name FROM customer a, customer b WHERE a.c_mktsegment = b.c_mktsegment AND a.c_custkey < b.c_custkey",
+	"SELECT c.c_name, p.title FROM customer c, orders o, publication p WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = p.pub_key",
+	"SELECT o.o_status, SUM(c.c_acctbal), MAX(p.title) FROM customer c, orders o, publication p WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = p.pub_key GROUP BY o.o_status",
+	"SELECT c.c_name, o.o_orderkey FROM customer c, orders o WHERE c.c_custkey = o.o_custkey AND EXISTS (SELECT pub_key FROM publication WHERE pub_key = 3)",
+	"SELECT c.c_name FROM customer c, orders o WHERE c.c_custkey = o.o_custkey AND c.c_acctbal + o.o_totalprice > (SELECT AVG(o_totalprice) FROM orders)",
+	"SELECT c.c_name FROM customer c, orders o, publication p WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = p.pub_key AND c.c_acctbal + o.o_totalprice > p.pub_key * 40",
+	"SELECT c.c_name, p.title FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey LEFT JOIN publication p ON p.pub_key = o.o_orderkey WHERE o.o_totalprice > 100 OR o.o_status IS NULL",
 }
 
 // TestKeyEquality pins the one key equality of every hashing operator
@@ -266,13 +290,7 @@ var diffCorpus = []string{
 // COUNT(DISTINCT) see two values, as PostgreSQL does, just as a join and
 // IN against {0.0, 1e6} match all four rows, in every executor.
 func TestKeyEquality(t *testing.T) {
-	e := New(DefaultConfig())
-	mustExec(t, e, "CREATE TABLE kf (id INTEGER, v FLOAT)")
-	mustExec(t, e, "INSERT INTO kf VALUES (1, 0.0), (2, 0.0), (3, 1000000.0), (4, 1000000.0)")
-	mustExec(t, e, "UPDATE kf SET v = 0.0 * -1 WHERE id = 2")
-	mustExec(t, e, "UPDATE kf SET v = 1000 * 1000 WHERE id = 4")
-	mustExec(t, e, "CREATE TABLE kp (w FLOAT)")
-	mustExec(t, e, "INSERT INTO kp VALUES (0.0), (1000000.0)")
+	e := keyEqualityDB(t, DefaultConfig())
 	for _, c := range []struct {
 		sql  string
 		want []string // sorted rows
@@ -288,6 +306,20 @@ func TestKeyEquality(t *testing.T) {
 			t.Errorf("%q: rows %v, want %v", c.sql, got, c.want)
 		}
 	}
+}
+
+// keyEqualityDB holds kf, whose FLOAT column v holds, in row order, 0.0,
+// -0.0, 1e6 and the integer 1000000, and kp, whose w holds 0.0 and 1e6.
+func keyEqualityDB(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	e := New(cfg)
+	mustExec(t, e, "CREATE TABLE kf (id INTEGER, v FLOAT)")
+	mustExec(t, e, "INSERT INTO kf VALUES (1, 0.0), (2, 0.0), (3, 1000000.0), (4, 1000000.0)")
+	mustExec(t, e, "UPDATE kf SET v = 0.0 * -1 WHERE id = 2")
+	mustExec(t, e, "UPDATE kf SET v = 1000 * 1000 WHERE id = 4")
+	mustExec(t, e, "CREATE TABLE kp (w FLOAT)")
+	mustExec(t, e, "INSERT INTO kp VALUES (0.0), (1000000.0)")
+	return e
 }
 
 // aggErrorCorpus holds aggregates every executor must reject: arithmetic
@@ -331,6 +363,32 @@ func TestDifferentialCorpus(t *testing.T) {
 				assertSameResults(t, e, q)
 			}
 		})
+	}
+}
+
+// TestJoinStarColumns: a star over a join reads every column it expands
+// to, so the join keeps them all. Every executor expands a star over the
+// same narrowed plan, so the differential corpus alone would not notice a
+// star that read too few.
+func TestJoinStarColumns(t *testing.T) {
+	for name, cfg := range diffConfigs() {
+		e := testDB(t, cfg)
+		for _, c := range []struct {
+			sql  string
+			cols int
+		}{
+			{"SELECT * FROM customer c, orders o WHERE c.c_custkey = o.o_custkey", 8},
+			{"SELECT c.* FROM customer c, orders o WHERE c.c_custkey = o.o_custkey", 4},
+			{"SELECT o.*, c.c_name FROM customer c, orders o WHERE c.c_custkey = o.o_custkey", 5},
+			{"SELECT DISTINCT c.* FROM customer c, orders o WHERE c.c_custkey = o.o_custkey", 4},
+			{"SELECT * FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey AND o.o_totalprice > 400", 8},
+			{"SELECT p.*, c.* FROM customer c, orders o, publication p WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = p.pub_key", 6},
+		} {
+			res := mustExec(t, e, c.sql)
+			if len(res.Columns) != c.cols || len(res.Rows) == 0 || len(res.Rows[0]) != c.cols {
+				t.Fatalf("%s: %q gives columns %q over %d rows, want %d columns", name, c.sql, res.Columns, len(res.Rows), c.cols)
+			}
+		}
 	}
 }
 

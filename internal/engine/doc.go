@@ -83,6 +83,31 @@
 // its selectivity applied to the row estimate. Without a key the join is
 // a filtered cross join (nested loop).
 //
+// # Join output columns
+//
+// Once the plan's bindings are checked, one top-down pass
+// (planner.go narrowJoins) narrows each join's Schema to the columns its
+// consumers read, in their order. The consumers are the select list, where
+// * reads every column and t.* every column of t; ORDER BY and DISTINCT
+// keys; GROUP BY keys and aggregate arguments; and the keys, residuals and
+// filters of the joins above. A join's own condition and filter bind
+// against its inputs' schemas side by side in every executor, so they read
+// its inputs, not its output: a join key nothing above reads is dropped
+// after its join. Hash, Sort, Limit and Unique take their input's narrowed
+// Schema. Scans keep their full width, so an unfiltered chunk still
+// aliases segment rows with no copy.
+//
+// A batch join resolves, when it is built, where each output column sits
+// in its left input's Schema and in its right input's, and packs an output
+// row by gathering those ordinals of the matched pair; a side whose every
+// column is read is one block copy. The reference executor joins whole row
+// pairs as before and gathers them into the Schema at the end. A query
+// that reads 2 of a join's 13 columns therefore packs 2 datums a row, and
+// COUNT(*) over a join packs none. This is late materialization (Abadi et
+// al., "Materialization Strategies in a Column-Oriented DBMS", ICDE 2007)
+// applied to row batches. No emitter prints a Schema, so plans, EXPLAIN,
+// narrations and fingerprints are unchanged.
+//
 // # Execution model
 //
 // Every SELECT executes batch-at-a-time (vec.go, vecjoin.go, vecsort.go,
@@ -105,16 +130,16 @@
 // NextBatch returns up to batchSize (1024) rows per call, never an empty
 // batch; nil signals end of stream. Scans slice storage-owned row memory
 // directly (an unfiltered chunk is a zero-copy subslice) and run compiled
-// predicates over whole chunks in tight typed loops. The joins pack joined
-// rows into flat datum arena chunks (typically one or two per output
-// batch instead of one allocation per row, never regrown or copied) and
-// resume mid-match or mid-group when a batch fills. A Nested Loop is the
-// keyless hash join: its whole condition is the residual and every inner
-// row has the one empty key, so each outer row is checked against the
-// inner rows in order and the inner side is materialized once. Sort keeps
-// the bounded top-K heap or stably sorts an index permutation over a flat
-// key arena. Unique filters each input batch and passes on the rows it
-// keeps.
+// predicates over whole chunks in tight typed loops. The joins pack the
+// columns of their Schema into flat datum arena chunks (typically one or
+// two per output batch instead of one allocation per row, never regrown
+// or copied) and resume mid-match or mid-group when a batch fills. A
+// Nested Loop is the keyless hash join: its whole condition is the
+// residual and every inner row has the one empty key, so each outer row
+// is checked against the inner rows in order and the inner side is
+// materialized once. Sort keeps the bounded top-K heap or stably sorts an
+// index permutation over a flat key arena. Unique filters each input batch
+// and passes on the rows it keeps.
 // Aggregation folds batches into one accumulator (aggAcc) shared with the
 // parallel workers. The allocation guards in alloc_test.go pin the
 // steady-state batch loops at (near) zero allocations per batch.
@@ -286,7 +311,9 @@
 //   - Aggregations pre-aggregate per worker in the serial aggregate's
 //     accumulator and merge the workers' groups, ordering them by first
 //     appearance (minimum first-row sequence) before the shared finish
-//     step.
+//     step. MIN and MAX carry the sequence of their value's row, so of
+//     equal values that print apart (0.0 and -0.0) the merge keeps the
+//     earlier row's, as the serial fold does.
 //   - Sort / top-K merge per-worker runs by (sort key, sequence), so
 //     ties break by arrival order exactly as the serial stable sort.
 //   - Each hash join on the driver spine builds once per run, before the

@@ -53,7 +53,7 @@ func (e *Engine) execNode(n *Node) ([]storage.Row, error) {
 		}
 		return rows, nil
 	case OpResult:
-		return e.filterRows(n, []storage.Row{{}})
+		return e.filterRows(n.Filter, nil, []storage.Row{{}})
 	}
 	return nil, fmt.Errorf("engine: cannot execute operator %s", n.Op.Name())
 }
@@ -67,15 +67,16 @@ func (e *Engine) subquery(q *sqlparser.SelectStmt) ([]storage.Row, error) {
 	return res.Rows, nil
 }
 
-func (e *Engine) filterRows(n *Node, rows []storage.Row) ([]storage.Row, error) {
-	if n.Filter == nil {
+// filterRows returns the rows, described by schema, that filter holds for.
+func (e *Engine) filterRows(filter sqlparser.Expr, schema []colRef, rows []storage.Row) ([]storage.Row, error) {
+	if filter == nil {
 		return rows, nil
 	}
-	ctx := &evalCtx{schema: n.Schema, sub: e.subquery}
+	ctx := &evalCtx{schema: schema, sub: e.subquery}
 	out := rows[:0:0]
 	for _, r := range rows {
 		ctx.row = r
-		v, err := eval(ctx, n.Filter)
+		v, err := eval(ctx, filter)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +99,7 @@ func (e *Engine) execSeqScan(n *Node) ([]storage.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.filterRows(n, rows)
+	return e.filterRows(n.Filter, n.Schema, rows)
 }
 
 // execIndexScan derives the scan interval from the planned index condition
@@ -129,11 +130,8 @@ func (e *Engine) execIndexScan(n *Node) ([]storage.Row, error) {
 	}
 	// Re-check the index condition too (cheap, and keeps multi-conjunct
 	// conditions exact when bounds only captured part of them).
-	save := n.Filter
-	n.Filter = sqlparser.JoinConjuncts(append(sqlparser.SplitConjuncts(n.IndexCond), sqlparser.SplitConjuncts(save)...))
-	out, err := e.filterRows(n, rows)
-	n.Filter = save
-	return out, err
+	cond := sqlparser.JoinConjuncts(append(sqlparser.SplitConjuncts(n.IndexCond), sqlparser.SplitConjuncts(n.Filter)...))
+	return e.filterRows(cond, n.Schema, rows)
 }
 
 // indexBounds extracts the column and bounds from an index condition
@@ -269,7 +267,8 @@ func (e *Engine) execHashJoin(n *Node) ([]storage.Row, error) {
 		}
 	}
 	probeCtx := &evalCtx{schema: probeNode.Schema, sub: e.subquery}
-	pairCtx := &evalCtx{schema: n.Schema, sub: e.subquery}
+	pairs := pairSchema(n)
+	pairCtx := &evalCtx{schema: pairs, sub: e.subquery}
 	residualCond := sqlparser.JoinConjuncts(residual)
 	var out []storage.Row
 	leftOuter := n.JoinType == sqlparser.LeftJoin
@@ -279,7 +278,7 @@ func (e *Engine) execHashJoin(n *Node) ([]storage.Row, error) {
 	}
 	// Reusable pair buffer: candidates are checked in place and only
 	// materialized with concatRows once key + residual checks pass.
-	pairBuf := make(storage.Row, 0, len(n.Schema))
+	pairBuf := make(storage.Row, 0, len(pairs))
 	for _, pr := range probe {
 		probeCtx.row = pr
 		matched := false
@@ -309,7 +308,7 @@ func (e *Engine) execHashJoin(n *Node) ([]storage.Row, error) {
 			out = append(out, concatRows(pr, nullsRight))
 		}
 	}
-	return e.filterRows(n, out)
+	return e.joinOutput(n, pairs, out)
 }
 
 // evalKeys evaluates key expressions against ctx's row.
@@ -329,6 +328,30 @@ func concatRows(a, b storage.Row) storage.Row {
 	out := make(storage.Row, 0, len(a)+len(b))
 	out = append(out, a...)
 	return append(out, b...)
+}
+
+// joinOutput finishes a join over its joined row pairs, whose columns are
+// pairs: it keeps the pairs n.Filter holds for, and copies each one's
+// columns of n.Schema into an output row.
+func (e *Engine) joinOutput(n *Node, pairs []colRef, rows []storage.Row) ([]storage.Row, error) {
+	rows, err := e.filterRows(n.Filter, pairs, rows)
+	if err != nil {
+		return nil, err
+	}
+	ords := make([]int, len(n.Schema))
+	for i, c := range n.Schema {
+		if ords[i] = slices.Index(pairs, c); ords[i] < 0 {
+			return nil, fmt.Errorf("engine: %s output column %s.%s is not in its inputs", n.Op.Name(), c.Qual, c.Name)
+		}
+	}
+	out := make([]storage.Row, len(rows))
+	for i, r := range rows {
+		out[i] = make(storage.Row, len(ords))
+		for j, o := range ords {
+			out[i][j] = r[o]
+		}
+	}
+	return out, nil
 }
 
 func (e *Engine) execMergeJoin(n *Node) ([]storage.Row, error) {
@@ -375,7 +398,8 @@ func (e *Engine) execMergeJoin(n *Node) ([]storage.Row, error) {
 		}
 		return false
 	}
-	pairCtx := &evalCtx{schema: n.Schema, sub: e.subquery}
+	pairs := pairSchema(n)
+	pairCtx := &evalCtx{schema: pairs, sub: e.subquery}
 	residualCond := sqlparser.JoinConjuncts(residual)
 	var out []storage.Row
 	li, ri := 0, 0
@@ -446,7 +470,7 @@ func (e *Engine) execMergeJoin(n *Node) ([]storage.Row, error) {
 		}
 		li, ri = lEnd, rEnd
 	}
-	return e.filterRows(n, out)
+	return e.joinOutput(n, pairs, out)
 }
 
 func (e *Engine) execNestedLoop(n *Node) ([]storage.Row, error) {
@@ -459,7 +483,8 @@ func (e *Engine) execNestedLoop(n *Node) ([]storage.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &evalCtx{schema: n.Schema, sub: e.subquery}
+	pairs := pairSchema(n)
+	ctx := &evalCtx{schema: pairs, sub: e.subquery}
 	var out []storage.Row
 	leftOuter := n.JoinType == sqlparser.LeftJoin
 	nullsInner := make(storage.Row, len(innerNode.Schema))
@@ -487,7 +512,7 @@ func (e *Engine) execNestedLoop(n *Node) ([]storage.Row, error) {
 			out = append(out, concatRows(or, nullsInner))
 		}
 	}
-	return e.filterRows(n, out)
+	return e.joinOutput(n, pairs, out)
 }
 
 func (e *Engine) execSort(n *Node) ([]storage.Row, error) {
@@ -540,18 +565,21 @@ func sortRows(e *Engine, rows []storage.Row, schema []colRef, keys []sortKey) ([
 // which folds this aggregate's finalize will read, so the per-row
 // accumulate skips the others — a SUM never pays the min/max compares.
 // The running sum is typed: sumKind is KNull before the first numeric
-// value, then KInt or KFloat with the total in sumInt or sumFloat.
-// distinct, non-nil for a DISTINCT aggregate, holds the values folded so
-// far, as keys of one datum in first-arrival order. Both executors share
-// it with the batch executor's other hashing operators.
+// value, then KInt or KFloat with the total in sumInt or sumFloat. minSeq
+// and maxSeq are the sequences of the rows min and max came from, which
+// break ties when partial states merge. distinct, non-nil for a DISTINCT
+// aggregate, holds the values folded so far, as keys of one datum in
+// first-arrival order. Both executors share it with the batch executor's
+// other hashing operators.
 type aggState struct {
-	count    int64
-	needs    uint8
-	sumKind  datum.Kind
-	sumInt   int64
-	sumFloat float64
-	min, max datum.D
-	distinct *keyTable
+	count          int64
+	needs          uint8
+	sumKind        datum.Kind
+	sumInt         int64
+	sumFloat       float64
+	min, max       datum.D
+	minSeq, maxSeq int64
+	distinct       *keyTable
 }
 
 const (
@@ -611,7 +639,7 @@ func (e *Engine) execAggregate(n *Node) ([]storage.Row, error) {
 	groups := make(map[uint64][]*group)
 	var order []*group
 
-	for _, r := range input {
+	for seq, r := range input {
 		ctx.row = r
 		keyVals, err := evalKeys(ctx, n.GroupKeys)
 		if err != nil {
@@ -631,7 +659,7 @@ func (e *Engine) execAggregate(n *Node) ([]storage.Row, error) {
 			order = append(order, g)
 		}
 		for i, a := range n.Aggs {
-			if err := accumulate(ctx, g.states[i], a.Call); err != nil {
+			if err := accumulate(ctx, g.states[i], a.Call, int64(seq)); err != nil {
 				return nil, err
 			}
 		}
@@ -667,7 +695,7 @@ func (e *Engine) execAggregate(n *Node) ([]storage.Row, error) {
 	return out, nil
 }
 
-func accumulate(ctx *evalCtx, st *aggState, call *sqlparser.FuncCall) error {
+func accumulate(ctx *evalCtx, st *aggState, call *sqlparser.FuncCall, seq int64) error {
 	if call.Star {
 		st.count++
 		return nil
@@ -676,23 +704,36 @@ func accumulate(ctx *evalCtx, st *aggState, call *sqlparser.FuncCall) error {
 	if err != nil {
 		return err
 	}
-	accumulateDatum(st, v)
+	accumulateDatum(st, v, seq)
 	return nil
 }
 
-// accumulateDatum folds one evaluated argument into an aggregate state;
-// shared by the reference and batch executors. A DISTINCT state folds a
-// value at its first arrival and skips its repeats.
-func accumulateDatum(st *aggState, v datum.D) {
-	if v.IsNull() {
+// accumulateDatum folds one evaluated argument, of the row at sequence
+// seq, into an aggregate state; shared by the reference and batch
+// executors. A DISTINCT state folds a value at its first arrival and skips
+// its repeats.
+func accumulateDatum(st *aggState, v datum.D, seq int64) {
+	if v.IsNull() || !st.firstArrival(v) {
 		return
 	}
-	if st.distinct != nil {
-		key := [1]datum.D{v}
-		if _, added := st.distinct.insert(key[:], hashKey(key[:])); !added {
-			return
-		}
+	st.foldCountSum(v)
+	st.foldMinMax(v, seq)
+}
+
+// firstArrival reports whether v is new to a DISTINCT state, adding it to
+// the state's values; every value is new to any other state.
+func (st *aggState) firstArrival(v datum.D) bool {
+	if st.distinct == nil {
+		return true
 	}
+	key := [1]datum.D{v}
+	_, added := st.distinct.insert(key[:], hashKey(key[:]))
+	return added
+}
+
+// foldCountSum counts a non-NULL value and adds it to the running sum
+// where finalize reads it.
+func (st *aggState) foldCountSum(v datum.D) {
 	st.count++
 	if st.needs&aggNeedSum != 0 {
 		switch v.Kind() {
@@ -702,7 +743,6 @@ func accumulateDatum(st *aggState, v datum.D) {
 			st.addFloat(v.Float())
 		}
 	}
-	st.foldMinMax(v)
 }
 
 // addInt adds an integer to the running sum as datum.Arith('+') would:
@@ -733,14 +773,15 @@ func (st *aggState) addFloat(f float64) {
 	}
 }
 
-// foldMinMax folds a non-NULL value into MIN and MAX where finalize reads
-// them.
-func (st *aggState) foldMinMax(v datum.D) {
+// foldMinMax folds a non-NULL value, of the row at sequence seq, into MIN
+// and MAX where finalize reads them. Rows fold in sequence order, so of
+// equal values the first row's stays.
+func (st *aggState) foldMinMax(v datum.D, seq int64) {
 	if st.needs&aggNeedMin != 0 && (st.min.IsNull() || datum.Compare(v, st.min) < 0) {
-		st.min = v
+		st.min, st.minSeq = v, seq
 	}
 	if st.needs&aggNeedMax != 0 && (st.max.IsNull() || datum.Compare(v, st.max) > 0) {
-		st.max = v
+		st.max, st.maxSeq = v, seq
 	}
 }
 

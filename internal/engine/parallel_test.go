@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -152,6 +153,39 @@ func TestParallelGatherOrderMatchesSerial(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("%q: row %d differs:\nparallel: %s\nserial:   %s", q, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestParallelMinMaxTies: over keyEqualityDB's column, whose equal values
+// print apart (0.0 and -0.0, 1e6 and 1000000), a parallel MIN and MAX
+// show the first row's value, as the serial fold does, however the
+// workers' runs arrive at the exchange's merge. With one-row morsels over
+// four workers the arrival order varies from run to run, so the query
+// repeats.
+func TestParallelMinMaxTies(t *testing.T) {
+	par := keyEqualityDB(t, parTestConfig())
+	ser := par.Session()
+	ser.Cfg.MaxQueryParallelism = -1
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT MIN(v), MAX(v) FROM kf", "0|1e+06"},
+		{"SELECT MIN(DISTINCT v), MAX(DISTINCT v), COUNT(DISTINCT v) FROM kf", "0|1e+06|2"},
+		{"SELECT id > 0, MIN(v), MAX(v) FROM kf GROUP BY id > 0", "true|0|1e+06"},
+	} {
+		plan, err := par.PlanSQL(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh := par.activeParShape(plan); sh == nil || sh.kind != parAgg {
+			t.Fatalf("%s: want a parallel aggregation merge\n%s", c.sql, ExplainText(plan))
+		}
+		if got := rowStrings(mustExec(t, ser, c.sql).Rows); !slices.Equal(got, []string{c.want}) {
+			t.Fatalf("%s: serial rows %q, want %q", c.sql, got, c.want)
+		}
+		for run := 0; run < 500; run++ {
+			if got := rowStrings(mustExec(t, par, c.sql).Rows); !slices.Equal(got, []string{c.want}) {
+				t.Fatalf("%s: parallel run %d rows %q, serial %q", c.sql, run, got, c.want)
 			}
 		}
 	}

@@ -65,6 +65,7 @@ func (e *Engine) planSelect(sel *sqlparser.SelectStmt) (*Node, error) {
 	if err := p.checkBindings(n); err != nil {
 		return nil, err
 	}
+	p.narrowJoins(n)
 	e.annotateParallel(n)
 	return n, nil
 }
@@ -1234,16 +1235,26 @@ func (p *planner) checkBindings(root *Node) error {
 			}
 		}
 	}
-	return checkOperatorBindings(root)
+	// Each join's inputs side by side are at most as wide as the topmost
+	// join's Schema, which narrowJoins has not narrowed yet, so one buffer
+	// of that size holds every join's pair schema in turn.
+	var pairs []colRef
+	if j := topJoin(root); j != nil {
+		pairs = make([]colRef, 0, len(j.Schema))
+	}
+	return checkOperatorBindings(root, pairs)
 }
 
-func checkOperatorBindings(n *Node) error {
+func checkOperatorBindings(n *Node, pairs []colRef) error {
 	for _, c := range n.Children {
-		if err := checkOperatorBindings(c); err != nil {
+		if err := checkOperatorBindings(c, pairs); err != nil {
 			return err
 		}
 	}
 	switch n.Op {
+	case OpHashJoin, OpMergeJoin, OpNestedLoop:
+		pairs = append(append(pairs[:0], n.Children[0].Schema...), n.Children[1].Schema...) // pairSchema(n)
+		return checkBinds(pairs, n.JoinCond, n.Filter)
 	case OpSort, OpUnique:
 		for _, k := range n.SortKeys {
 			if err := checkBind(k.Expr, n.Children[0].Schema); err != nil {
@@ -1264,9 +1275,114 @@ func checkOperatorBindings(n *Node) error {
 		}
 		return checkBind(n.HavingFilter, n.Schema)
 	}
-	// A scan binds its conditions against its own columns, a join against
-	// its inputs' columns side by side: either way, its output schema.
-	return checkBinds(n.Schema, n.IndexCond, n.JoinCond, n.Filter)
+	// A scan binds its conditions against its own columns.
+	return checkBinds(n.Schema, n.IndexCond, n.Filter)
+}
+
+// pairSchema is what a join's condition and filter bind against in every
+// executor: its inputs' columns side by side, as the row pairs they test.
+func pairSchema(n *Node) []colRef {
+	return concatSchema(n.Children[0].Schema, n.Children[1].Schema)
+}
+
+// narrowJoins narrows each join's Schema to the columns its consumers
+// read, in their current order (see "Join output columns" in doc.go). A
+// plan without a join is left alone and costs nothing.
+func (p *planner) narrowJoins(root *Node) {
+	if topJoin(root) == nil {
+		return
+	}
+	read := make([]bool, len(root.Schema))
+	star := starColumns(root) // a prefix of root.Schema
+	for _, it := range p.sel.Items {
+		if it.Star || it.TableStar != "" {
+			for i, c := range star {
+				if it.Star || c.Qual == it.TableStar {
+					read[i] = true
+				}
+			}
+			continue
+		}
+		markRead(read, root.Schema, it.Expr)
+	}
+	narrow(root, read)
+}
+
+// topJoin returns the join nearest the root, or nil when the plan has
+// none. Every other operator has at most one input, so the join lies on
+// the first-input spine.
+func topJoin(n *Node) *Node {
+	for {
+		switch n.Op {
+		case OpHashJoin, OpMergeJoin, OpNestedLoop:
+			return n
+		}
+		if len(n.Children) == 0 {
+			return nil
+		}
+		n = n.Children[0]
+	}
+}
+
+// narrow narrows the joins of n's subtree, top-down. read marks the
+// columns of n.Schema that n's consumers read; an operator that passes
+// its input through adds what it reads itself and hands read on.
+func narrow(n *Node, read []bool) {
+	switch n.Op {
+	case OpHashJoin, OpMergeJoin, OpNestedLoop:
+		// Until it is narrowed, a join's Schema is its inputs' side by side.
+		in := slices.Clone(read)
+		markRead(in, n.Schema, n.JoinCond)
+		markRead(in, n.Schema, n.Filter)
+		split := len(n.Children[0].Schema)
+		narrow(n.Children[0], in[:split])
+		narrow(n.Children[1], in[split:])
+		// In place: only the pass-through nodes above share this slice, and
+		// they take the narrowed one.
+		kept := n.Schema[:0]
+		for i, c := range n.Schema {
+			if read[i] {
+				kept = append(kept, c)
+			}
+		}
+		n.Schema = kept
+	case OpAggregate, OpHashAggregate, OpGroupAggregate:
+		child := n.Children[0]
+		in := make([]bool, len(child.Schema))
+		for _, k := range n.GroupKeys {
+			markRead(in, child.Schema, k)
+		}
+		for _, a := range n.Aggs {
+			for _, arg := range a.Call.Args {
+				markRead(in, child.Schema, arg)
+			}
+		}
+		narrow(child, in)
+	case OpSort, OpUnique, OpLimit, OpHash, OpMaterialize:
+		for _, k := range n.SortKeys {
+			markRead(read, n.Schema, k.Expr)
+		}
+		narrow(n.Children[0], read)
+		n.Schema = n.Children[0].Schema
+	}
+}
+
+// markRead marks in read the columns of schema that e's column references
+// name: a qualified reference its column, an unqualified one each column
+// of its name, which binding has found to be one. Subqueries are
+// uncorrelated and read nothing here.
+func markRead(read []bool, schema []colRef, e sqlparser.Expr) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
+		ref, ok := x.(*sqlparser.ColumnRef)
+		if !ok {
+			return
+		}
+		for i, c := range schema {
+			if c.Name == ref.Name && (ref.Table == "" || c.Qual == ref.Table) {
+				read[i] = true
+			}
+		}
+	})
 }
 
 func minf(a, b float64) float64 {

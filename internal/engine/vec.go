@@ -6,7 +6,9 @@ package engine
 // closure call per filter evaluation, an allocation per joined or projected
 // row — are amortized across the batch: scans filter through tight typed
 // loops (vexpr.go), joins and projection pack their output rows into flat
-// per-batch datum arenas, and top-K keys load by ordinal.
+// per-batch datum arenas, and top-K keys load by ordinal. A join packs only
+// the columns of its Schema, which the planner narrows to what the join's
+// consumers read (batchWriter), so its arenas hold no column nothing reads.
 //
 // Batch memory contract:
 //   - A batch (the []storage.Row slice) is valid only until the consumer's
@@ -162,14 +164,18 @@ func (o *rowsOut) next() []storage.Row {
 
 // --- Batch output writer ----------------------------------------------------
 
-// batchWriter packs freshly built output rows (joins, projection) into a
-// flat datum arena: one arena allocation per batch instead of one row
-// allocation per row. The arena is never reused — emitted rows are
-// three-index subslices of it and may be retained forever by consumers —
-// while the rows slice (headers only) is recycled across batches.
+// batchWriter packs a join's output rows into a flat datum arena: one
+// arena allocation per batch instead of one row allocation per row. An
+// output row gathers the columns its consumers read from the matched row
+// pair: the left row's at lOrds, then the right row's at rOrds
+// (gatherFor), so a join packs only the columns of its Schema. The
+// arena is never reused — emitted rows are three-index subslices of it
+// and may be retained forever by consumers — while the rows slice
+// (headers only) is recycled across batches.
 type batchWriter struct {
-	width int
-	hint  int // expected rows in the current batch; 0 or out of range → batchSize
+	lOrds, rOrds []int
+	width        int // len(lOrds) + len(rOrds)
+	hint         int // expected rows in the current batch; 0 or out of range → batchSize
 	// left estimates the rows the operator has yet to emit over all its
 	// batches, counted down per row; 0 when unknown or used up.
 	left  int
@@ -190,15 +196,15 @@ func (w *batchWriter) reset() {
 	w.rows = w.rows[:0]
 }
 
-// appendConcat emits a+b as one packed output row. Arena chunks are never
-// regrown or copied. A batch's first chunk holds the hinted number of
-// rows, and a later one the rest of the batch; either is cut to twice the
-// rows estimated to be left, so a stream that ends early leaves little of
-// its last chunk unused. A batch takes at most two chunks, or three when
-// the rows outrun both the hint and the estimate. Rows already emitted
-// keep pointing into earlier chunks, which are never written again (each
-// row is capped at its own length).
-func (w *batchWriter) appendConcat(a, b storage.Row) {
+// appendGather emits the output row of the pair l, r as one packed row.
+// Arena chunks are never regrown or copied. A batch's first chunk holds
+// the hinted number of rows, and a later one the rest of the batch; either
+// is cut to twice the rows estimated to be left, so a stream that ends
+// early leaves little of its last chunk unused. A batch takes at most two
+// chunks, or three when the rows outrun both the hint and the estimate.
+// Rows already emitted keep pointing into earlier chunks, which are never
+// written again (each row is capped at its own length).
+func (w *batchWriter) appendGather(l, r storage.Row) {
 	if len(w.arena)+w.width > cap(w.arena) {
 		rows := batchSize - len(w.rows)
 		if w.arena == nil && w.hint > 0 && w.hint < rows {
@@ -213,9 +219,23 @@ func (w *batchWriter) appendConcat(a, b storage.Row) {
 		w.left--
 	}
 	n := len(w.arena)
-	w.arena = append(w.arena, a...)
-	w.arena = append(w.arena, b...)
-	w.rows = append(w.rows, storage.Row(w.arena[n:len(w.arena):len(w.arena)]))
+	w.arena = w.arena[:n+w.width]
+	row := w.arena[n:len(w.arena):len(w.arena)]
+	gather(row, l, w.lOrds)
+	gather(row[len(w.lOrds):], r, w.rOrds)
+	w.rows = append(w.rows, storage.Row(row))
+}
+
+// gather copies the columns of src at ords into dst. ords lists columns of
+// src in their order, so when it lists all of them it is a block copy.
+func gather(dst, src storage.Row, ords []int) {
+	if len(ords) == len(src) {
+		copy(dst, src)
+		return
+	}
+	for i, o := range ords {
+		dst[i] = src[o]
+	}
 }
 
 func (w *batchWriter) full() bool { return len(w.rows) >= batchSize }

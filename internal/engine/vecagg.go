@@ -235,10 +235,11 @@ func (x *numExpr) eval(r storage.Row, i int32) numVal {
 	return numVal{kind: datum.KFloat, f: af * bf}
 }
 
-// foldNum folds a typed argument value into st as accumulateDatum folds
-// the same datum, and reports whether it could: a value of a kind the
-// kernels do not evaluate must go through the bound closure instead.
-func (st *aggState) foldNum(v numVal) bool {
+// foldNum folds a typed argument value, of the row at sequence seq, into
+// st as accumulateDatum folds the same datum, and reports whether it
+// could: a value of a kind the kernels do not evaluate must go through the
+// bound closure instead.
+func (st *aggState) foldNum(v numVal, seq int64) bool {
 	switch v.kind {
 	case datum.KNull:
 	case datum.KInt:
@@ -247,7 +248,7 @@ func (st *aggState) foldNum(v numVal) bool {
 			st.addInt(v.i)
 		}
 		if st.needs&(aggNeedMin|aggNeedMax) != 0 {
-			st.foldMinMax(datum.NewInt(v.i))
+			st.foldMinMax(datum.NewInt(v.i), seq)
 		}
 	case datum.KFloat:
 		st.count++
@@ -255,7 +256,7 @@ func (st *aggState) foldNum(v numVal) bool {
 			st.addFloat(v.f)
 		}
 		if st.needs&(aggNeedMin|aggNeedMax) != 0 {
-			st.foldMinMax(datum.NewFloat(v.f))
+			st.foldMinMax(datum.NewFloat(v.f), seq)
 		}
 	default:
 		return false
@@ -289,7 +290,8 @@ func (a *aggAcc) addBatch(b []storage.Row, seq int64, at segRows) error {
 		if at.sd != nil {
 			i = at.row(j)
 		}
-		states, err := a.groupStates(r, i, seq+int64(j))
+		rowSeq := seq + int64(j)
+		states, err := a.groupStates(r, i, rowSeq)
 		if err != nil {
 			return err
 		}
@@ -299,14 +301,14 @@ func (a *aggAcc) addBatch(b []storage.Row, seq int64, at segRows) error {
 				st.count++
 				continue
 			}
-			if x := a.nums[k]; x != nil && st.foldNum(x.eval(r, i)) {
+			if x := a.nums[k]; x != nil && st.foldNum(x.eval(r, i), rowSeq) {
 				continue
 			}
 			v, err := arg(&a.env)
 			if err != nil {
 				return err
 			}
-			accumulateDatum(st, v)
+			accumulateDatum(st, v, rowSeq)
 		}
 	}
 	return nil
@@ -444,30 +446,42 @@ func (a *aggAcc) finish(groups []aggGroup) ([]storage.Row, error) {
 }
 
 // merge folds another partial state of the same aggregate into st. A
-// DISTINCT state folds in the other side's values it has not seen, in the
-// other side's arrival order, which differs from the serial one; that is
-// safe only because aggsMergeable admits order-insensitive aggregates
-// alone.
+// DISTINCT state counts and sums the other side's values it has not seen,
+// in the other side's arrival order, which differs from the serial one;
+// that is safe only because aggsMergeable admits order-insensitive
+// aggregates alone. MIN and MAX keep, of equal values, the one from the
+// earlier row, as the serial fold does, whatever order the partial states
+// merge in: 0.0 and -0.0, or 1e6 and 1000000, are equal but print apart.
 func (st *aggState) merge(o *aggState) {
 	if st.distinct != nil {
 		for _, v := range o.distinct.keys {
-			accumulateDatum(st, v)
+			if st.firstArrival(v) {
+				st.foldCountSum(v)
+			}
 		}
-		return
+	} else {
+		st.count += o.count
+		switch o.sumKind {
+		case datum.KInt:
+			st.addInt(o.sumInt)
+		case datum.KFloat:
+			st.addFloat(o.sumFloat)
+		}
 	}
-	st.count += o.count
-	switch o.sumKind {
-	case datum.KInt:
-		st.addInt(o.sumInt)
-	case datum.KFloat:
-		st.addFloat(o.sumFloat)
+	if !o.min.IsNull() && (st.min.IsNull() || replaces(datum.Compare(o.min, st.min), o.minSeq, st.minSeq)) {
+		st.min, st.minSeq = o.min, o.minSeq
 	}
-	if !o.min.IsNull() && (st.min.IsNull() || datum.Compare(o.min, st.min) < 0) {
-		st.min = o.min
+	if !o.max.IsNull() && (st.max.IsNull() || replaces(datum.Compare(st.max, o.max), o.maxSeq, st.maxSeq)) {
+		st.max, st.maxSeq = o.max, o.maxSeq
 	}
-	if !o.max.IsNull() && (st.max.IsNull() || datum.Compare(o.max, st.max) > 0) {
-		st.max = o.max
-	}
+}
+
+// replaces reports whether a candidate MIN or MAX, of the row at sequence
+// seq, replaces the current one, of the row at cur, given c, which is
+// negative when the candidate is the better value: it must be better, or
+// equal and earlier.
+func replaces(c int, seq, cur int64) bool {
+	return c < 0 || c == 0 && seq < cur
 }
 
 // aggVec is the blocking aggregate: Open folds every input batch into the

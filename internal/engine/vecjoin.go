@@ -6,9 +6,14 @@ package engine
 // can never match. Join keys are always columns of their input
 // (joinKeyPairs admits only cross-input column equalities), so both sides
 // load key datums by ordinal. The probe phase walks each probe batch in a
-// tight loop and packs surviving joined rows into batchWriter arena
+// tight loop and packs each surviving row pair into batchWriter arena
 // chunks — typically one or two allocations per output batch instead of
-// one concatRows allocation per output row. NULL semantics are
+// one allocation per output row. A packed row holds only the columns of
+// the join's Schema, which the planner narrows to what its consumers read:
+// it is gathered from the pair through one ordinal list per side, resolved
+// when the join is built (gatherFor). The residual and the filter read
+// the pair itself, bound against the two inputs' schemas side by side, so
+// a column only they read is never packed. NULL semantics are
 // identical on both sides: a probe row with any NULL key component matches
 // nothing (and, for LEFT JOIN, flows to the null-extension path), and
 // `matched` is decided by the ON condition (keys + residual) alone — the
@@ -25,10 +30,13 @@ package engine
 // The merge join drains both (sorted) inputs at Open with their key datums
 // loaded once into flat arenas, so the merge itself is pure datum
 // comparison, and emits equal-key groups pairwise through a batchWriter,
-// resuming mid-group when a batch fills.
+// resuming mid-group when a batch fills. The parallel exchange's worker
+// clones of a hash join (parallel.go) build the same shell, and with it
+// the same gather.
 
 import (
 	"fmt"
+	"slices"
 
 	"lantern/internal/datum"
 	"lantern/internal/sqlparser"
@@ -190,9 +198,30 @@ func (v *vbuild) hashJoinShell(n *Node) (*hashJoinVec, error) {
 		it.nullsRight[i] = datum.Null
 	}
 	it.keyBuf = make([]datum.D, len(it.probeKeyOrds))
-	it.w.width = len(probeNode.Schema) + len(hashNode.Schema)
+	if err := it.w.gatherFor(n); err != nil {
+		return nil, err
+	}
 	it.est = estCap(n.EstRows)
 	return it, nil
+}
+
+// gatherFor sets w up to pack join n's output rows: for each column of
+// n.Schema, where it sits in the left input's Schema or in the right
+// input's. The planner narrows n.Schema by dropping columns of its inputs'
+// side by side, so the left input's columns come first.
+func (w *batchWriter) gatherFor(n *Node) error {
+	left, right := n.Children[0].Schema, n.Children[1].Schema
+	ords := make([]int, len(n.Schema))
+	split := 0
+	for j, c := range n.Schema {
+		if i := slices.Index(left, c); i >= 0 && split == j {
+			ords[j], split = i, j+1
+		} else if ords[j] = slices.Index(right, c); ords[j] < 0 {
+			return fmt.Errorf("engine: %s output column %s.%s is not in its inputs in order", n.Op.Name(), c.Qual, c.Name)
+		}
+	}
+	w.lOrds, w.rOrds, w.width = ords[:split], ords[split:], len(ords)
+	return nil
 }
 
 // joinKeyOrdinals resolves join keys to ordinals of schema. joinKeyPairs
@@ -298,7 +327,7 @@ func (it *hashJoinVec) NextBatch() ([]storage.Row, error) {
 					continue
 				}
 			}
-			it.w.appendConcat(it.probeRow, br)
+			it.w.appendGather(it.probeRow, br)
 			if it.w.full() {
 				return it.w.rows, nil // resume mid-match next call
 			}
@@ -316,7 +345,7 @@ func (it *hashJoinVec) NextBatch() ([]storage.Row, error) {
 					continue
 				}
 			}
-			it.w.appendConcat(pr, it.nullsRight)
+			it.w.appendGather(pr, it.nullsRight)
 			if it.w.full() {
 				return it.w.rows, nil
 			}
@@ -367,7 +396,9 @@ func (v *vbuild) newMergeJoinVec(n *Node) (*mergeJoinVec, error) {
 		rEst:  estCap(rightNode.EstRows),
 		est:   estCap(n.EstRows),
 	}
-	it.w.width = len(leftNode.Schema) + len(rightNode.Schema)
+	if err := it.w.gatherFor(n); err != nil {
+		return nil, err
+	}
 	var err error
 	if it.left, err = v.build(leftNode); err != nil {
 		return nil, err
@@ -530,7 +561,7 @@ func (it *mergeJoinVec) NextBatch() ([]storage.Row, error) {
 						continue
 					}
 				}
-				it.w.appendConcat(lr, rr)
+				it.w.appendGather(lr, rr)
 				if it.w.full() {
 					return it.w.rows, nil // resume mid-group next call
 				}

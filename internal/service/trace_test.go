@@ -206,7 +206,9 @@ func TestDoCachedNarrateZeroAllocTracingDisabled(t *testing.T) {
 // worker. Run with -race to make this meaningful.
 func TestTraceTimeoutSafety(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 1, RequestTimeout: 30 * time.Second})
-	slow := `SELECT c.c_name, o.o_totalprice FROM customer c, orders o WHERE c.c_nationkey < 100`
+	// A cross join that reads every column, so the join packs and the
+	// projector copies them all: slow enough to outlive the 1 ms deadline.
+	slow := `SELECT * FROM customer c, orders o WHERE c.c_nationkey < 100`
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	_, err := srv.Do(ctx, &Request{Op: OpQuery, SQL: slow, Debug: DebugTrace, MaxRows: -1})
